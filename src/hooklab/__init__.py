@@ -20,7 +20,6 @@ from .classes import ClassId, contains, count, enumerate_class
 from .hooks import HookCensus, census, conjugate, hook_lengths, shortcut_stats, t_hook_count
 from .qseries import (
     BivariateSeries,
-    LaurentSeries,
     TruncatedSeries,
     identity_check_sum_product,
     inv_pochhammer_product,
@@ -42,7 +41,6 @@ __all__ = [
     "shortcut_stats",
     "t_hook_count",
     "TruncatedSeries",
-    "LaurentSeries",
     "BivariateSeries",
     "inv_pochhammer_product",
     "series_S",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.special import wofz
+import mpmath as mp
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG_PHI = math.log(PHI)
@@ -257,8 +257,6 @@ def eta_asym_residual(param: ComplexParam) -> complex:
     """
     if abs(param.y) > param.epsilon**-0.25:
         raise ValueError("y outside the cone |y| <= epsilon^(-1/4)")
-    import mpmath as mp
-
     eps, y = param.epsilon, param.y
     # resolve down to the double underflow threshold (|res| ~ e^(-4pi^2/(eps(1+y^2))))
     need = 4.0 * math.pi**2 / (eps * (1.0 + y * y)) / math.log(10.0)
@@ -277,11 +275,11 @@ def eta_asym_residual(param: ComplexParam) -> complex:
 
 
 def _erfc(a) -> complex | float:
-    """erfc for real or complex argument (wofz-backed off the real line)."""
+    """erfc for real or complex argument (mpmath off the real line, at
+    binary64 precision whatever mpmath's global precision)."""
     if isinstance(a, complex) and a.imag != 0.0:
-        if a.real >= 0.0:
-            return cmath.exp(-a * a) * wofz(1j * a)
-        return 2.0 - cmath.exp(-a * a) * wofz(-1j * a)
+        with mp.workprec(53):
+            return complex(mp.erfc(a))
     x = a.real if isinstance(a, complex) else a
     return math.erfc(x)
 

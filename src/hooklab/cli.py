@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, asym
 from .classes import ClassId, all_partitions, iter_class
@@ -20,10 +21,17 @@ from .hooks import (
     HookCensus,
     census_rows,
     conjugate,
+    hook_lengths,
     shortcut_stats,
     t_hook_count,
 )
-from .qseries import identity_check_sum_product, series_H, series_S
+from .qseries import (
+    TruncatedSeries,
+    counting_series,
+    identity_check_sum_product,
+    series_H,
+    series_S,
+)
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -31,22 +39,27 @@ VERIFY_CEILING = 80        # largest n_max cmd_verify will enumerate
 CONJECTURE_CEILING = 120   # largest n_max for the t >= 3 scans
 HOOK_PROPERTY_BOUND = 30   # unrestricted-partition property sweep bound
 
-_SERIES_BUILDERS = {
-    "S11": lambda order: series_S(1, 1, order),
-    "S12": lambda order: series_S(1, 2, order),
-    "S21": lambda order: series_S(2, 1, order),
-    "S22": lambda order: series_S(2, 2, order),
-    "H11": lambda order: series_H(1, 1, order),
-    "H12": lambda order: series_H(1, 2, order),
-    "H21": lambda order: series_H(2, 1, order),
-    "H22": lambda order: series_H(2, 2, order),
-}
 
-_SERIES_CLASS = {
-    "S11": (ClassId.R1, 1), "S12": (ClassId.R1, 2),
-    "S21": (ClassId.R2, 1), "S22": (ClassId.R2, 2),
-    "H11": (ClassId.G1, 1), "H12": (ClassId.G1, 2),
-    "H21": (ClassId.G2, 1), "H22": (ClassId.G2, 2),
+class _Series(NamedTuple):
+    """One of the eight t = 1, 2 hook series: its exact builder (which looks
+    up ``series_S``/``series_H`` in this module when called), the class it
+    counts, t, and its growth-model key in :func:`asym.growth_model`."""
+
+    build: Callable[[int], TruncatedSeries]
+    class_id: ClassId
+    t: int
+    model: str
+
+
+_SERIES = {
+    "S11": _Series(lambda order: series_S(1, 1, order), ClassId.R1, 1, "r11"),
+    "S12": _Series(lambda order: series_S(1, 2, order), ClassId.R1, 2, "r12"),
+    "S21": _Series(lambda order: series_S(2, 1, order), ClassId.R2, 1, "r21"),
+    "S22": _Series(lambda order: series_S(2, 2, order), ClassId.R2, 2, "r22"),
+    "H11": _Series(lambda order: series_H(1, 1, order), ClassId.G1, 1, "g11"),
+    "H12": _Series(lambda order: series_H(1, 2, order), ClassId.G1, 2, "g12"),
+    "H21": _Series(lambda order: series_H(2, 1, order), ClassId.G2, 1, "g21"),
+    "H22": _Series(lambda order: series_H(2, 2, order), ClassId.G2, 2, "g22"),
 }
 
 
@@ -92,6 +105,54 @@ def _slice_census(c: HookCensus, n_max: int, t_max: int) -> HookCensus:
     )
 
 
+def _load_census(path: Path, class_id: ClassId) -> HookCensus | None:
+    """The cached table at ``path``, or None when it is missing, unreadable
+    or fails a check.
+
+    Checked: the class; the shape (n_max + 1 rows of t_max counts, every
+    count a non-negative int); the cardinalities against the class counting
+    series; total_hooks[n] == n * cardinality[n]; and the t = 1, 2 columns
+    against the class's exact series.  The t >= 3 columns have no cheap
+    oracle yet, so only their shape is checked.
+    """
+    if not path.is_file():
+        return None
+    try:
+        c = _census_from_payload(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError):
+        return None
+    values = [c.n_max, c.t_max, *c.cardinality, *c.total_hooks]
+    values += [v for row in c.counts for v in row]
+    if not (
+        c.class_id == class_id
+        and all(type(v) is int and v >= 0 for v in values)
+        and c.t_max >= 1
+        and len(c.counts) == len(c.cardinality) == len(c.total_hooks) == c.n_max + 1
+        and all(len(row) == c.t_max for row in c.counts)
+        and c.cardinality == counting_series(class_id, c.n_max).coeffs
+        and all(c.total_hooks[n] == n * c.cardinality[n] for n in range(c.n_max + 1))
+    ):
+        return None
+    for entry in _SERIES.values():
+        if entry.class_id == class_id and entry.t <= c.t_max:
+            if c.series(entry.t) != entry.build(c.n_max).coeffs:
+                return None
+    return c
+
+
+def _write_cache(path: Path, c: HookCensus) -> None:
+    """Replace the cache file whole: write a temporary file beside it, then
+    ``os.replace`` it into place, so an interrupted write leaves the old
+    file intact."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(_census_payload(c)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cached_census(
     class_id: ClassId,
     n_max: int,
@@ -103,52 +164,40 @@ def cached_census(
 ) -> HookCensus:
     """Census through a per-class cache.
 
-    A cached table is compatible when its t_max covers the request; it is
-    then extended in place for sizes above its n_max (only the new rows are
-    enumerated) and sliced to the requested shape.  A larger t_max than the
-    cached one forces a full recompute.
+    A cached table that passes :func:`_load_census` and whose t_max covers
+    the request is extended for sizes above its n_max (only the new rows are
+    enumerated) and sliced to the requested shape.  Otherwise (no cache, a
+    file that fails a check, or a larger t_max than the cached one) the
+    table is extended from empty.  The file is written only when the table
+    changed.
     """
-
-    def fresh(n: int, t: int) -> HookCensus:
+    # checked here, not only in census_rows, which a cache hit never reaches
+    if n_max < 0 or t_max < 1:
+        raise ValueError("need n_max >= 0 and t_max >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    path = None if cache_dir is None else _cache_file(cache_dir, class_id)
+    table = None if path is None else _load_census(path, class_id)
+    if table is None or table.t_max < t_max:
+        table = HookCensus(class_id, -1, t_max)
+    start = table.n_max + 1
+    if start <= n_max:
         rows = census_rows(
-            class_id, list(range(n + 1)), t, workers=workers, max_partitions=max_partitions
-        )
-        out = HookCensus(class_id, n, t)
-        for i in range(n + 1):
-            bins, total, card = rows[i]
-            out.counts.append(bins)
-            out.total_hooks.append(total)
-            out.cardinality.append(card)
-        return out
-
-    if cache_dir is None:
-        return fresh(n_max, t_max)
-    path = _cache_file(cache_dir, class_id)
-    cached: HookCensus | None = None
-    if path.is_file():
-        try:
-            cached = _census_from_payload(json.loads(path.read_text()))
-        except (json.JSONDecodeError, KeyError, TypeError):
-            cached = None  # unreadable cache: recompute and overwrite
-    if cached is None or cached.t_max < t_max:
-        cached = fresh(n_max, t_max)
-    elif cached.n_max < n_max:
-        extra = census_rows(
             class_id,
-            list(range(cached.n_max + 1, n_max + 1)),
-            cached.t_max,
+            list(range(start, n_max + 1)),
+            table.t_max,
             workers=workers,
             max_partitions=max_partitions,
         )
-        for n in range(cached.n_max + 1, n_max + 1):
-            bins, total, card = extra[n]
-            cached.counts.append(bins)
-            cached.total_hooks.append(total)
-            cached.cardinality.append(card)
-        cached.n_max = n_max
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_census_payload(cached)))
-    return _slice_census(cached, n_max, t_max)
+        for n in range(start, n_max + 1):
+            bins, total, card = rows[n]
+            table.counts.append(bins)
+            table.total_hooks.append(total)
+            table.cardinality.append(card)
+        table.n_max = n_max
+        if path is not None:
+            _write_cache(path, table)
+    return _slice_census(table, n_max, t_max)
 
 
 def census_csv_text(c: HookCensus) -> str:
@@ -226,15 +275,14 @@ def verify_report(
         raise ValueError(f"n_max must be <= {VERIFY_CEILING} (enumeration ceiling)")
     results: list = []
 
-    series = {key: build(n_max) for key, build in _SERIES_BUILDERS.items()}
+    series = {key: entry.build(n_max) for key, entry in _SERIES.items()}
     if _corrupt is not None:
         key, exponent, delta = _corrupt
         series[key].coeffs[exponent] += delta
     censuses = {
         cid: cached_census(cid, n_max, 2, workers=workers) for cid in ClassId
     }
-    for key in sorted(_SERIES_BUILDERS):
-        cid, t = _SERIES_CLASS[key]
+    for key, (_, cid, t, _) in sorted(_SERIES.items()):
         s = series[key]
         c = censuses[cid]
         bad = next((n for n in range(n_max + 1) if s[n] != c.count(n, t)), None)
@@ -273,13 +321,22 @@ def verify_report(
                 involution = False
                 witness.setdefault("involution", p)
             st = shortcut_stats(p)
-            if sum(t_hook_count(p, t) for t in range(1, n + 1)) != n:
+            ones, twos = t_hook_count(p, 1), t_hook_count(p, 2)
+            # every cell has one hook in [1, n]; the table and t_hook_count
+            # are independent formulas for the same hooks
+            hooks = [h for row in hook_lengths(p) for h in row]
+            if (
+                len(hooks) != n
+                or not all(1 <= h <= n for h in hooks)
+                or hooks.count(1) != ones
+                or hooks.count(2) != twos
+            ):
                 conservation = False
                 witness.setdefault("conservation", p)
-            if t_hook_count(p, 1) != st.distinct:
+            if ones != st.distinct:
                 one_hook = False
                 witness.setdefault("one_hook", p)
-            if n >= 2 and t_hook_count(p, 2) != st.gap_gt1 + st.mult_gt1:
+            if n >= 2 and twos != st.gap_gt1 + st.mult_gt1:
                 two_hook = False
                 witness.setdefault("two_hook", p)
     results.append(CheckResult(f"conjugation involution (n <= {bound})", involution, str(witness.get("involution", ""))))
@@ -359,8 +416,8 @@ def crossover_report(pair: str, n_max: int) -> CrossoverReport:
     if not 0 <= n_max <= 5000:
         raise ValueError("n_max must be in [0, 5000]")
     lkey, rkey, direction = _CROSSOVER_PAIRS[pair]
-    lhs = _SERIES_BUILDERS[lkey](n_max)
-    rhs = _SERIES_BUILDERS[rkey](n_max)
+    lhs = _SERIES[lkey].build(n_max)
+    rhs = _SERIES[rkey].build(n_max)
     first_hold, violations = _first_hold_and_violations(lhs, rhs, direction, n_max)
     return CrossoverReport(pair, n_max, first_hold, violations)
 
@@ -427,11 +484,6 @@ def conjecture_scan(
 # ratio and saddle tables
 # --------------------------------------------------------------------------
 
-_MODEL_RATIO_KEYS = {f"{key}-model": key for key in ("r11", "r12", "r21", "r22", "g11", "g12", "g21", "g22")}
-_KEY_TO_SERIES = {
-    "r11": "S11", "r12": "S12", "r21": "S21", "r22": "S22",
-    "g11": "H11", "g12": "H12", "g21": "H21", "g22": "H22",
-}
 _CROSS_RATIOS = {
     # pair -> (numerator, denominator, limit)
     "r1-cross": ("S11", "S21", 2.5 * asym.LOG_PHI),
@@ -449,10 +501,11 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
     if any(not 1 <= n <= 5000 for n in checkpoints):
         raise ValueError("checkpoints must lie in [1, 5000]")
     order = max(checkpoints)
-    if pair in _MODEL_RATIO_KEYS:
-        key = _MODEL_RATIO_KEYS[pair]
-        coeffs = _SERIES_BUILDERS[_KEY_TO_SERIES[key]](order)
-        model = asym.growth_model(key)
+    model_pairs = {f"{entry.model}-model": entry for entry in _SERIES.values()}
+    if pair in model_pairs:
+        entry = model_pairs[pair]
+        coeffs = entry.build(order)
+        model = asym.growth_model(entry.model)
         rows = [
             {"n": n, "coefficient": float(coeffs[n]), "model": model.value(n),
              "ratio": coeffs[n] / model.value(n)}
@@ -461,8 +514,8 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         return {"pair": pair, "kind": "model", "limit": None, "rows": rows}
     if pair in _CROSS_RATIOS:
         num_key, den_key, limit = _CROSS_RATIOS[pair]
-        num = _SERIES_BUILDERS[num_key](order)
-        den = _SERIES_BUILDERS[den_key](order)
+        num = _SERIES[num_key].build(order)
+        den = _SERIES[den_key].build(order)
         rows = [
             {"n": n, "ratio": num[n] / den[n], "limit": limit,
              "abs_error": abs(num[n] / den[n] - limit)}
@@ -471,7 +524,7 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         return {"pair": pair, "kind": "cross", "limit": limit, "rows": rows}
     raise ValueError(
         f"unknown pair {pair!r}; expected one of "
-        f"{sorted(_MODEL_RATIO_KEYS) + sorted(_CROSS_RATIOS)}"
+        f"{sorted(model_pairs) + sorted(_CROSS_RATIOS)}"
     )
 
 

@@ -186,6 +186,24 @@ def projected_enumeration(class_id: ClassId, ns) -> int:
     return sum(series[n] for n in ns)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (every CPU where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers: int | None, n_sizes: int, cpus: int) -> int:
+    """Processes for a census over ``n_sizes`` sizes: ``workers`` (default
+    ``cpus``), capped at the sizes and at ``cpus``; workers < 1 is an error."""
+    if workers is None:
+        workers = cpus
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return min(workers, n_sizes, cpus)
+
+
 def census_rows(
     class_id: ClassId,
     ns: list,
@@ -198,30 +216,30 @@ def census_rows(
 
     Returns ``{n: (bins, total_hooks, cardinality)}``.  Sizes are split
     across a process pool when the projected enumeration is large; the merge
-    is deterministic because rows are keyed by n.
+    is deterministic because rows are keyed by n.  The pool has at most
+    ``workers`` processes (default: the CPUs this process may run on), and
+    never more than there are sizes or such CPUs.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    ns = list(ns)
+    size = _pool_size(workers, len(ns), _usable_cpus())
     projected = projected_enumeration(class_id, ns)
     if projected > max_partitions:
         raise BudgetExceededError(projected, max_partitions)
-    if workers is None:
-        workers = os.cpu_count() or 1
     rows: dict = {}
-    if workers > 1 and projected >= _PARALLEL_THRESHOLD and len(ns) > 1:
+    if size > 1 and projected >= _PARALLEL_THRESHOLD:
         # interleave sizes so each chunk gets a share of the expensive large n
-        chunks = [list(ns[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = [ns[i::size] for i in range(size)]
+        with ProcessPoolExecutor(max_workers=size) as pool:
             futures = [
-                pool.submit(_census_rows, class_id.value, chunk, t_max)
-                for chunk in chunks
-                if chunk
+                pool.submit(_census_rows, class_id.value, chunk, t_max) for chunk in chunks
             ]
             for fut in futures:
                 for n, bins, total, card in fut.result():
                     rows[n] = (bins, total, card)
     else:
-        for n, bins, total, card in _census_rows(class_id.value, list(ns), t_max):
+        for n, bins, total, card in _census_rows(class_id.value, ns, t_max):
             rows[n] = (bins, total, card)
     return rows
 

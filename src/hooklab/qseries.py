@@ -18,9 +18,7 @@ The eight univariate series:
                       ((q^5+q^6+q^9)/(1-q^8) + (q^2+q^10-q^11+q^12)/(1-q^16))
 
 and the matching bivariate refinements sum_lambda x^(statistic) q^|lambda|
-are built from the same primitives.  The factor (-1/q;q^2)_n carries the one
-negative exponent in the whole engine; it lives in :class:`LaurentSeries`
-during term assembly and is checked away before anything escapes.
+are built from the same primitives.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ class XDegreeOverflowError(ValueError):
 
 
 class NegativeExponentError(ValueError):
-    """A finalized series kept a nonzero coefficient at a negative exponent."""
+    """A series term was given a negative exponent."""
 
 
 # --------------------------------------------------------------------------
@@ -263,120 +261,6 @@ def _monomial(exp: int, order: int) -> TruncatedSeries:
 
 
 # --------------------------------------------------------------------------
-# Laurent intermediates (the (-1/q; q^2)_n factor)
-# --------------------------------------------------------------------------
-
-
-class LaurentSeries:
-    """Series over exponents [min_exp, hard_order], min_exp possibly negative.
-
-    ``valid_order`` tracks how far coefficients are trustworthy: multiplying
-    by a polynomial with a negative exponent pulls unknown high-order mass
-    downward, so validity drops by that amount; an upward monomial shift
-    restores it (clamped to the storage ceiling ``hard_order``).
-    """
-
-    __slots__ = ("min_exp", "hard_order", "valid_order", "coeffs")
-
-    def __init__(self, min_exp: int, hard_order: int, coeffs: list, valid_order: int | None = None):
-        if len(coeffs) != hard_order - min_exp + 1:
-            raise ValueError("coeffs must cover [min_exp, hard_order]")
-        self.min_exp = min_exp
-        self.hard_order = hard_order
-        self.valid_order = hard_order if valid_order is None else valid_order
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def monomial(cls, exp: int, hard_order: int) -> "LaurentSeries":
-        if exp > hard_order:
-            raise ValueError("monomial exponent exceeds storage order")
-        return cls(exp, hard_order, [1] + [0] * (hard_order - exp))
-
-    def __getitem__(self, e: int) -> int:
-        if e > self.valid_order:
-            raise IndexError(f"exponent {e} beyond valid order {self.valid_order}")
-        if e < self.min_exp:
-            return 0
-        return self.coeffs[e - self.min_exp]
-
-    def imul_terms(self, terms: dict) -> "LaurentSeries":
-        """Multiply in place by an exact signed polynomial {exp: coef};
-        exponents may be negative."""
-        low = min(terms)
-        new_min = self.min_exp + low
-        out = [0] * (self.hard_order - new_min + 1)
-        for e, coef in terms.items():
-            if coef == 0:
-                continue
-            base = e - new_min
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    pos = base + self.min_exp + i
-                    if pos <= self.hard_order - new_min:
-                        out[pos] += coef * c
-        self.min_exp = new_min
-        self.coeffs = out
-        if low < 0:
-            self.valid_order += low
-        return self
-
-    def imul_one_plus(self, exp: int, sign: int = 1) -> "LaurentSeries":
-        """Multiply by (1 + sign q^exp), exp >= 1; validity unchanged."""
-        if exp < 1:
-            raise ValueError("exp must be >= 1")
-        c = self.coeffs
-        for k in range(len(c) - 1, exp - 1, -1):
-            c[k] += sign * c[k - exp]
-        return self
-
-    def imul_geometric(self, period: int) -> "LaurentSeries":
-        """Multiply by 1/(1 - q^period); validity unchanged."""
-        if period < 1:
-            raise ValueError("period must be >= 1")
-        c = self.coeffs
-        for k in range(period, len(c)):
-            c[k] += c[k - period]
-        return self
-
-    def shift(self, exp: int) -> "LaurentSeries":
-        """Multiply by q^exp (exp >= 1) in place; validity recovers up to the
-        storage ceiling, coefficients pushed past it fall away."""
-        if exp < 1:
-            raise ValueError("exp must be >= 1")
-        self.min_exp += exp
-        self.valid_order = min(self.valid_order + exp, self.hard_order)
-        overhang = self.min_exp + len(self.coeffs) - 1 - self.hard_order
-        if overhang > 0:
-            del self.coeffs[-overhang:]
-        return self
-
-    def finalize(self, order: int) -> TruncatedSeries:
-        """Convert to a TruncatedSeries on [0, order].
-
-        Raises :class:`NegativeExponentError` if any nonzero coefficient sits
-        at a negative exponent, and :class:`OrderMismatchError` if validity
-        does not reach the requested order.
-        """
-        if self.valid_order < order:
-            raise OrderMismatchError(
-                f"series only valid to order {self.valid_order}, need {order}"
-            )
-        out = TruncatedSeries(order)
-        for i, c in enumerate(self.coeffs):
-            e = self.min_exp + i
-            if e < 0:
-                if c:
-                    raise NegativeExponentError(
-                        f"nonzero coefficient {c} at exponent {e}"
-                    )
-                continue
-            if e > order:
-                break
-            out.coeffs[e] = c
-        return out
-
-
-# --------------------------------------------------------------------------
 # Nahm-sum term streams
 # --------------------------------------------------------------------------
 
@@ -420,22 +304,19 @@ def _rr_second_terms(order: int):
 def _lg_terms(order: int):
     """(n, q^(n^2+n) (-1/q;q^2)_n / (q^2;q^2)_n) while n^2 + n - 1 <= order.
 
-    Terms for n >= 1 are assembled in a LaurentSeries one order higher, so
-    the single (1 + 1/q) factor costs no exactness at the target order.
-    """
+    For n >= 1, (-1/q;q^2)_n = q^(-1) (1+q) (-q;q^2)_(n-1), so the term is
+    q^(n^2+n-1) (1+q) (-q;q^2)_(n-1) / (q^2;q^2)_n: no negative exponent."""
     yield 0, TruncatedSeries.one(order)
     if order < 1:
         return
-    base = LaurentSeries.monomial(2, order + 1)
-    base.imul_terms({-1: 1, 0: 1})
-    base.imul_geometric(2)
+    term = _monomial(1, order).imul_one_plus(1).imul_geometric(2)
     n = 1
     while n * n + n - 1 <= order:
         if n > 1:
-            base.shift(2 * n)
-            base.imul_one_plus(2 * n - 3)
-            base.imul_geometric(2 * n)
-        yield n, base.finalize(order)
+            term = term.shifted(2 * n)
+            term.imul_one_plus(2 * n - 3)
+            term.imul_geometric(2 * n)
+        yield n, term.copy()
         n += 1
 
 

@@ -228,6 +228,17 @@ def test_euler_maclaurin_complex_step():
     assert res < 1e-6
 
 
+@pytest.mark.parametrize("a", [0.3 + 0.2j, -0.4 + 0.3j])
+def test_euler_maclaurin_complex_start(a):
+    # a complex start takes erfc off the real line, on both sides of Re a = 0;
+    # a wrong erfc leaves an O(1/step) error that grows as the step halves
+    r_big = euler_maclaurin_gaussian_check(a, 0.4, 1)
+    r_half = euler_maclaurin_gaussian_check(a, 0.2, 1)
+    assert r_big / r_half > 6.0
+    with mp.workdps(5):  # mpmath's global precision must not leak in
+        assert euler_maclaurin_gaussian_check(a, 0.2, 1) == r_half
+
+
 # --------------------------------------------------------------------------
 # saddle functions and growth models
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 conjecture scans, ratio/saddle tables, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from hooklab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    _load_census,
     asym_table,
     cached_census,
     census_csv_text,
@@ -82,6 +85,86 @@ def test_cache_handles_t_max_increase(tmp_path):
     assert wider.counts == cached_census(ClassId.R2, 15, 3).counts
 
 
+def test_cache_hit_leaves_the_file_alone(tmp_path):
+    cache = tmp_path / "cache"
+    cached_census(ClassId.R1, 20, 2, str(cache))
+    path = cache / "census-r1.json"
+    before = path.stat()
+    again = cached_census(ClassId.R1, 20, 2, str(cache))
+    after = path.stat()
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    assert again == cached_census(ClassId.R1, 20, 2)
+    assert [p.name for p in cache.iterdir()] == ["census-r1.json"]  # no temporary file left
+
+
+def test_cache_with_a_wrong_count_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    run_census(ClassId.R1, 30, 3, str(tmp_path / "a.csv"), str(cache))
+    path = cache / "census-r1.json"
+    payload = json.loads(path.read_text())
+    payload["counts"][30][0] += 1000
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "b.csv"
+    code = main(["census", "--class", "r1", "--n-max", "30", "--t-max", "3",
+                 "--out", str(out), "--cache", str(cache)])
+    assert code == EXIT_OK
+    assert "30,1,396" in out.read_text().splitlines()
+    assert json.loads(path.read_text())["counts"][30][0] == 396  # overwritten
+    capsys.readouterr()
+
+
+def test_cache_with_truncated_counts_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    first = conjecture_scan([3], 30, str(cache))
+    path = cache / "census-g1.json"
+    payload = json.loads(path.read_text())
+    payload["counts"] = payload["counts"][:20]
+    path.write_text(json.dumps(payload))
+    assert conjecture_scan([3], 30, str(cache)) == first
+    assert len(json.loads(path.read_text())["counts"]) == 31
+
+
+@pytest.mark.parametrize(
+    "where,change",
+    [
+        (("class",), lambda v: "r2"),
+        (("n_max",), lambda v: v + 1),
+        (("t_max",), lambda v: v + 1),
+        (("counts", 12, 0), lambda v: v + 1),      # a t = 1 count
+        (("counts", 12, 1), lambda v: v - 1),      # a t = 2 count
+        (("counts", 12, 2), lambda v: -1),         # a t = 3 count below zero
+        (("counts", 12, 2), float),                # a t = 3 count that is no int
+        (("counts", 12), lambda row: row[:2]),     # a short row
+        (("cardinality", 12), lambda v: v + 1),
+        (("cardinality", 0), lambda v: v + 1),    # 0 * cardinality hides it from total_hooks
+        (("total_hooks", 12), lambda v: v + 12),
+    ],
+)
+def test_cache_check_rejects_a_tampered_table(tmp_path, where, change):
+    cache = tmp_path / "cache"
+    good = cached_census(ClassId.R1, 20, 3, str(cache))
+    path = cache / "census-r1.json"
+    payload = json.loads(path.read_text())
+    *outer, last = where
+    node = payload
+    for key in outer:
+        node = node[key]
+    node[last] = change(node[last])
+    path.write_text(json.dumps(payload))
+    assert _load_census(path, ClassId.R1) is None
+    assert cached_census(ClassId.R1, 20, 3, str(cache)) == good
+    assert _load_census(path, ClassId.R1) == good
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '{"class": "zz"}', '{"class": "r1"}'])
+def test_cache_check_rejects_an_unreadable_file(tmp_path, text):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "census-r1.json").write_text(text)
+    assert _load_census(cache / "census-r1.json", ClassId.R1) is None
+    assert cached_census(ClassId.R1, 12, 2, str(cache)) == cached_census(ClassId.R1, 12, 2)
+
+
 def test_census_csv_text_shape():
     c = cached_census(ClassId.R1, 3, 2)
     text = census_csv_text(c)
@@ -116,6 +199,19 @@ def test_verify_reports_corruption():
     assert "6" in bad[0].detail and "5" in bad[0].detail
 
 
+def test_verify_cross_checks_the_hook_table(monkeypatch):
+    import hooklab.cli as cli
+    from hooklab.hooks import hook_lengths
+
+    # relabel 2-hooks as 3-hooks from n = 3 on: n cells, all in [1, n], the
+    # 1-hooks intact, so only the count of 2s betrays the table
+    monkeypatch.setattr(cli, "hook_lengths", lambda p: [
+        [3 if h == 2 and sum(p) >= 3 else h for h in row] for row in hook_lengths(p)
+    ])
+    bad = [r.name for r in verify_report(6) if not r.ok]
+    assert bad == ["hook-sum conservation per partition (n <= 6)"]
+
+
 def test_verify_ceiling():
     with pytest.raises(ValueError):
         verify_report(81)
@@ -138,10 +234,10 @@ def test_crossover_internal_consistency(pair):
     assert report.first_hold is not None
     assert all(v < report.first_hold for v in report.violations)
     # independent honesty pass over the emitted data
-    from hooklab.cli import _CROSSOVER_PAIRS, _SERIES_BUILDERS
+    from hooklab.cli import _CROSSOVER_PAIRS, _SERIES
 
     lkey, rkey, direction = _CROSSOVER_PAIRS[pair]
-    lhs, rhs = _SERIES_BUILDERS[lkey](300), _SERIES_BUILDERS[rkey](300)
+    lhs, rhs = _SERIES[lkey].build(300), _SERIES[rkey].build(300)
     for n in range(report.first_hold, 301):
         if direction == "gt":
             assert lhs[n] > rhs[n]
@@ -273,6 +369,30 @@ def test_main_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_worker_counts_below_one(tmp_path, capsys, workers):
+    census_argv = ["census", "--class", "r1", "--n-max", "10", "--t-max", "2",
+                   "--out", str(tmp_path / "x.csv"), "--cache", str(tmp_path / "cache")]
+    for argv in (census_argv, ["verify", "--n-max", "5"], ["conjecture", "--t", "3", "--n-max", "10"]):
+        assert main(argv + ["--workers", workers]) == EXIT_USAGE
+    assert main(census_argv) == EXIT_OK
+    assert main(census_argv + ["--workers", workers]) == EXIT_USAGE  # cache hit too
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_main_rejects_empty_census_shapes(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert main(["census", "--class", "r1", "--n-max", "5", "--t-max", "2", "--out",
+                 str(tmp_path / "a.csv"), "--cache", cache]) == EXIT_OK
+    for n_max, t_max in (("-1", "2"), ("5", "0")):
+        for extra in ([], ["--cache", cache]):  # a cache hit included
+            argv = ["census", "--class", "r1", "--n-max", n_max, "--t-max", t_max,
+                    "--out", str(tmp_path / "b.csv")] + extra
+            assert main(argv) == EXIT_USAGE
+    assert not (tmp_path / "b.csv").exists()
+    capsys.readouterr()
+
+
 def test_main_budget_exit(tmp_path, capsys):
     # the projection (via the counting series) trips before any enumeration
     code = main(["census", "--class", "r2", "--n-max", "400", "--t-max", "1",
@@ -282,9 +402,6 @@ def test_main_budget_exit(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "hooklab", "crossover", "--pair", "r-t1", "--n-max", "30"],
         capture_output=True,
@@ -292,6 +409,13 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "first_hold" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, hooklab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_crossover_and_tables(capsys):

@@ -1,6 +1,7 @@
 """Young-diagram geometry: conjugation, hook lengths, shortcut statistics,
 and the class censuses."""
 
+import os
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from hooklab.classes import ClassId, all_partitions, iter_class
 from hooklab.hooks import (
     BudgetExceededError,
     _bin_hooks,
+    _pool_size,
+    _usable_cpus,
     census,
     conjugate,
     hook_lengths,
@@ -177,3 +180,20 @@ def test_census_parallel_matches_serial():
     assert par.counts == seq.counts
     assert par.cardinality == seq.cardinality
     assert par.total_hooks == seq.total_hooks
+
+
+def test_pool_size():
+    assert _pool_size(None, 10, 6) == 6   # default: every usable CPU
+    assert _pool_size(8, 10, 2) == 2      # capped at the CPUs
+    assert _pool_size(8, 3, 4) == 3       # capped at the sizes
+    assert _pool_size(1, 10, 4) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            _pool_size(bad, 10, 4)
+    with pytest.raises(ValueError):
+        census(ClassId.R1, 5, 1, workers=0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+def test_usable_cpus_follow_affinity():
+    assert _usable_cpus() == len(os.sched_getaffinity(0))

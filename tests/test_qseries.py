@@ -9,7 +9,6 @@ from hooklab.classes import ClassId, iter_class
 from hooklab.hooks import census, t_hook_count
 from hooklab.qseries import (
     BivariateSeries,
-    LaurentSeries,
     NegativeExponentError,
     OrderMismatchError,
     TruncatedSeries,
@@ -242,45 +241,6 @@ def test_identity_report_on_mismatch():
     bad = type(chk)(chk.which, chk.order, False, 7, 5, 6)
     msg = str(bad)
     assert "q^7" in msg and "5" in msg and "6" in msg
-
-
-# --------------------------------------------------------------------------
-# Laurent intermediates
-# --------------------------------------------------------------------------
-
-
-def test_laurent_tracks_negative_exponents():
-    s = LaurentSeries.monomial(2, 8)
-    s.imul_terms({-1: 1, 0: 1})   # q^2 (1 + 1/q) = q + q^2
-    assert s.min_exp == 1 and s.valid_order == 7
-    out = s.finalize(7)
-    assert out.coeffs == [0, 1, 1, 0, 0, 0, 0, 0]
-
-
-def test_laurent_negative_exponent_rejected():
-    s = LaurentSeries.monomial(0, 5)
-    s.imul_terms({-1: 1})         # 1/q: nonzero mass at exponent -1
-    with pytest.raises(NegativeExponentError):
-        s.finalize(4)
-
-
-def test_laurent_validity_enforced():
-    s = LaurentSeries.monomial(1, 5)
-    s.imul_terms({-1: 1, 0: 1})   # validity drops to 4
-    with pytest.raises(OrderMismatchError):
-        s.finalize(5)
-    s.shift(2)                    # validity recovers to the storage ceiling
-    assert s.finalize(5).coeffs == [0, 0, 1, 1, 0, 0]
-
-
-def test_laurent_geometric_and_one_plus():
-    s = LaurentSeries.monomial(1, 6)
-    s.imul_one_plus(2)            # q + q^3
-    s.imul_geometric(2)           # (q + q^3)/(1 - q^2)
-    assert s.finalize(6).coeffs == [0, 1, 0, 2, 0, 2, 0]
-    assert s[3] == 2 and s[0] == 0
-    with pytest.raises(IndexError):
-        s[7]
 
 
 # --------------------------------------------------------------------------
