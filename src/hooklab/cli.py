@@ -1,7 +1,7 @@
 """Command-line orchestration: censuses with caching, the verification
 suite, inequality crossovers, the t >= 3 conjecture scan, and asymptotic
 ratio tables.  All outputs are CSV/JSON; exit codes are 0 success, 1 check
-failure, 2 usage error, 3 resource budget."""
+failure, 2 usage error."""
 
 from __future__ import annotations
 
@@ -16,27 +16,27 @@ from typing import Callable, NamedTuple
 from . import __version__, asym
 from .classes import ClassId, all_partitions, iter_class
 from .hooks import (
-    BudgetExceededError,
-    DEFAULT_MAX_PARTITIONS,
     HookCensus,
     census_rows,
+    check_shape,
     conjugate,
+    enumerated_census,
     hook_lengths,
     shortcut_stats,
     t_hook_count,
 )
 from .qseries import (
     TruncatedSeries,
-    counting_series,
     identity_check_sum_product,
     series_H,
     series_S,
 )
 
-EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
 
 VERIFY_CEILING = 80        # largest n_max cmd_verify will enumerate
 CONJECTURE_CEILING = 120   # largest n_max for the t >= 3 scans
+ENGINE_CHECK_T = 4         # t_max of verify's engine-vs-enumeration check
 HOOK_PROPERTY_BOUND = 30   # unrestricted-partition property sweep bound
 
 
@@ -72,15 +72,8 @@ def _cache_file(cache_dir: str, class_id: ClassId) -> Path:
     return Path(cache_dir) / f"census-{class_id.value}.json"
 
 
-def _census_from_payload(payload: dict) -> HookCensus:
-    return HookCensus(
-        ClassId(payload["class"]),
-        payload["n_max"],
-        payload["t_max"],
-        [list(row) for row in payload["counts"]],
-        list(payload["cardinality"]),
-        list(payload["total_hooks"]),
-    )
+def _census_row(c: HookCensus, n: int) -> tuple:
+    return c.counts[n], c.cardinality[n], c.total_hooks[n]
 
 
 def _census_payload(c: HookCensus) -> dict:
@@ -105,49 +98,28 @@ def _slice_census(c: HookCensus, n_max: int, t_max: int) -> HookCensus:
     )
 
 
-def _load_census(path: Path, class_id: ClassId) -> HookCensus | None:
-    """The cached table at ``path``, or None when it is missing, unreadable
-    or fails a check.
-
-    Checked: the class; the shape (n_max + 1 rows of t_max counts, every
-    count a non-negative int); the cardinalities against the class counting
-    series; total_hooks[n] == n * cardinality[n]; and the t = 1, 2 columns
-    against the class's exact series.  The t >= 3 columns have no cheap
-    oracle yet, so only their shape is checked.
-    """
-    if not path.is_file():
-        return None
+def _stored_shape(text: str | None) -> tuple | None:
+    """The (n_max, t_max) a cache file's text claims, or None when the text
+    is missing or unreadable or the shape lies outside the census ceiling."""
     try:
-        c = _census_from_payload(json.loads(path.read_text()))
+        payload = json.loads(text)
+        shape = payload["n_max"], payload["t_max"]
+        if all(type(v) is int for v in shape):
+            check_shape(*shape)
+            return shape
     except (ValueError, KeyError, TypeError):
-        return None
-    values = [c.n_max, c.t_max, *c.cardinality, *c.total_hooks]
-    values += [v for row in c.counts for v in row]
-    if not (
-        c.class_id == class_id
-        and all(type(v) is int and v >= 0 for v in values)
-        and c.t_max >= 1
-        and len(c.counts) == len(c.cardinality) == len(c.total_hooks) == c.n_max + 1
-        and all(len(row) == c.t_max for row in c.counts)
-        and c.cardinality == counting_series(class_id, c.n_max).coeffs
-        and all(c.total_hooks[n] == n * c.cardinality[n] for n in range(c.n_max + 1))
-    ):
-        return None
-    for entry in _SERIES.values():
-        if entry.class_id == class_id and entry.t <= c.t_max:
-            if c.series(entry.t) != entry.build(c.n_max).coeffs:
-                return None
-    return c
+        pass
+    return None
 
 
-def _write_cache(path: Path, c: HookCensus) -> None:
+def _write_cache(path: Path, text: str) -> None:
     """Replace the cache file whole: write a temporary file beside it, then
     ``os.replace`` it into place, so an interrupted write leaves the old
     file intact."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(_census_payload(c)))
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -160,43 +132,33 @@ def cached_census(
     cache_dir: str | None = None,
     *,
     workers: int | None = None,
-    max_partitions: int = DEFAULT_MAX_PARTITIONS,
 ) -> HookCensus:
-    """Census through a per-class cache.
+    """Census through a per-class cache file that mirrors the engine.
 
-    A cached table that passes :func:`_load_census` and whose t_max covers
-    the request is extended for sizes above its n_max (only the new rows are
-    enumerated) and sliced to the requested shape.  Otherwise (no cache, a
-    file that fails a check, or a larger t_max than the cached one) the
-    table is extended from empty.  The file is written only when the table
-    changed.
+    Only the stored shape is read from the file.  The table is computed at
+    the larger of the stored and the requested shapes, served sliced to the
+    request, and written back only when the file's contents differ, so a
+    tampered or stale file is repaired and an intact one is left alone.
+    Recomputing costs less than checking the stored counts would.
     """
-    # checked here, not only in census_rows, which a cache hit never reaches
-    if n_max < 0 or t_max < 1:
-        raise ValueError("need n_max >= 0 and t_max >= 1")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_shape(n_max, t_max)
     path = None if cache_dir is None else _cache_file(cache_dir, class_id)
-    table = None if path is None else _load_census(path, class_id)
-    if table is None or table.t_max < t_max:
-        table = HookCensus(class_id, -1, t_max)
-    start = table.n_max + 1
-    if start <= n_max:
-        rows = census_rows(
-            class_id,
-            list(range(start, n_max + 1)),
-            table.t_max,
-            workers=workers,
-            max_partitions=max_partitions,
-        )
-        for n in range(start, n_max + 1):
-            bins, total, card = rows[n]
-            table.counts.append(bins)
-            table.total_hooks.append(total)
-            table.cardinality.append(card)
-        table.n_max = n_max
-        if path is not None:
-            _write_cache(path, table)
+    old = None
+    if path is not None:
+        try:
+            old = path.read_text()
+        except (OSError, ValueError):  # missing, a directory, or not text
+            pass
+    n_full, t_full = n_max, t_max
+    stored = _stored_shape(old)
+    if stored is not None:
+        n_full, t_full = max(n_full, stored[0]), max(t_full, stored[1])
+    rows = census_rows(class_id, range(n_full + 1), t_full, workers=workers)
+    table = HookCensus.from_rows(class_id, n_full, t_full, rows)
+    if path is not None:
+        text = json.dumps(_census_payload(table))
+        if text != old:
+            _write_cache(path, text)
     return _slice_census(table, n_max, t_max)
 
 
@@ -217,12 +179,10 @@ def run_census(
     cache_dir: str | None = None,
     *,
     workers: int | None = None,
-    max_partitions: int = DEFAULT_MAX_PARTITIONS,
 ) -> dict:
-    """Compute (or reuse) a census and write CSV plus a JSON sidecar."""
-    c = cached_census(
-        class_id, n_max, t_max, cache_dir, workers=workers, max_partitions=max_partitions
-    )
+    """Compute a census (through the cache, if any) and write CSV plus a
+    JSON sidecar."""
+    c = cached_census(class_id, n_max, t_max, cache_dir, workers=workers)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as fh:
@@ -280,7 +240,7 @@ def verify_report(
         key, exponent, delta = _corrupt
         series[key].coeffs[exponent] += delta
     censuses = {
-        cid: cached_census(cid, n_max, 2, workers=workers) for cid in ClassId
+        cid: cached_census(cid, n_max, ENGINE_CHECK_T, workers=workers) for cid in ClassId
     }
     for key, (_, cid, t, _) in sorted(_SERIES.items()):
         s = series[key]
@@ -305,6 +265,18 @@ def verify_report(
                 f"hook-sum conservation in census {cid.value}",
                 bad is None,
                 "" if bad is None else f"n={bad}",
+            )
+        )
+    for cid in ClassId:
+        c, oracle = censuses[cid], enumerated_census(cid, n_max, ENGINE_CHECK_T)
+        bad = next((n for n in range(n_max + 1) if _census_row(c, n) != _census_row(oracle, n)), None)
+        results.append(
+            CheckResult(
+                f"census engine == enumeration for {cid.value} (t <= {ENGINE_CHECK_T}, n <= {n_max})",
+                bad is None,
+                ""
+                if bad is None
+                else f"n={bad}: engine {_census_row(c, bad)}, enumeration {_census_row(oracle, bad)}",
             )
         )
 
@@ -440,9 +412,8 @@ def conjecture_scan(
     cache_dir: str | None = None,
     *,
     workers: int | None = None,
-    max_partitions: int = DEFAULT_MAX_PARTITIONS,
 ) -> list:
-    """Exhaustive t-hook comparison for every t in t_list (each >= 3).
+    """Exact t-hook comparison for every t in t_list (each >= 3).
 
     One shared census pass per class at t_max = max(t_list); per t the
     strict inequalities gap-class < congruence-class are scanned for both
@@ -454,12 +425,10 @@ def conjecture_scan(
     if any(t < 3 for t in t_list):
         raise ValueError("conjecture scan requires every t >= 3")
     if not 0 <= n_max <= CONJECTURE_CEILING:
-        raise ValueError(f"n_max must be <= {CONJECTURE_CEILING} (enumeration ceiling)")
+        raise ValueError(f"n_max must be <= {CONJECTURE_CEILING} (conjecture ceiling)")
     t_top = max(t_list)
     tables = {
-        cid: cached_census(
-            cid, n_max, t_top, cache_dir, workers=workers, max_partitions=max_partitions
-        )
+        cid: cached_census(cid, n_max, t_top, cache_dir, workers=workers)
         for cid in ClassId
     }
     scans = []
@@ -516,6 +485,11 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         num_key, den_key, limit = _CROSS_RATIOS[pair]
         num = _SERIES[num_key].build(order)
         den = _SERIES[den_key].build(order)
+        zero = next((n for n in sorted(checkpoints) if den[n] == 0), None)
+        if zero is not None:
+            raise ValueError(
+                f"{pair} is undefined at checkpoint n={zero}: {den_key} has coefficient 0 there"
+            )
         rows = [
             {"n": n, "ratio": num[n] / den[n], "limit": limit,
              "abs_error": abs(num[n] / den[n] - limit)}
@@ -570,6 +544,9 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+WORKERS_HELP = "kept for scripts that pass it (must be >= 1); the census engine is serial, so it selects nothing"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hooklab",
@@ -586,12 +563,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV output path (JSON sidecar alongside)")
     p.add_argument("--cache", default=None, help="cache directory (or $HOOKLAB_CACHE)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="oracle-equivalence and property checks")
     p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("crossover", help="locate a t in {1,2} inequality crossover")
@@ -603,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_int_list, required=True, metavar="LIST")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--cache", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ratios", help="coefficient/model and cross-ratio tables")
@@ -707,9 +684,6 @@ def main(argv: list | None = None) -> int:
             _emit(table, args.json, lines)
             return EXIT_OK if table["monotone"] else EXIT_CHECK_FAILED
 
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

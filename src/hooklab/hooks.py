@@ -4,34 +4,20 @@ The hook length of the cell (i, j) of a partition is
 ``h(i, j) = parts[i] + conj[j] - i - j + 1`` (1-based indices, ``conj`` the
 conjugate partition): the cells to its right, the cells below it, and the
 cell itself.  A census aggregates, class by class and size by size, the
-number of cells of each hook length up to a bound.
+number of cells of each hook length up to a bound.  It is computed by an
+exact scan over boundary words (:func:`census_rows`); exhaustive enumeration
+(:func:`enumerated_census`) is kept as its oracle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import add
 
-from .classes import ClassId, Partition, iter_class
+from .classes import RESIDUE_CLASSES, ClassId, Partition, iter_class
 
-#: enumeration ceiling for a single census call (total partitions touched)
-DEFAULT_MAX_PARTITIONS = 10**8
-
-#: below this projected size a worker pool is pure overhead
-_PARALLEL_THRESHOLD = 200_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a census would enumerate more partitions than allowed."""
-
-    def __init__(self, projected: int, ceiling: int):
-        super().__init__(
-            f"census would enumerate {projected} partitions, over the ceiling {ceiling}; "
-            "lower n_max or raise max_partitions"
-        )
-        self.projected = projected
-        self.ceiling = ceiling
+#: largest n_max and t_max a census accepts
+CENSUS_CEILING = 200
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -158,114 +144,137 @@ class HookCensus:
         """Coefficient list [count(0,t), ..., count(n_max,t)]."""
         return [row[t - 1] for row in self.counts]
 
+    @classmethod
+    def from_rows(cls, class_id: ClassId, n_max: int, t_max: int, rows: dict) -> "HookCensus":
+        """The table for sizes 0..n_max from ``{n: (bins, total_hooks, cardinality)}``."""
+        table = cls(class_id, n_max, t_max)
+        for n in range(n_max + 1):
+            bins, total, card = rows[n]
+            table.counts.append(bins)
+            table.total_hooks.append(total)
+            table.cardinality.append(card)
+        return table
 
-def _census_rows(class_value: str, ns: list, t_max: int) -> list:
-    """Census rows for the given sizes: (n, bins, total_hooks, cardinality)."""
-    class_id = ClassId(class_value)
-    out = []
-    for n in ns:
+
+def check_shape(n_max: int, t_max: int) -> None:
+    """Reject a census shape outside 0 <= n_max and 1 <= t_max, both at most
+    :data:`CENSUS_CEILING`, before any work is done."""
+    if not (0 <= n_max <= CENSUS_CEILING and 1 <= t_max <= CENSUS_CEILING):
+        raise ValueError(
+            f"need 0 <= n_max <= {CENSUS_CEILING} and 1 <= t_max <= {CENSUS_CEILING} "
+            f"(census ceiling); got n_max={n_max}, t_max={t_max}"
+        )
+
+
+def _closing_rule(class_id: ClassId):
+    """``(cap, closes)`` for the class's boundary words: ``closes(g, w)`` says
+    whether an N step may close a part of value w when g E steps (counted up
+    to ``cap``) have passed since the last N step.  A word starts at g = cap,
+    since the smallest part has no gap rule; g = 0 means the word ends in N."""
+    if class_id is ClassId.R1:
+        return 3, lambda g, w: g >= 2
+    if class_id is ClassId.G1:
+        return 3, lambda g, w: g >= 3 or (g == 2 and w % 2 == 0)
+    residues, modulus = RESIDUE_CLASSES[class_id]
+    return 1, lambda g, w: w % modulus in residues
+
+
+def _merge(states: dict, key: tuple, vec: list) -> None:
+    old = states.get(key)
+    states[key] = vec if old is None else list(map(add, old, vec))
+
+
+def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
+    """``[cardinality, H_1, ..., H_t_max]`` for every size 0..n_max, where H_t
+    is the number of t-hooks summed over the class members of that size.
+
+    Read from its smallest part up, a partition is the boundary word
+    E^(l_k) N E^(l_(k-1) - l_k) N ... E^(l_1 - l_2) N of its Young diagram:
+    each N step closes a part whose value is the width, the number of E steps
+    before it.  The cell in the column of an E step and the row of a later N
+    step has hook length equal to their distance in the word, so H_t counts
+    the (word, marked E step) pairs whose letter t places after the mark is N.
+
+    The scan runs over the width w.  A state (g, s) holds the words of size s
+    with g E steps since their last N, and carries the vector
+    ``[count, H_1..H_T, M_0..M_(T-1)]``: the number of words, the hooks
+    completed within them, and M_a the (word, marked E) pairs with a letters
+    after the mark.  An E step starts a mark on itself (M_0 = count) and ages
+    the others; an N step turns each mark of age a into an (a+1)-hook
+    (H += M) and ages them.  A mark older than T can complete no hook that is
+    counted and drops out, so the state space is linear in T, not 2^T as for
+    a window of the last T letters.  Hook lengths never exceed the size, so
+    T = min(t_max, n_max).
+    """
+    span = min(t_max, n_max)
+    cap, closes = _closing_rule(class_id)
+    totals = [[0] * (1 + span) for _ in range(n_max + 1)]
+    totals[0][0] = 1  # the empty partition
+    states = {(cap, 0): [1] + [0] * (2 * span)}
+    for w in range(1, n_max + 1):
+        grown: dict = {}
+        for (g, s), vec in states.items():
+            if s + w <= n_max:  # a part of value >= w still fits
+                _merge(grown, (min(g + 1, cap), s), vec[: 1 + span] + [vec[0]] + vec[1 + span : -1])
+        # sizes ascending, so a congruence class can close several parts of value w
+        for s in range(n_max - w + 1):
+            for g in range(cap, -1, -1):
+                vec = grown.get((g, s))
+                if vec is not None and closes(g, w):
+                    marks = vec[1 + span :]
+                    hooks = list(map(add, vec[1 : 1 + span], marks))
+                    _merge(grown, (0, s + w), [vec[0]] + hooks + [0] + marks[:-1])
+        for (g, s), vec in grown.items():
+            if g == 0:  # the word ends in N: a whole partition, whose largest part is w
+                totals[s] = list(map(add, totals[s], vec[: 1 + span]))
+        states = grown
+    return [row + [0] * (t_max - span) for row in totals]
+
+
+def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None) -> dict:
+    """Hook-census rows ``{n: (bins, total_hooks, cardinality)}`` for the sizes
+    ``ns``, where ``bins[t-1]`` is the number of t-hooks over the class members
+    of size n and ``total_hooks`` is ``n * cardinality`` (one hook per cell).
+
+    Computed exactly by the boundary-word scan of :func:`_boundary_census`,
+    with no enumeration.  ``workers`` is accepted, and must be at least 1,
+    for callers that pass it; the scan is serial, so it selects nothing.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    ns = list(ns)
+    check_shape(max(ns, default=0), t_max)
+    if any(n < 0 for n in ns):
+        raise ValueError("sizes must be >= 0")
+    if not ns:
+        return {}
+    totals = _boundary_census(class_id, max(ns), t_max)
+    return {n: (totals[n][1:], n * totals[n][0], totals[n][0]) for n in ns}
+
+
+def census(class_id: ClassId, n_max: int, t_max: int, *, workers: int | None = None) -> HookCensus:
+    """Full hook census of one class for 0 <= n <= n_max, 1 <= t <= t_max."""
+    check_shape(n_max, t_max)
+    rows = census_rows(class_id, range(n_max + 1), t_max, workers=workers)
+    return HookCensus.from_rows(class_id, n_max, t_max, rows)
+
+
+def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
+    """The same census by exhaustive enumeration: every class member from
+    :func:`iter_class`, its hooks binned one partition at a time and its
+    parts summed for ``total_hooks``.  Serial and slow; it is the independent
+    oracle that the boundary-word scan is checked against."""
+    if n_max < 0 or t_max < 1:
+        raise ValueError("need n_max >= 0 and t_max >= 1")
+    rows = {}
+    for n in range(n_max + 1):
         bins = [0] * t_max
-        card = 0
-        total = 0
+        card = total = 0
         for p in iter_class(class_id, n):
             card += 1
             total += sum(p)
             _bin_hooks(p, t_max, bins)
-        out.append((n, bins, total, card))
-    return out
+        rows[n] = (bins, total, card)
+    return HookCensus.from_rows(class_id, n_max, t_max, rows)
 
 
-def projected_enumeration(class_id: ClassId, ns) -> int:
-    """Exact number of partitions a census over sizes ``ns`` will touch."""
-    from .qseries import counting_series  # deferred: qseries imports classes only
-
-    ns = list(ns)
-    if not ns:
-        return 0
-    series = counting_series(class_id, max(ns))
-    return sum(series[n] for n in ns)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (every CPU where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def _pool_size(workers: int | None, n_sizes: int, cpus: int) -> int:
-    """Processes for a census over ``n_sizes`` sizes: ``workers`` (default
-    ``cpus``), capped at the sizes and at ``cpus``; workers < 1 is an error."""
-    if workers is None:
-        workers = cpus
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return min(workers, n_sizes, cpus)
-
-
-def census_rows(
-    class_id: ClassId,
-    ns: list,
-    t_max: int,
-    *,
-    max_partitions: int = DEFAULT_MAX_PARTITIONS,
-    workers: int | None = None,
-) -> dict:
-    """Hook-census rows for an arbitrary set of sizes, budget-checked.
-
-    Returns ``{n: (bins, total_hooks, cardinality)}``.  Sizes are split
-    across a process pool when the projected enumeration is large; the merge
-    is deterministic because rows are keyed by n.  The pool has at most
-    ``workers`` processes (default: the CPUs this process may run on), and
-    never more than there are sizes or such CPUs.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    ns = list(ns)
-    size = _pool_size(workers, len(ns), _usable_cpus())
-    projected = projected_enumeration(class_id, ns)
-    if projected > max_partitions:
-        raise BudgetExceededError(projected, max_partitions)
-    rows: dict = {}
-    if size > 1 and projected >= _PARALLEL_THRESHOLD:
-        # interleave sizes so each chunk gets a share of the expensive large n
-        chunks = [ns[i::size] for i in range(size)]
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            futures = [
-                pool.submit(_census_rows, class_id.value, chunk, t_max) for chunk in chunks
-            ]
-            for fut in futures:
-                for n, bins, total, card in fut.result():
-                    rows[n] = (bins, total, card)
-    else:
-        for n, bins, total, card in _census_rows(class_id.value, ns, t_max):
-            rows[n] = (bins, total, card)
-    return rows
-
-
-def census(
-    class_id: ClassId,
-    n_max: int,
-    t_max: int,
-    *,
-    max_partitions: int = DEFAULT_MAX_PARTITIONS,
-    workers: int | None = None,
-) -> HookCensus:
-    """Full hook census of one class for 0 <= n <= n_max, 1 <= t <= t_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rows = census_rows(
-        class_id,
-        list(range(n_max + 1)),
-        t_max,
-        max_partitions=max_partitions,
-        workers=workers,
-    )
-    result = HookCensus(class_id, n_max, t_max)
-    for n in range(n_max + 1):
-        bins, total, card = rows[n]
-        result.counts.append(bins)
-        result.total_hooks.append(total)
-        result.cardinality.append(card)
-    return result

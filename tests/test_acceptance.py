@@ -16,7 +16,13 @@ import pytest
 
 from hooklab import asym
 from hooklab.classes import ClassId, all_partitions, count, iter_class
-from hooklab.hooks import census, conjugate, hook_lengths, shortcut_stats, t_hook_count
+from hooklab.hooks import (
+    conjugate,
+    enumerated_census,
+    hook_lengths,
+    shortcut_stats,
+    t_hook_count,
+)
 from hooklab.cli import asym_table, conjecture_scan, crossover_report, ratio_table
 from hooklab.qseries import (
     bivariate_G,
@@ -42,7 +48,7 @@ def test_criterion_01_oracle_equivalence():
     """Eight generating functions == brute-force hook censuses, 0 <= n <= 60."""
     start = time.time()
     n_max = 60
-    tables = {cid: census(cid, n_max, 2, workers=1) for cid in ClassId}
+    tables = {cid: enumerated_census(cid, n_max, 2) for cid in ClassId}
     for family, j, t, cid in SERIES_TO_CLASS:
         build = series_S if family == "S" else series_H
         series = build(j, t, n_max)

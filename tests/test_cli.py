@@ -2,18 +2,20 @@
 conjecture scans, ratio/saddle tables, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hooklab
 from hooklab.classes import ClassId
 from hooklab.cli import (
-    EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
-    _load_census,
+    _census_payload,
     asym_table,
     cached_census,
     census_csv_text,
@@ -24,6 +26,7 @@ from hooklab.cli import (
     run_census,
     verify_report,
 )
+from hooklab.hooks import CENSUS_CEILING, census
 
 
 # --------------------------------------------------------------------------
@@ -69,11 +72,13 @@ def test_cache_roundtrip_extension(tmp_path):
     run_census(ClassId.G1, 30, 2, str(out_b), str(cache))   # extend by 10
     run_census(ClassId.G1, 30, 2, str(out_fresh))           # no cache
     assert out_b.read_bytes() == out_fresh.read_bytes()
-    # shrinking request reuses the cache without recomputation
+    # a smaller request is computed at the stored shape, which the file keeps
+    stored = (cache / "census-g1.json").read_text()
     again = cached_census(ClassId.G1, 12, 1, str(cache))
     fresh = cached_census(ClassId.G1, 12, 1)
     assert again.counts == fresh.counts
     assert again.cardinality == fresh.cardinality
+    assert (cache / "census-g1.json").read_text() == stored
 
 
 def test_cache_handles_t_max_increase(tmp_path):
@@ -138,6 +143,7 @@ def test_cache_with_truncated_counts_is_recomputed(tmp_path):
         (("cardinality", 12), lambda v: v + 1),
         (("cardinality", 0), lambda v: v + 1),    # 0 * cardinality hides it from total_hooks
         (("total_hooks", 12), lambda v: v + 12),
+        (("counts", 12, 2), lambda v: v + 1),      # a t = 3 count, off by one
     ],
 )
 def test_cache_check_rejects_a_tampered_table(tmp_path, where, change):
@@ -151,9 +157,11 @@ def test_cache_check_rejects_a_tampered_table(tmp_path, where, change):
         node = node[key]
     node[last] = change(node[last])
     path.write_text(json.dumps(payload))
-    assert _load_census(path, ClassId.R1) is None
     assert cached_census(ClassId.R1, 20, 3, str(cache)) == good
-    assert _load_census(path, ClassId.R1) == good
+    # rewritten as the engine's table, at a shape covering the request
+    stored = json.loads(path.read_text())
+    assert stored["n_max"] >= 20 and stored["t_max"] >= 3
+    assert stored == _census_payload(census(ClassId.R1, stored["n_max"], stored["t_max"]))
 
 
 @pytest.mark.parametrize("text", ["{", "[]", '{"class": "zz"}', '{"class": "r1"}'])
@@ -161,8 +169,32 @@ def test_cache_check_rejects_an_unreadable_file(tmp_path, text):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "census-r1.json").write_text(text)
-    assert _load_census(cache / "census-r1.json", ClassId.R1) is None
-    assert cached_census(ClassId.R1, 12, 2, str(cache)) == cached_census(ClassId.R1, 12, 2)
+    fresh = cached_census(ClassId.R1, 12, 2)
+    assert cached_census(ClassId.R1, 12, 2, str(cache)) == fresh
+    assert json.loads((cache / "census-r1.json").read_text()) == _census_payload(fresh)
+
+
+def test_cache_above_the_ceiling_is_rewritten_at_the_request(tmp_path, monkeypatch):
+    import hooklab.cli as cli
+
+    cache = tmp_path / "cache"
+    cached_census(ClassId.G1, 15, 2, str(cache))
+    path = cache / "census-g1.json"
+    payload = json.loads(path.read_text())
+    payload["n_max"] = CENSUS_CEILING + 1
+    path.write_text(json.dumps(payload))
+    asked = []
+    real = cli.census_rows
+
+    def recorded(cid, ns, t_max, **kw):
+        asked.append((max(ns), t_max))
+        return real(cid, ns, t_max, **kw)
+
+    monkeypatch.setattr(cli, "census_rows", recorded)
+    served = cached_census(ClassId.G1, 10, 2, str(cache))
+    assert asked == [(10, 2)]
+    assert served == census(ClassId.G1, 10, 2)
+    assert json.loads(path.read_text()) == _census_payload(served)
 
 
 def test_census_csv_text_shape():
@@ -210,6 +242,23 @@ def test_verify_cross_checks_the_hook_table(monkeypatch):
     ])
     bad = [r.name for r in verify_report(6) if not r.ok]
     assert bad == ["hook-sum conservation per partition (n <= 6)"]
+
+
+def test_verify_reports_an_engine_fault(monkeypatch):
+    import hooklab.cli as cli
+
+    real = cli.census_rows
+
+    def planted(cid, ns, t_max, **kw):  # one t = 3 count of g1 off by one at n = 7
+        rows = real(cid, ns, t_max, **kw)
+        if cid is ClassId.G1 and 7 in rows:
+            rows[7][0][2] += 1
+        return rows
+
+    monkeypatch.setattr(cli, "census_rows", planted)
+    bad = [r for r in verify_report(12) if not r.ok]
+    assert [r.name for r in bad] == ["census engine == enumeration for g1 (t <= 4, n <= 12)"]
+    assert bad[0].detail.startswith("n=7: ")
 
 
 def test_verify_ceiling():
@@ -393,12 +442,28 @@ def test_main_rejects_empty_census_shapes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_budget_exit(tmp_path, capsys):
-    # the projection (via the counting series) trips before any enumeration
-    code = main(["census", "--class", "r2", "--n-max", "400", "--t-max", "1",
-                 "--out", str(tmp_path / "big.csv")])
-    assert code == EXIT_BUDGET
+@pytest.mark.parametrize("n_max,t_max", [(CENSUS_CEILING + 1, 2), (10, CENSUS_CEILING + 1)])
+def test_main_census_above_the_ceiling(tmp_path, capsys, n_max, t_max):
+    out = tmp_path / "big.csv"
+    code = main(["census", "--class", "r2", "--n-max", str(n_max), "--t-max", str(t_max),
+                 "--out", str(out), "--cache", str(tmp_path / "cache")])
+    assert code == EXIT_USAGE
     assert "ceiling" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "cache").exists()
+
+
+def test_main_ratios_with_a_zero_denominator(capsys):
+    # the one g2 partition of 1 has no 2-hook, so H22 vanishes at n = 1
+    assert main(["ratios", "--pair", "g2-cross", "--checkpoints", "1,50"]) == EXIT_USAGE
+    assert "checkpoint n=1" in capsys.readouterr().err
+
+
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this hooklab,
+    whether it is installed or only on the test session's path."""
+    src = str(Path(hooklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_module_entry_point(tmp_path):
@@ -406,6 +471,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "hooklab", "crossover", "--pair", "r-t1", "--n-max", "30"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == EXIT_OK
     assert "first_hold" in proc.stdout
@@ -413,7 +479,8 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, hooklab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

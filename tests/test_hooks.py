@@ -1,7 +1,6 @@
 """Young-diagram geometry: conjugation, hook lengths, shortcut statistics,
 and the class censuses."""
 
-import os
 from collections import Counter
 
 import pytest
@@ -10,16 +9,17 @@ from hypothesis import strategies as st
 
 from hooklab.classes import ClassId, all_partitions, iter_class
 from hooklab.hooks import (
-    BudgetExceededError,
+    CENSUS_CEILING,
     _bin_hooks,
-    _pool_size,
-    _usable_cpus,
     census,
+    census_rows,
     conjugate,
+    enumerated_census,
     hook_lengths,
     shortcut_stats,
     t_hook_count,
 )
+from hooklab.qseries import series_H, series_S
 
 FIG_PARTITION = (7, 4, 2, 2, 1)
 
@@ -161,39 +161,46 @@ def test_census_total_symmetry():
     assert g1.cardinality == g2.cardinality
 
 
-def test_census_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        census(ClassId.R2, 60, 1, max_partitions=100)
+@pytest.mark.parametrize("n_max,t_max", [(40, 6), (20, 25)])  # the second has t > n
+@pytest.mark.parametrize("cid", list(ClassId))
+def test_engine_matches_enumeration(cid, n_max, t_max):
+    engine = census(cid, n_max, t_max)
+    oracle = enumerated_census(cid, n_max, t_max)
+    assert engine.counts == oracle.counts
+    assert engine.cardinality == oracle.cardinality
+    assert engine.total_hooks == oracle.total_hooks
 
 
-def test_census_parallel_matches_serial():
-    seq = census(ClassId.G2, 40, 2, workers=1)
-    # force the pool path regardless of the projected size threshold
-    import hooklab.hooks as hooks_mod
-
-    old = hooks_mod._PARALLEL_THRESHOLD
-    hooks_mod._PARALLEL_THRESHOLD = 0
-    try:
-        par = census(ClassId.G2, 40, 2, workers=2)
-    finally:
-        hooks_mod._PARALLEL_THRESHOLD = old
-    assert par.counts == seq.counts
-    assert par.cardinality == seq.cardinality
-    assert par.total_hooks == seq.total_hooks
+# the t = 1, 2 hook series of each class
+CLASS_SERIES = {
+    ClassId.R1: lambda t, order: series_S(1, t, order),
+    ClassId.R2: lambda t, order: series_S(2, t, order),
+    ClassId.G1: lambda t, order: series_H(1, t, order),
+    ClassId.G2: lambda t, order: series_H(2, t, order),
+}
 
 
-def test_pool_size():
-    assert _pool_size(None, 10, 6) == 6   # default: every usable CPU
-    assert _pool_size(8, 10, 2) == 2      # capped at the CPUs
-    assert _pool_size(8, 3, 4) == 3       # capped at the sizes
-    assert _pool_size(1, 10, 4) == 1
-    for bad in (0, -3):
+@given(st.sampled_from(list(ClassId)), st.integers(0, 30), st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_engine_enumeration_and_series_agree(cid, n_max, t_max):
+    engine = census(cid, n_max, t_max)
+    assert engine == enumerated_census(cid, n_max, t_max)
+    for t in (1, 2):
+        if t <= t_max:
+            assert engine.series(t) == CLASS_SERIES[cid](t, n_max).coeffs
+
+
+def test_census_rows_picks_sizes_and_checks_its_inputs():
+    rows = census_rows(ClassId.G2, [7, 3], 2, workers=2)
+    full = census(ClassId.G2, 7, 2)
+    assert rows == {n: (full.counts[n], full.total_hooks[n], full.cardinality[n]) for n in (3, 7)}
+    assert census_rows(ClassId.G2, [], 2) == {}
+    for bad in (
+        dict(ns=[3], t_max=0),
+        dict(ns=[-1, 3], t_max=2),
+        dict(ns=[CENSUS_CEILING + 1], t_max=2),
+        dict(ns=[3], t_max=CENSUS_CEILING + 1),
+        dict(ns=[3], t_max=2, workers=0),
+    ):
         with pytest.raises(ValueError):
-            _pool_size(bad, 10, 4)
-    with pytest.raises(ValueError):
-        census(ClassId.R1, 5, 1, workers=0)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
-def test_usable_cpus_follow_affinity():
-    assert _usable_cpus() == len(os.sched_getaffinity(0))
+            census_rows(ClassId.R1, **bad)
