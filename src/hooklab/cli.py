@@ -27,6 +27,7 @@ from .hooks import (
 )
 from .qseries import (
     TruncatedSeries,
+    counting_series,
     identity_check_sum_product,
     series_H,
     series_S,
@@ -256,15 +257,13 @@ def verify_report(
             )
         )
     for cid in ClassId:
-        c = censuses[cid]
-        bad = next(
-            (n for n in range(n_max + 1) if c.total_hooks[n] != n * c.cardinality[n]), None
-        )
+        card, ref = censuses[cid].cardinality, counting_series(cid, n_max)
+        bad = next((n for n in range(n_max + 1) if card[n] != ref[n]), None)
         results.append(
             CheckResult(
-                f"hook-sum conservation in census {cid.value}",
+                f"census cardinality == counting series for {cid.value}",
                 bad is None,
-                "" if bad is None else f"n={bad}",
+                "" if bad is None else f"n={bad}: census {card[bad]}, counting series {ref[bad]}",
             )
         )
     for cid in ClassId:
@@ -425,7 +424,7 @@ def conjecture_scan(
     if any(t < 3 for t in t_list):
         raise ValueError("conjecture scan requires every t >= 3")
     if not 0 <= n_max <= CONJECTURE_CEILING:
-        raise ValueError(f"n_max must be <= {CONJECTURE_CEILING} (conjecture ceiling)")
+        raise ValueError(f"n_max must be in [0, {CONJECTURE_CEILING}] (conjecture ceiling)")
     t_top = max(t_list)
     tables = {
         cid: cached_census(cid, n_max, t_top, cache_dir, workers=workers)
@@ -684,7 +683,7 @@ def main(argv: list | None = None) -> int:
             _emit(table, args.json, lines)
             return EXIT_OK if table["monotone"] else EXIT_CHECK_FAILED
 
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad arguments, or an unusable --out/--cache path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")

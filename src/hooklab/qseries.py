@@ -23,18 +23,14 @@ are built from the same primitives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .classes import ClassId
 
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
-
-
-class XDegreeOverflowError(ValueError):
-    """A bivariate coefficient landed above the x-degree cap."""
 
 
 class NegativeExponentError(ValueError):
@@ -135,7 +131,8 @@ class TruncatedSeries:
         if exp < 0:
             raise ValueError("exp must be >= 0")
         out = TruncatedSeries(self.order)
-        out.coeffs[exp:] = self.coeffs[: self.order + 1 - exp]
+        if exp <= self.order:
+            out.coeffs[exp:] = self.coeffs[: self.order + 1 - exp]
         return out
 
     def iadd_scaled(self, other: "TruncatedSeries", k: int = 1) -> "TruncatedSeries":
@@ -146,79 +143,24 @@ class TruncatedSeries:
                 self.coeffs[i] += k * c
         return self
 
-    def __add__(self, other):
-        return series_add(self, other)
 
-    def __sub__(self, other):
-        return series_add(self, series_scale(other, -1))
-
-    def __mul__(self, other):
-        return series_mul(self, other)
-
-
-def _common_order(a: TruncatedSeries, b: TruncatedSeries, allow_truncation: bool) -> int:
-    if a.order == b.order:
-        return a.order
-    if allow_truncation:
-        return min(a.order, b.order)
-    raise OrderMismatchError(
-        f"orders differ: {a.order} != {b.order} (pass allow_truncation=True to take the min)"
-    )
-
-
-def series_add(
-    a: TruncatedSeries, b: TruncatedSeries, *, allow_truncation: bool = False
-) -> TruncatedSeries:
-    """Coefficientwise sum; strict about equal orders by default."""
-    order = _common_order(a, b, allow_truncation)
-    return TruncatedSeries(
-        order, [a.coeffs[k] + b.coeffs[k] for k in range(order + 1)]
-    )
-
-
-def series_mul(
-    a: TruncatedSeries, b: TruncatedSeries, *, allow_truncation: bool = False
-) -> TruncatedSeries:
-    """Cauchy product truncated at the (common) order."""
-    order = _common_order(a, b, allow_truncation)
-    out = [0] * (order + 1)
-    bc = b.coeffs
-    for i, ai in enumerate(a.coeffs[: order + 1]):
-        if ai:
-            hi = order - i
-            for j in range(hi + 1):
-                bj = bc[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return TruncatedSeries(order, out)
-
-
-def series_scale(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    return TruncatedSeries(a.order, [k * c for c in a.coeffs])
-
-
-def _mul_sparse(series: TruncatedSeries, terms) -> TruncatedSeries:
-    """series times sum(sign q^exp) for (exp, sign) pairs, exponents >= 0."""
-    out = TruncatedSeries(series.order)
-    src = series.coeffs
+def _mul_sparse(series: TruncatedSeries, terms, out: TruncatedSeries) -> TruncatedSeries:
+    """Add series times sum(sign q^exp), over (exp, sign) pairs with
+    exponents >= 0, into ``out`` (of the same order) and return it."""
+    src, dst = series.coeffs, out.coeffs
     for exp, sign in terms:
         if exp < 0:
             raise ValueError("numerator exponents must be >= 0")
         for k in range(exp, series.order + 1):
             v = src[k - exp]
             if v:
-                out.coeffs[k] += sign * v
+                dst[k] += sign * v
     return out
 
 
 def apply_rational(series: TruncatedSeries, terms, period: int) -> TruncatedSeries:
     """series times (sum of signed monomials)/(1 - q^period)."""
-    return _mul_sparse(series, terms).imul_geometric(period)
-
-
-def rational_factor(numerator_terms, denominator_period: int, order: int) -> TruncatedSeries:
-    """Expansion of (sum sign q^exp) / (1 - q^period) to the given order."""
-    return apply_rational(TruncatedSeries.one(order), numerator_terms, denominator_period)
+    return _mul_sparse(series, terms, TruncatedSeries(series.order)).imul_geometric(period)
 
 
 def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSeries:
@@ -246,14 +188,6 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     if class_id in (ClassId.R1, ClassId.R2):
         return inv_pochhammer_product({1, 4}, 5, order)
     return inv_pochhammer_product({1, 5, 6}, 8, order)
-
-
-def _geometric_tail(first: int, period: int, order: int) -> TruncatedSeries:
-    """q^first + q^(first+period) + ... truncated (zero if first > order)."""
-    out = TruncatedSeries(order)
-    for e in range(first, order + 1, period):
-        out.coeffs[e] = 1
-    return out
 
 
 def _monomial(exp: int, order: int) -> TruncatedSeries:
@@ -364,9 +298,8 @@ def series_S(j: int, t: int, order: int) -> TruncatedSeries:
     prod = inv_pochhammer_product({1, 4}, 5, order)
     if t == 1:
         return apply_rational(prod, [(1, 1), (4, 1)], 5)
-    return series_add(
-        apply_rational(prod, [(4, 1), (6, 1)], 5),
-        apply_rational(prod, [(2, 1), (8, 1)], 10),
+    return apply_rational(prod, [(4, 1), (6, 1)], 5).iadd_scaled(
+        apply_rational(prod, [(2, 1), (8, 1)], 10)
     )
 
 
@@ -385,9 +318,8 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
     prod = inv_pochhammer_product({1, 5, 6}, 8, order)
     if t == 1:
         return apply_rational(prod, [(1, 1), (5, 1), (6, 1)], 8)
-    return series_add(
-        apply_rational(prod, [(5, 1), (6, 1), (9, 1)], 8),
-        apply_rational(prod, [(2, 1), (10, 1), (11, -1), (12, 1)], 16),
+    return apply_rational(prod, [(5, 1), (6, 1), (9, 1)], 8).iadd_scaled(
+        apply_rational(prod, [(2, 1), (10, 1), (11, -1), (12, 1)], 16)
     )
 
 
@@ -396,30 +328,40 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
 # --------------------------------------------------------------------------
 
 
-def _default_x_order(order: int, nahm: bool) -> int:
-    if not nahm:
-        return order
-    r = math.isqrt(order)
-    if r * r < order:
-        r += 1
-    return r + 2
+def _trimmed(cols: list) -> list:
+    """cols without its zero top columns, keeping at least one."""
+    while len(cols) > 1 and cols[-1].is_zero():
+        cols.pop()
+    return cols
 
 
 class BivariateSeries:
-    """Series in q and x, stored as one TruncatedSeries per x-degree."""
+    """Series in q and x, stored as one TruncatedSeries per x-degree.
 
-    __slots__ = ("order_q", "order_x", "cols")
+    ``cols[k]`` is the coefficient of x^k.  The list ends at the highest
+    x-degree with a nonzero coefficient (a lone zero column for the zero
+    table), so it grows with the statistic, not with the q-order.
+    """
 
-    def __init__(self, order_q: int, order_x: int):
+    __slots__ = ("order_q", "cols")
+
+    def __init__(self, order_q: int, cols: list):
         self.order_q = order_q
-        self.order_x = order_x
-        self.cols = [TruncatedSeries.zero(order_q) for _ in range(order_x + 1)]
+        self.cols = _trimmed(cols)
 
     @classmethod
-    def one(cls, order_q: int, order_x: int) -> "BivariateSeries":
-        b = cls(order_q, order_x)
-        b.cols[0] = TruncatedSeries.one(order_q)
-        return b
+    def from_rows(cls, order_q: int, rows) -> "BivariateSeries":
+        """Table of the sum of x^k s(q) over the (k, s) pairs in ``rows``."""
+        cols = [TruncatedSeries.zero(order_q)]
+        for k, s in rows:
+            cols.extend(TruncatedSeries.zero(order_q) for _ in range(len(cols), k + 1))
+            cols[k].iadd_scaled(s)
+        return cls(order_q, cols)
+
+    @property
+    def order_x(self) -> int:
+        """Highest x-degree stored."""
+        return len(self.cols) - 1
 
     def coefficient(self, n: int, k: int) -> int:
         """Coefficient of x^k q^n."""
@@ -427,33 +369,24 @@ class BivariateSeries:
             raise IndexError(f"x-degree {k} outside table")
         return self.cols[k][n]
 
-    def add_row(self, k: int, series: TruncatedSeries) -> None:
-        if k > self.order_x:
-            if not series.is_zero():
-                raise XDegreeOverflowError(
-                    f"x-degree {k} exceeds cap {self.order_x}"
-                )
-            return
-        self.cols[k] = series_add(self.cols[k], series)
+    def imul_factor(self, numerator: dict, periods) -> "BivariateSeries":
+        """Multiply in place by sum_p x^p N_p(q) / prod_{d in periods} (1 - q^d).
 
-    def imul_factor(self, pieces) -> "BivariateSeries":
-        """Multiply in place by sum(x^p s_p(q)) over pieces (p, series)."""
-        new_cols = [TruncatedSeries.zero(self.order_q) for _ in range(self.order_x + 1)]
-        for p, s in pieces:
-            if s.is_zero():
-                continue
-            for k, col in enumerate(self.cols):
-                if col.is_zero():
-                    continue
-                prod = series_mul(col, s)
-                if k + p > self.order_x:
-                    if prod.is_zero():
-                        continue  # all mass truncated away in q; nothing lost
-                    raise XDegreeOverflowError(
-                        f"x-degree {k + p} exceeds cap {self.order_x}"
-                    )
-                new_cols[k + p] = series_add(new_cols[k + p], prod)
-        self.cols = new_cols
+        ``numerator`` maps each x-power p to the (exp, sign) monomials of
+        N_p; the factor is applied with the primitives of
+        :func:`apply_rational`, column by column.
+        """
+        cols = [
+            TruncatedSeries.zero(self.order_q)
+            for _ in range(len(self.cols) + max(numerator))
+        ]
+        for k, col in enumerate(self.cols):
+            for p, terms in numerator.items():
+                _mul_sparse(col, terms, cols[k + p])
+        for col in cols:
+            for d in periods:
+                col.imul_geometric(d)
+        self.cols = _trimmed(cols)
         return self
 
     def at_x_one(self) -> TruncatedSeries:
@@ -472,41 +405,65 @@ class BivariateSeries:
         return acc
 
 
-def bivariate_R(j: int, t: int, order: int, x_order: int | None = None) -> BivariateSeries:
+# Product-side factors, one per part value, as (numerator, periods) for
+# BivariateSeries.imul_factor.
+
+
+def _one_part_factor(e: int):
+    """1 + x q^e/(1 - q^e): a part e, at any multiplicity, is one 1-hook."""
+    return {0: [(0, 1), (e, -1)], 1: [(e, 1)]}, [e]
+
+
+def _part_one_factor():
+    """1 + q + x q^2/(1 - q): parts 1 give a 2-hook only when repeated."""
+    return {0: [(0, 1), (2, -1)], 1: [(2, 1)]}, [1]
+
+
+def _two_part_factor(e: int):
+    """1 + x q^e + x^2 q^(2e)/(1 - q^e): a part e > 1 gives one 2-hook, and
+    a second one when repeated."""
+    return {0: [(0, 1), (e, -1)], 1: [(e, 1), (2 * e, -1)], 2: [(2 * e, 1)]}, [e]
+
+
+def _g2_pair_factor(a: int):
+    """Parts a and b = a + 1 of the mod-8 class together: each absent or
+    alone as in the two-part factor, or both present, which merges one pair
+    of their 2-hooks into the cross term x q^s (1 - (1-x) q^a)/(1 - q^a)
+    (1 - (1-x) q^b)/(1 - q^b), s = a + b; over (1 - q^a)(1 - q^b)."""
+    b, s = a + 1, 2 * a + 1
+    den = [(0, 1), (a, -1), (b, -1), (s, 1)]
+    return {
+        0: den,
+        1: [(e + f, sign) for e in (a, b, s) for f, sign in den],
+        2: [(2 * a, 1), (2 * b, 1), (2 * s, -2)],
+        3: [(2 * s, 1)],
+    }, [a, b]
+
+
+def bivariate_R(j: int, t: int, order: int) -> BivariateSeries:
     """Bivariate refinement sum_lambda x^(statistic) q^|lambda| over the
     Rogers-Ramanujan class pair; statistics as in :func:`series_S`."""
     if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
         raise ValueError(f"bivariate_R undefined for (j, t) = ({j}, {t})")
     if j == 1:
-        K = _default_x_order(order, nahm=True) if x_order is None else x_order
-        out = BivariateSeries(order, K)
         if t == 1:
-            for n, term in _rr_terms(order):
-                out.add_row(n, term)
-            return out
-        for n, term in _rr_shifted_terms(order):
-            out.add_row(n - 1, term)
-        for n, term in _rr_second_terms(order):
-            out.add_row(n, term)
-        return out
-    K = _default_x_order(order, nahm=False) if x_order is None else x_order
-    out = BivariateSeries.one(order, K)
-    one = TruncatedSeries.one(order)
+            return BivariateSeries.from_rows(order, _rr_terms(order))
+        shifted = ((n - 1, term) for n, term in _rr_shifted_terms(order))
+        return BivariateSeries.from_rows(order, chain(shifted, _rr_second_terms(order)))
+    out = BivariateSeries(order, [TruncatedSeries.one(order)])
     if t == 1:
         for e in range(1, order + 1):
             if e % 5 in (1, 4):
-                out.imul_factor([(0, one), (1, _geometric_tail(e, e, order))])
+                out.imul_factor(*_one_part_factor(e))
         return out
-    out.imul_factor([(0, series_add(one, _monomial(1, order))), (1, _geometric_tail(2, 1, order))])
+    out.imul_factor(*_part_one_factor())
     for e in range(2, order + 1):
         if e % 5 in (1, 4):
-            out.imul_factor(
-                [(0, one), (1, _monomial(e, order)), (2, _geometric_tail(2 * e, e, order))]
-            )
+            out.imul_factor(*_two_part_factor(e))
     return out
 
 
-def bivariate_G(j: int, t: int, order: int, x_order: int | None = None) -> BivariateSeries:
+def bivariate_G(j: int, t: int, order: int) -> BivariateSeries:
     """Bivariate refinement over the little Gollnitz class pair.
 
     The mod-8 two-hook table couples each residue pair (8m+5, 8m+6): both
@@ -517,43 +474,19 @@ def bivariate_G(j: int, t: int, order: int, x_order: int | None = None) -> Bivar
     if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
         raise ValueError(f"bivariate_G undefined for (j, t) = ({j}, {t})")
     if j == 1:
-        K = _default_x_order(order, nahm=True) if x_order is None else x_order
-        out = BivariateSeries(order, K)
         stream = _lg_terms(order) if t == 1 else _lg12_terms(order)
-        for n, term in stream:
-            out.add_row(n, term)
-        return out
-    K = _default_x_order(order, nahm=False) if x_order is None else x_order
-    out = BivariateSeries.one(order, K)
-    one = TruncatedSeries.one(order)
+        return BivariateSeries.from_rows(order, stream)
+    out = BivariateSeries(order, [TruncatedSeries.one(order)])
     if t == 1:
         for e in range(1, order + 1):
             if e % 8 in (1, 5, 6):
-                out.imul_factor([(0, one), (1, _geometric_tail(e, e, order))])
+                out.imul_factor(*_one_part_factor(e))
         return out
-    out.imul_factor([(0, series_add(one, _monomial(1, order))), (1, _geometric_tail(2, 1, order))])
-    e = 9
-    while e <= order:
-        out.imul_factor(
-            [(0, one), (1, _monomial(e, order)), (2, _geometric_tail(2 * e, e, order))]
-        )
-        e += 8
-    m = 0
-    while 8 * m + 5 <= order:
-        a, b = 8 * m + 5, 8 * m + 6
-        gt_a = _geometric_tail(a, a, order)
-        gt_b = _geometric_tail(b, b, order)
-        cross = _monomial(a + b, order)
-        pieces = [
-            (0, one),
-            (1, series_add(_monomial(a, order), _monomial(b, order))),
-            (2, series_add(_geometric_tail(2 * a, a, order), _geometric_tail(2 * b, b, order))),
-            (1, cross),
-            (2, series_mul(cross, series_add(gt_a, gt_b))),
-            (3, series_mul(cross, series_mul(gt_a, gt_b))),
-        ]
-        out.imul_factor(pieces)
-        m += 1
+    out.imul_factor(*_part_one_factor())
+    for e in range(9, order + 1, 8):
+        out.imul_factor(*_two_part_factor(e))
+    for a in range(5, order + 1, 8):
+        out.imul_factor(*_g2_pair_factor(a))
     return out
 
 

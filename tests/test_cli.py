@@ -261,6 +261,20 @@ def test_verify_reports_an_engine_fault(monkeypatch):
     assert bad[0].detail.startswith("n=7: ")
 
 
+def test_verify_checks_cardinality_against_the_counting_series(monkeypatch):
+    from hooklab import classes
+
+    # the engine and enumeration both read this table, so they agree with
+    # each other; only the product side of the identity shows the change
+    monkeypatch.setitem(classes.RESIDUE_CLASSES, ClassId.R2, (frozenset({1, 2}), 5))
+    results = {r.name: r for r in verify_report(12)}
+    assert results["census engine == enumeration for r2 (t <= 4, n <= 12)"].ok
+    bad = results["census cardinality == counting series for r2"]
+    assert not bad.ok and bad.detail.startswith("n=2: ")
+    assert all(results[f"census cardinality == counting series for {c}"].ok for c in ("r1", "g1", "g2"))
+    assert len(results) == 24
+
+
 def test_verify_ceiling():
     with pytest.raises(ValueError):
         verify_report(81)
@@ -414,8 +428,9 @@ def test_main_usage_errors(tmp_path, capsys):
     assert main(["crossover", "--pair", "nope", "--n-max", "10"]) == EXIT_USAGE
     assert main(["asym", "--target", "S11", "--eps", ""]) == EXIT_USAGE
     assert main(["conjecture", "--t", "2", "--n-max", "10"]) == EXIT_USAGE
+    assert main(["conjecture", "--t", "3", "--n-max", "-1"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
-    capsys.readouterr()
+    assert "n_max must be in [0, 120]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -450,6 +465,21 @@ def test_main_census_above_the_ceiling(tmp_path, capsys, n_max, t_max):
     assert code == EXIT_USAGE
     assert "ceiling" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cache"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_main_census_path_under_a_file(tmp_path, capsys, flag, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    under = blocker / below
+    out = under / "x.csv" if flag == "--out" else tmp_path / "ok.csv"
+    argv = ["census", "--class", "r1", "--n-max", "5", "--t-max", "2", "--out", str(out)]
+    if flag == "--cache":
+        argv += ["--cache", str(under)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 def test_main_ratios_with_a_zero_denominator(capsys):
