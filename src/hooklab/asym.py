@@ -30,6 +30,7 @@ SQRT2 = math.sqrt(2.0)
 LOG_SILVER = math.log(SQRT2 + 1.0)  # log(1 + sqrt(2))
 
 _SERIES_CAP = 10**6
+_ETA_GUARD_DPS = 20  # digits beyond the cancellation in eta_asym_residual's sum
 
 
 @dataclass(frozen=True)
@@ -254,24 +255,50 @@ def eta_asym_residual(param: ComplexParam) -> complex:
     in scratch arbitrary precision, deep enough that the returned complex is
     the correctly rounded double of the true residual; magnitudes below the
     subnormal range come back as an exact 0.
+
+    (q;q)_inf is summed by Euler's pentagonal series
+    sum_k (-1)^k q^(k(3k-1)/2), whose terms fall like e^(-3 eps k^2/2): a few
+    hundred terms at eps = 0.01, where the Lambert series
+    sum_k q^k/(k(1-q^k)) of -Log((q;q)_inf) needs ~10^5.  The sum has size
+    about e^(-pi^2/(6 eps (1+y^2))) while its terms are of size 1, so the
+    working precision is raised by the pi^2/(6 eps (1+y^2) ln 10) digits that
+    cancel, plus a guard.  The principal Log of the sum can differ from
+    -Log((q;q)_inf), the branch continuous from q = 0, by a multiple of
+    2 pi i; the residual is far smaller than pi, so its imaginary part is
+    reduced to the nearest multiple of 2 pi.
+
+    Requires epsilon >= ``_EPS_MIN``: the cancelled digits grow like 1/eps.
     """
-    if abs(param.y) > param.epsilon**-0.25:
-        raise ValueError("y outside the cone |y| <= epsilon^(-1/4)")
     eps, y = param.epsilon, param.y
+    if eps < _EPS_MIN:
+        raise ValueError(f"epsilon must be >= {_EPS_MIN}")
+    if abs(y) > eps**-0.25:
+        raise ValueError("y outside the cone |y| <= epsilon^(-1/4)")
     # resolve down to the double underflow threshold (|res| ~ e^(-4pi^2/(eps(1+y^2))))
     need = 4.0 * math.pi**2 / (eps * (1.0 + y * y)) / math.log(10.0)
     dps = int(min(need, 370.0)) + 40
-    with mp.workdps(dps):
+    cancel = math.pi**2 / (6.0 * eps * (1.0 + y * y)) / math.log(10.0)
+    wp = dps + int(cancel) + _ETA_GUARD_DPS
+    # |q^(k(3k-1)/2)| < 10^(-wp) once 3 eps k^2 / 2 > wp ln 10
+    k_max = math.isqrt(int(2.0 * wp * math.log(10.0) / (3.0 * eps))) + 2
+    with mp.workdps(wp):
         z = mp.mpc(eps, eps * y) if y else mp.mpf(eps)
         q = mp.exp(-z)
-        k_max = int((dps + 12) * math.log(10.0) / eps) + 10
-        acc = z * 0
-        qk = q / q
+        q3 = q**3
+        # terms k and -k: q^(k(3k-1)/2) and q^(k(3k+1)/2) = q^(k(3k-1)/2) q^k
+        total = qk = a = mp.mpf(1)
+        step = q  # q^(3k-2) = q^(k(3k-1)/2) / q^((k-1)(3k-4)/2)
         for k in range(1, k_max + 1):
             qk *= q
-            acc += qk / (k * (1 - qk))
-        expansion = mp.pi**2 / (6 * z) + mp.log(z / (2 * mp.pi)) / 2 - z / 24
-        return complex(acc - expansion)
+            a *= step
+            step *= q3
+            term = a * (1 + qk)
+            total = total - term if k % 2 else total + term
+        res = -mp.log(total) - (mp.pi**2 / (6 * z) + mp.log(z / (2 * mp.pi)) / 2 - z / 24)
+        turns = mp.nint(mp.im(res) / (2 * mp.pi))
+        if turns:
+            res -= 2j * mp.pi * turns
+        return complex(res)
 
 
 def _erfc(a) -> complex | float:

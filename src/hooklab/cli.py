@@ -6,6 +6,7 @@ failure, 2 usage error."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -113,11 +114,19 @@ def _stored_shape(text: str | None) -> tuple | None:
     return None
 
 
+def _prepare_file(path: Path) -> None:
+    """Create the parent directories of a file about to be written and
+    refuse a path that is a directory, so that an unusable ``--out`` or
+    ``--cache`` is reported before the census runs, not after."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+
+
 def _write_cache(path: Path, text: str) -> None:
     """Replace the cache file whole: write a temporary file beside it, then
     ``os.replace`` it into place, so an interrupted write leaves the old
     file intact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
@@ -146,9 +155,10 @@ def cached_census(
     path = None if cache_dir is None else _cache_file(cache_dir, class_id)
     old = None
     if path is not None:
+        _prepare_file(path)
         try:
             old = path.read_text()
-        except (OSError, ValueError):  # missing, a directory, or not text
+        except (OSError, ValueError):  # missing, unreadable, or not text
             pass
     n_full, t_full = n_max, t_max
     stored = _stored_shape(old)
@@ -182,10 +192,11 @@ def run_census(
     workers: int | None = None,
 ) -> dict:
     """Compute a census (through the cache, if any) and write CSV plus a
-    JSON sidecar."""
-    c = cached_census(class_id, n_max, t_max, cache_dir, workers=workers)
+    JSON sidecar.  Both paths are checked before the census runs."""
+    check_shape(n_max, t_max)
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _prepare_file(out)
+    c = cached_census(class_id, n_max, t_max, cache_dir, workers=workers)
     with open(out, "w", newline="\n") as fh:
         fh.write(census_csv_text(c))
     sidecar = {

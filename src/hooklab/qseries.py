@@ -19,6 +19,15 @@ The eight univariate series:
 
 and the matching bivariate refinements sum_lambda x^(statistic) q^|lambda|
 are built from the same primitives.
+
+The eight series and the two class products behind :func:`counting_series`
+are memoized per process.  Each of those ten keys holds the series built at
+the highest order requested so far: a request at or below that order is
+served by truncation, one above it rebuilds the entry.  The key set is
+fixed, so the memo never holds more than ten entries whatever the input.
+Every call returns a fresh :class:`TruncatedSeries`, which the caller may
+mutate without touching the memo.  :func:`inv_pochhammer_product` and the
+bivariate builders are not memoized.
 """
 
 from __future__ import annotations
@@ -85,6 +94,12 @@ class TruncatedSeries:
 
     def copy(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, self.coeffs)
+
+    def truncated(self, order: int) -> "TruncatedSeries":
+        """New series holding this one's coefficients up to q^order."""
+        if order > self.order:
+            raise ValueError(f"order {order} exceeds truncation order {self.order}")
+        return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -182,12 +197,33 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
     return out
 
 
+# key -> the series built at the highest order requested so far; the keys are
+# the eight hook series and the two class products, ten in all
+_MEMO: dict = {}
+
+
+def _memoized(key, order: int, build) -> TruncatedSeries:
+    """A fresh copy of ``build(order)``, truncated from the memo entry for
+    ``key`` when that was built at ``order`` or above, else rebuilt there."""
+    held = _MEMO.get(key)
+    if held is None or held.order < order:
+        held = _MEMO[key] = build(order)
+    return held.truncated(order)
+
+
 def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     """Partition-count series of a class, via the product side of its
-    identity (R1 and G1 share the product of their congruence partner)."""
+    identity (R1 and G1 share the product of their congruence partner).
+
+    Memoized per process (one entry per product); a fresh series is
+    returned on every call."""
     if class_id in (ClassId.R1, ClassId.R2):
-        return inv_pochhammer_product({1, 4}, 5, order)
-    return inv_pochhammer_product({1, 5, 6}, 8, order)
+        residues, modulus = (1, 4), 5
+    else:
+        residues, modulus = (1, 5, 6), 8
+    return _memoized(
+        (residues, modulus), order, lambda n: inv_pochhammer_product(residues, modulus, n)
+    )
 
 
 def _monomial(exp: int, order: int) -> TruncatedSeries:
@@ -282,9 +318,17 @@ def _lg12_terms(order: int):
 
 def series_S(j: int, t: int, order: int) -> TruncatedSeries:
     """Generating function of the t-hook counts of the Rogers-Ramanujan
-    class pair: j = 1 the gap-2 class, j = 2 the mod-5 class; t in {1, 2}."""
+    class pair: j = 1 the gap-2 class, j = 2 the mod-5 class; t in {1, 2}.
+
+    Memoized per process (see the module docstring): a request at or below
+    the highest order built so far is served by truncation, and a fresh
+    series is returned on every call."""
     if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
         raise ValueError(f"series_S undefined for (j, t) = ({j}, {t})")
+    return _memoized(("S", j, t), order, lambda n: _build_S(j, t, n))
+
+
+def _build_S(j: int, t: int, order: int) -> TruncatedSeries:
     if j == 1:
         acc = TruncatedSeries.zero(order)
         for n, term in _rr_terms(order):
@@ -295,7 +339,7 @@ def series_S(j: int, t: int, order: int) -> TruncatedSeries:
         for _, term in _rr_shifted_terms(order):
             acc.iadd_scaled(term, -1)
         return acc
-    prod = inv_pochhammer_product({1, 4}, 5, order)
+    prod = counting_series(ClassId.R2, order)
     if t == 1:
         return apply_rational(prod, [(1, 1), (4, 1)], 5)
     return apply_rational(prod, [(4, 1), (6, 1)], 5).iadd_scaled(
@@ -305,9 +349,15 @@ def series_S(j: int, t: int, order: int) -> TruncatedSeries:
 
 def series_H(j: int, t: int, order: int) -> TruncatedSeries:
     """Generating function of the t-hook counts of the little Gollnitz class
-    pair: j = 1 the gap class, j = 2 the mod-8 class; t in {1, 2}."""
+    pair: j = 1 the gap class, j = 2 the mod-8 class; t in {1, 2}.
+
+    Memoized per process like :func:`series_S`."""
     if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
         raise ValueError(f"series_H undefined for (j, t) = ({j}, {t})")
+    return _memoized(("H", j, t), order, lambda n: _build_H(j, t, n))
+
+
+def _build_H(j: int, t: int, order: int) -> TruncatedSeries:
     if j == 1:
         acc = TruncatedSeries.zero(order)
         stream = _lg_terms(order) if t == 1 else _lg12_terms(order)
@@ -315,7 +365,7 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
             if n:
                 acc.iadd_scaled(term, n)
         return acc
-    prod = inv_pochhammer_product({1, 5, 6}, 8, order)
+    prod = counting_series(ClassId.G2, order)
     if t == 1:
         return apply_rational(prod, [(1, 1), (5, 1), (6, 1)], 8)
     return apply_rational(prod, [(5, 1), (6, 1), (9, 1)], 8).iadd_scaled(
@@ -521,18 +571,19 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     ``which`` is ``"RR1"`` (first Rogers-Ramanujan identity,
     sum q^(n^2)/(q;q)_n = 1/(q,q^4;q^5)_inf) or ``"LG1"`` (first little
     Gollnitz identity, sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n =
-    1/(q,q^5,q^6;q^8)_inf); both sides are computed independently.
+    1/(q,q^5,q^6;q^8)_inf); both sides are computed independently, the
+    product side through the memoized :func:`counting_series`.
     """
     if which == "RR1":
         lhs = TruncatedSeries.zero(order)
         for _, term in _rr_terms(order):
             lhs.iadd_scaled(term)
-        rhs = inv_pochhammer_product({1, 4}, 5, order)
+        rhs = counting_series(ClassId.R2, order)
     elif which == "LG1":
         lhs = TruncatedSeries.zero(order)
         for _, term in _lg_terms(order):
             lhs.iadd_scaled(term)
-        rhs = inv_pochhammer_product({1, 5, 6}, 8, order)
+        rhs = counting_series(ClassId.G2, order)
     else:
         raise ValueError(f"unknown identity {which!r} (expected 'RR1' or 'LG1')")
     for n in range(order + 1):

@@ -201,6 +201,45 @@ def test_eta_residual_cone_guard():
         ComplexParam(-0.1)
 
 
+def test_eta_residual_epsilon_floor(monkeypatch):
+    from hooklab import asym
+
+    assert eta_asym_residual(ComplexParam(asym._EPS_MIN)) == 0
+    # rejected before any mpmath work: with mpmath gone only the bound can answer
+    monkeypatch.setattr(asym, "mp", None)
+    for eps in (1e-4, 0.0029):
+        with pytest.raises(ValueError, match="epsilon"):
+            eta_asym_residual(ComplexParam(eps))
+
+
+def _lambert_eta_residual(eps, y):
+    # -Log((q;q)_inf) = sum_k q^k / (k (1 - q^k)), summed term by term at the
+    # precision that resolves the residual down to the double underflow
+    # threshold; this series is continuous from q = 0, so it needs no branch step
+    need = 4.0 * math.pi**2 / (eps * (1.0 + y * y)) / math.log(10.0)
+    dps = int(min(need, 370.0)) + 40
+    with mp.workdps(dps):
+        z = mp.mpc(eps, eps * y) if y else mp.mpf(eps)
+        q = mp.exp(-z)
+        acc, qk = z * 0, mp.mpf(1)
+        for k in range(1, int((dps + 12) * math.log(10.0) / eps) + 11):
+            qk *= q
+            acc += qk / (k * (1 - qk))
+        return complex(acc - (mp.pi**2 / (6 * z) + mp.log(z / (2 * mp.pi)) / 2 - z / 24))
+
+
+@pytest.mark.parametrize(
+    "eps,y",
+    [(0.05, 0.0), (0.5, 0.0), (1.5, 0.0), (0.05, 2.0), (0.05, -2.0),
+     (0.03, 2.4), (0.03, -2.4), (0.2, 1.4), (1.0, 0.5), (3.0, 0.5)],
+)
+def test_eta_residual_matches_the_lambert_series(eps, y):
+    # equal doubles; off the real axis the principal Log of the pentagonal
+    # sum is 2 pi i (0.2, 1.4), 4 pi i (0.05, +-2) or 6 pi i (0.03, +-2.4)
+    # away, so those points need the branch step
+    assert eta_asym_residual(ComplexParam(eps, y)) == _lambert_eta_residual(eps, y)
+
+
 def test_euler_maclaurin_at_origin():
     # all odd derivatives of the Gaussian vanish at 0: residual is tiny
     assert euler_maclaurin_gaussian_check(0.0, 0.1, 1) < 1e-6

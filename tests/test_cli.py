@@ -469,7 +469,11 @@ def test_main_census_above_the_ceiling(tmp_path, capsys, n_max, t_max):
 
 @pytest.mark.parametrize("flag", ["--out", "--cache"])
 @pytest.mark.parametrize("below", ["", "sub"])
-def test_main_census_path_under_a_file(tmp_path, capsys, flag, below):
+def test_main_census_path_under_a_file(tmp_path, capsys, monkeypatch, flag, below):
+    import hooklab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "census_rows", lambda *a, **kw: calls.append(a))
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     under = blocker / below
@@ -480,6 +484,23 @@ def test_main_census_path_under_a_file(tmp_path, capsys, flag, below):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert blocker.read_text() == "a file, not a directory\n"
+    assert calls == []  # refused before the census, not after it
+    assert not (tmp_path / "ok.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cache"])
+def test_main_census_path_is_a_directory(tmp_path, capsys, monkeypatch, flag):
+    import hooklab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "census_rows", lambda *a, **kw: calls.append(a))
+    out, cache = tmp_path / "out" / "r1.csv", tmp_path / "cache"
+    (out if flag == "--out" else cache / "census-r1.json").mkdir(parents=True)
+    argv = ["census", "--class", "r1", "--n-max", "5", "--t-max", "2",
+            "--out", str(out), "--cache", str(cache)]
+    assert main(argv) == EXIT_USAGE
+    assert "is a directory" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_main_ratios_with_a_zero_denominator(capsys):

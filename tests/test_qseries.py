@@ -4,6 +4,7 @@ identities."""
 
 import pytest
 
+from hooklab import qseries
 from hooklab.classes import ClassId, iter_class
 from hooklab.hooks import census, t_hook_count
 from hooklab.qseries import (
@@ -190,11 +191,91 @@ def test_coefficients_weakly_increasing_to_500(family, j, t):
     assert all(c >= 0 for c in s.coeffs)
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty series memo for the test, the process's own restored after."""
+    monkeypatch.setattr(qseries, "_MEMO", {})
+
+
 @pytest.mark.parametrize("family,j,t", sorted(SMALL_SERIES))
-def test_truncation_stability(family, j, t):
+def test_truncation_stability(family, j, t, empty_memo):
+    # with an empty memo both orders are built, not served from one build
     build = series_S if family == "S" else series_H
     low, high = build(j, t, 30), build(j, t, 75)
     assert low.coeffs == high.coeffs[:31]
+
+
+# --------------------------------------------------------------------------
+# the per-process memo
+# --------------------------------------------------------------------------
+
+MEMO_KEYS = {("S", j, t) for j in (1, 2) for t in (1, 2)} | {
+    ("H", j, t) for j in (1, 2) for t in (1, 2)} | {((1, 4), 5), ((1, 5, 6), 8)}
+
+MEMOIZED = [
+    *((f"S{j}{t}", lambda n, j=j, t=t: series_S(j, t, n)) for j in (1, 2) for t in (1, 2)),
+    *((f"H{j}{t}", lambda n, j=j, t=t: series_H(j, t, n)) for j in (1, 2) for t in (1, 2)),
+    ("count-r", lambda n: counting_series(ClassId.R1, n)),
+    ("count-g", lambda n: counting_series(ClassId.G2, n)),
+]
+
+
+def _unmemoized(build, order):
+    # a build into a memo of its own, so nothing is served from an earlier one
+    saved = qseries._MEMO
+    qseries._MEMO = {}
+    try:
+        return build(order)
+    finally:
+        qseries._MEMO = saved
+
+
+def test_memo_serves_lower_orders_by_truncation(empty_memo):
+    for _, build in MEMOIZED:
+        build(2000)
+    assert set(qseries._MEMO) == MEMO_KEYS
+    assert all(s.order == 2000 for s in qseries._MEMO.values())
+    for name, build in MEMOIZED:
+        for order in (0, 1, 57, 400):
+            assert build(order) == _unmemoized(build, order), (name, order)
+    assert all(s.order == 2000 for s in qseries._MEMO.values())
+
+
+def test_memo_rebuilds_at_a_higher_order(empty_memo):
+    for name, build in MEMOIZED:
+        assert build(40).order == 40
+        assert build(300) == _unmemoized(build, 300), name
+        assert build(120) == _unmemoized(build, 120), name
+    assert counting_series(ClassId.G1, 300) == inv_pochhammer_product({1, 5, 6}, 8, 300)
+    assert all(s.order == 300 for s in qseries._MEMO.values())
+
+
+def test_memo_returns_copies(empty_memo):
+    from hooklab.cli import verify_report
+
+    for name, build in MEMOIZED:
+        first = build(60)
+        first.coeffs[7] += 1
+        first.coeffs.append(0)
+        assert build(60) == _unmemoized(build, 60), name
+        assert build(60) is not build(60)
+    # verify's planted fault mutates the series it was handed, not the memo
+    assert not all(r.ok for r in verify_report(16, _corrupt=("S21", 5, 1)))
+    assert all(r.ok for r in verify_report(16))
+
+
+def test_memo_key_bound(empty_memo):
+    for order in (0, 3, 80, 10, 150):
+        for _, build in MEMOIZED:
+            build(order)
+        for cid in ClassId:
+            counting_series(cid, order)
+        identity_check_sum_product("RR1", order)
+        identity_check_sum_product("LG1", order)
+        with pytest.raises(ValueError):
+            series_S(3, 1, order)
+        assert set(qseries._MEMO) <= MEMO_KEYS
+    assert len(qseries._MEMO) == 10
 
 
 def test_identity_checks():
