@@ -3,7 +3,9 @@
 Everything here is integer-exact: a :class:`TruncatedSeries` holds the
 coefficients of sum(c_n q^n) + O(q^(N+1)) as Python ints, and the engine is
 division-free -- dividing by (1 - q^p) is realized as multiplication by the
-truncated geometric series of period p, an O(N) in-place pass.
+truncated geometric series of period p, an O(N) in-place pass.  Each
+in-place primitive works on whole list slices (``map``/``accumulate`` over
+them), so its per-coefficient loop runs in C, not in Python bytecode.
 
 The eight univariate series:
 
@@ -20,11 +22,15 @@ The eight univariate series:
 and the matching bivariate refinements sum_lambda x^(statistic) q^|lambda|
 are built from the same primitives.
 
-The eight series and the two class products behind :func:`counting_series`
-are memoized per process.  Each of those ten keys holds the series built at
-the highest order requested so far: a request at or below that order is
-served by truncation, one above it rebuilds the entry.  The key set is
-fixed, so the memo never holds more than ten entries whatever the input.
+:func:`counting_series` is the Nahm (sum) side of each pair's first
+identity; the product side, :func:`inv_pochhammer_product`, is kept as its
+oracle and is what :func:`identity_check_sum_product` compares it with.
+
+The eight series and the two class counting series are memoized per
+process.  Each of those ten keys holds the series built at the highest
+order requested so far: a request at or below that order is served by
+truncation, one above it rebuilds the entry.  The key set is fixed, so the
+memo never holds more than ten entries whatever the input.
 Every call returns a fresh :class:`TruncatedSeries`, which the caller may
 mutate without touching the memo.  :func:`inv_pochhammer_product` and the
 bivariate builders are not memoized.
@@ -33,7 +39,8 @@ bivariate builders are not memoized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import add, mul
 
 from .classes import ClassId
 
@@ -124,21 +131,30 @@ class TruncatedSeries:
     # -- in-place exact primitives (used by the series builders) ----------
 
     def imul_geometric(self, period: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^period) in place."""
+        """Multiply by 1/(1 - q^period) in place.
+
+        The recurrence c[k] += c[k - period] is a running sum along each
+        residue class mod ``period``.  A short period takes those sums slice
+        by slice; a long one walks blocks of length ``period``, each adding
+        the block before it, which is already updated."""
         if period < 1:
             raise ValueError("period must be >= 1")
-        c = self.coeffs
-        for k in range(period, self.order + 1):
-            c[k] += c[k - period]
+        c, size = self.coeffs, self.order + 1
+        if period * period <= size:
+            for r in range(period):
+                c[r::period] = accumulate(c[r::period])
+        else:
+            for lo in range(period, size, period):
+                c[lo : lo + period] = map(add, c[lo : lo + period], c[lo - period : lo])
         return self
 
-    def imul_one_plus(self, exp: int, sign: int = 1) -> "TruncatedSeries":
-        """Multiply by (1 + sign q^exp) in place, exp >= 1."""
+    def imul_one_plus(self, exp: int) -> "TruncatedSeries":
+        """Multiply by (1 + q^exp) in place, exp >= 1."""
         if exp < 1:
             raise ValueError("exp must be >= 1")
         c = self.coeffs
-        for k in range(self.order, exp - 1, -1):
-            c[k] += sign * c[k - exp]
+        # the right-hand slices are copies, so every term reads an old value
+        c[exp:] = map(add, c[exp:], c[: max(self.order + 1 - exp, 0)])
         return self
 
     def shifted(self, exp: int) -> "TruncatedSeries":
@@ -153,9 +169,9 @@ class TruncatedSeries:
     def iadd_scaled(self, other: "TruncatedSeries", k: int = 1) -> "TruncatedSeries":
         if other.order != self.order:
             raise OrderMismatchError(f"orders differ: {self.order} != {other.order}")
-        for i, c in enumerate(other.coeffs):
-            if c:
-                self.coeffs[i] += k * c
+        scaled = other.coeffs if k == 1 else map(mul, other.coeffs, repeat(k))
+        # slice assignment drains the map before it writes, so other may be self
+        self.coeffs[:] = map(add, self.coeffs, scaled)
         return self
 
 
@@ -166,10 +182,8 @@ def _mul_sparse(series: TruncatedSeries, terms, out: TruncatedSeries) -> Truncat
     for exp, sign in terms:
         if exp < 0:
             raise ValueError("numerator exponents must be >= 0")
-        for k in range(exp, series.order + 1):
-            v = src[k - exp]
-            if v:
-                dst[k] += sign * v
+        # map stops at the end of dst[exp:], so it reads src[: order + 1 - exp]
+        dst[exp:] = map(add, dst[exp:], src if sign == 1 else map(mul, src, repeat(sign)))
     return out
 
 
@@ -212,18 +226,27 @@ def _memoized(key, order: int, build) -> TruncatedSeries:
 
 
 def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
-    """Partition-count series of a class, via the product side of its
-    identity (R1 and G1 share the product of their congruence partner).
+    """Partition-count series of a class, built as the Nahm sum of its
+    pair's identity: sum q^(n^2)/(q;q)_n for R1 and R2, and
+    sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n for G1 and G2.  Both classes of a
+    pair are equinumerous, so they share one series.
 
-    Memoized per process (one entry per product); a fresh series is
+    :func:`identity_check_sum_product` compares these sums with the product
+    side.  Memoized per process (one entry per pair); a fresh series is
     returned on every call."""
     if class_id in (ClassId.R1, ClassId.R2):
-        residues, modulus = (1, 4), 5
+        key, stream = ((1, 4), 5), _rr_terms
     else:
-        residues, modulus = (1, 5, 6), 8
-    return _memoized(
-        (residues, modulus), order, lambda n: inv_pochhammer_product(residues, modulus, n)
-    )
+        key, stream = ((1, 5, 6), 8), _lg_terms
+    return _memoized(key, order, lambda n: _nahm_sum(stream, n))
+
+
+def _nahm_sum(stream, order: int) -> TruncatedSeries:
+    """Sum of the terms of a Nahm-sum term stream, to the given order."""
+    acc = TruncatedSeries.zero(order)
+    for _, term in stream(order):
+        acc.iadd_scaled(term)
+    return acc
 
 
 def _monomial(exp: int, order: int) -> TruncatedSeries:
@@ -571,19 +594,17 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     ``which`` is ``"RR1"`` (first Rogers-Ramanujan identity,
     sum q^(n^2)/(q;q)_n = 1/(q,q^4;q^5)_inf) or ``"LG1"`` (first little
     Gollnitz identity, sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n =
-    1/(q,q^5,q^6;q^8)_inf); both sides are computed independently, the
-    product side through the memoized :func:`counting_series`.
+    1/(q,q^5,q^6;q^8)_inf).  Both sides are computed here, unmemoized and
+    independently: the sum side from its term stream, the product side by
+    :func:`inv_pochhammer_product`.  :func:`counting_series` serves the sum
+    side, so this check is what ties it to the product.
     """
     if which == "RR1":
-        lhs = TruncatedSeries.zero(order)
-        for _, term in _rr_terms(order):
-            lhs.iadd_scaled(term)
-        rhs = counting_series(ClassId.R2, order)
+        lhs = _nahm_sum(_rr_terms, order)
+        rhs = inv_pochhammer_product((1, 4), 5, order)
     elif which == "LG1":
-        lhs = TruncatedSeries.zero(order)
-        for _, term in _lg_terms(order):
-            lhs.iadd_scaled(term)
-        rhs = counting_series(ClassId.G2, order)
+        lhs = _nahm_sum(_lg_terms, order)
+        rhs = inv_pochhammer_product((1, 5, 6), 8, order)
     else:
         raise ValueError(f"unknown identity {which!r} (expected 'RR1' or 'LG1')")
     for n in range(order + 1):

@@ -265,7 +265,8 @@ def test_verify_checks_cardinality_against_the_counting_series(monkeypatch):
     from hooklab import classes
 
     # the engine and enumeration both read this table, so they agree with
-    # each other; only the product side of the identity shows the change
+    # each other; only the counting series (the identity's sum side) shows
+    # the change
     monkeypatch.setitem(classes.RESIDUE_CLASSES, ClassId.R2, (frozenset({1, 2}), 5))
     results = {r.name: r for r in verify_report(12)}
     assert results["census engine == enumeration for r2 (t <= 4, n <= 12)"].ok

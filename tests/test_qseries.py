@@ -2,7 +2,13 @@
 generating functions against brute-force censuses, bivariate refinements,
 identities."""
 
+import hashlib
+import random
+from math import isqrt
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hooklab import qseries
 from hooklab.classes import ClassId, iter_class
@@ -59,6 +65,79 @@ def test_scale_and_shift():
     # a shift past the order leaves nothing, and never lengthens the list
     assert s.shifted(4) == TruncatedSeries.zero(3)
     assert TruncatedSeries(3, [1, 2, 3, 4]).shifted(6) == TruncatedSeries.zero(3)
+
+
+# The slice kernels against the per-coefficient loops they replaced.
+
+
+def _coeffs(seed: int, size: int) -> list:
+    """Coefficients mixing small values with ones beyond 64 bits of either
+    sign; drawn from a seeded generator, since hypothesis draws hundreds of
+    list elements slowly."""
+    rng = random.Random(seed)
+    return [
+        rng.choice((rng.randint(-3, 3), rng.randint(2**64, 2**70), -rng.randint(2**64, 2**70)))
+        for _ in range(size)
+    ]
+
+
+@st.composite
+def _series_and_exponent(draw):
+    """A series of order 0..300 and an exponent in 1..order+2, drawn from
+    either side of sqrt(order + 1), where imul_geometric changes method."""
+    order = draw(st.integers(0, 300))
+    root = isqrt(order + 1)
+    exp = draw(st.one_of(st.integers(1, root), st.integers(root + 1, order + 2)))
+    return TruncatedSeries(order, _coeffs(draw(st.integers(0, 2**32)), order + 1)), exp
+
+
+@given(_series_and_exponent())
+@settings(max_examples=200, deadline=None)
+def test_imul_geometric_matches_the_loop(case):
+    s, period = case
+    c = list(s.coeffs)
+    for k in range(period, s.order + 1):
+        c[k] += c[k - period]
+    assert s.imul_geometric(period).coeffs == c
+
+
+@given(_series_and_exponent())
+@settings(max_examples=200, deadline=None)
+def test_imul_one_plus_matches_the_loop(case):
+    s, exp = case
+    c = list(s.coeffs)
+    for k in range(s.order, exp - 1, -1):
+        c[k] += c[k - exp]
+    assert s.imul_one_plus(exp).coeffs == c
+
+
+@given(
+    _series_and_exponent(),
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.integers(0, 302), st.sampled_from([1, -1, -2])), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_mul_sparse_matches_the_loop(case, seed, terms):
+    src, _ = case
+    terms = [(min(e, src.order + 2), sign) for e, sign in terms]
+    out = TruncatedSeries(src.order, _coeffs(seed, src.order + 1))
+    c = list(out.coeffs)
+    for exp, sign in terms:
+        for k in range(exp, src.order + 1):
+            c[k] += sign * src.coeffs[k - exp]
+    assert qseries._mul_sparse(src, terms, out) is out
+    assert out.coeffs == c
+
+
+@given(_series_and_exponent(), st.integers(0, 2**32), st.sampled_from([0, 1, -1, 7]))
+@settings(max_examples=200, deadline=None)
+def test_iadd_scaled_matches_the_loop(case, seed, k):
+    s, _ = case
+    other = TruncatedSeries(s.order, _coeffs(seed, s.order + 1))
+    expected = [a + k * b for a, b in zip(s.coeffs, other.coeffs)]
+    assert s.copy().iadd_scaled(other, k).coeffs == expected
+    # adding a series to itself reads every old coefficient before writing
+    assert s.copy().iadd_scaled(s, k).coeffs == [(1 + k) * a for a in s.coeffs]
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +357,33 @@ def test_memo_key_bound(empty_memo):
     assert len(qseries._MEMO) == 10
 
 
+# sha256 of the comma-joined decimal coefficients at order 5000, recorded
+# from the per-coefficient loop engine that built the class products as
+# products, before the slice kernels and the Nahm-sum counting series
+DIGESTS_5000 = {
+    "S11": "205bfe8958bf99082875c8b274f7f53fc2c23ecd7560aaa46b4e699e963799b2",
+    "S12": "87846c57b654887d83791683350e5267108ec53a90b02c2f4968516db0d822c9",
+    "S21": "60fdfc51392d7ca376b19b16d9316b5277aa2974352287eaf13689d3dbe70232",
+    "S22": "d81e57f875a8d8af2d084ca0821eb2c24d90112cc1c33c3af0ea949a1f1ba6af",
+    "H11": "151a3ded30cc5620329ec01ac14cf90934482564bfabb1c5971b21c5d521b38b",
+    "H12": "9504cbd28ca2ddedc8bfe4b33f8a0984f2d45bcb635142ad2ac5f695b35e9b72",
+    "H21": "4999051095d75d5b619f7a913c2c5dd3144df3e00397a639099a2515e6b974a7",
+    "H22": "d5a9a851da0857ef8539f44919143801863c618a7b1ddb67101bab416e1b26f3",
+    "count-r": "6826d4add3586de19170e9dd835ebf4e0b1add690648b304661fe1ee5acfbfd7",
+    "count-g": "fed18c52b47297551429ecec24658e4721564e95b29b433ed0a49b9a1001cdd5",
+}
+
+
+def test_series_digests_at_5000(empty_memo):
+    for name, build in MEMOIZED:
+        coeffs = build(5000).coeffs
+        digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+        assert digest == DIGESTS_5000[name], name
+    # the Nahm sums against the product side, past the identity checks' 500
+    assert counting_series(ClassId.R1, 1000) == inv_pochhammer_product({1, 4}, 5, 1000)
+    assert counting_series(ClassId.G2, 1000) == inv_pochhammer_product({1, 5, 6}, 8, 1000)
+
+
 def test_identity_checks():
     for which in ("RR1", "LG1"):
         chk = identity_check_sum_product(which, 200)
@@ -289,11 +395,45 @@ def test_identity_checks():
         identity_check_sum_product("RR2", 10)
 
 
-def test_identity_report_on_mismatch():
-    chk = identity_check_sum_product("RR1", 40)
-    bad = type(chk)(chk.which, chk.order, False, 7, 5, 6)
-    msg = str(bad)
-    assert "q^7" in msg and "5" in msg and "6" in msg
+def _raised_at_7(series):
+    series.coeffs[7] += 1
+    return series
+
+
+def test_identity_report_on_mismatch(monkeypatch):
+    # each side corrupted in turn at q^7 must be seen, so the check cannot
+    # be comparing one computation (say counting_series) with itself
+    products = {"RR1": ((1, 4), 5), "LG1": ((1, 5, 6), 8)}
+    streams = {"RR1": "_rr_terms", "LG1": "_lg_terms"}
+    true = {w: inv_pochhammer_product(*products[w], 40)[7] for w in products}
+    assert true == {"RR1": 3, "LG1": 3}
+    real_product = qseries.inv_pochhammer_product
+    for which in ("RR1", "LG1"):
+        with monkeypatch.context() as m:
+            m.setattr(qseries, "inv_pochhammer_product",
+                      lambda *args: _raised_at_7(real_product(*args)))
+            chk = identity_check_sum_product(which, 40)
+        assert not chk.ok
+        assert (chk.first_mismatch, chk.sum_value, chk.product_value) == (
+            7, true[which], true[which] + 1)
+        msg = str(chk)
+        assert "q^7" in msg and f"sum side {true[which]}" in msg
+        assert f"product side {true[which] + 1}" in msg
+
+        real_stream = getattr(qseries, streams[which])
+
+        def corrupted(order, real_stream=real_stream):
+            for n, term in real_stream(order):
+                yield n, _raised_at_7(term) if n == 0 else term
+
+        with monkeypatch.context() as m:
+            m.setattr(qseries, streams[which], corrupted)
+            chk = identity_check_sum_product(which, 40)
+        assert not chk.ok
+        assert (chk.first_mismatch, chk.sum_value, chk.product_value) == (
+            7, true[which] + 1, true[which])
+    assert identity_check_sum_product("RR1", 40).ok
+    assert identity_check_sum_product("LG1", 40).ok
 
 
 # --------------------------------------------------------------------------
