@@ -557,6 +557,17 @@ def _float_list(text: str) -> list:
 WORKERS_HELP = "kept for scripts that pass it (must be >= 1); the census engine is serial, so it selects nothing"
 
 
+def _worker_count(text: str) -> int:
+    """--workers, refused below 1 while parsing, before any file or series is made."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if workers < 1:
+        raise argparse.ArgumentTypeError("workers must be >= 1")
+    return workers
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hooklab",
@@ -573,12 +584,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV output path (JSON sidecar alongside)")
     p.add_argument("--cache", default=None, help="cache directory (or $HOOKLAB_CACHE)")
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="oracle-equivalence and property checks")
     p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("crossover", help="locate a t in {1,2} inequality crossover")
@@ -590,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_int_list, required=True, metavar="LIST")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--cache", default=None)
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ratios", help="coefficient/model and cross-ratio tables")

@@ -19,21 +19,25 @@ The eight univariate series:
 * ``series_H(2, 2)``  [1/(q,q^5,q^6;q^8)_inf]
                       ((q^5+q^6+q^9)/(1-q^8) + (q^2+q^10-q^11+q^12)/(1-q^16))
 
-and the matching bivariate refinements sum_lambda x^(statistic) q^|lambda|
-are built from the same primitives.
+Two tables define them.  ``_STREAMS`` holds each Nahm-sum term stream as
+one recurrence from n = 0, term n = term (n-1) q^s (1 + q^p)/(1 - q^d)
+with s, p, d depending on n, run by :func:`_nahm_terms`.  ``_HOOK_SERIES``
+holds each series as a sum side, a weighted sum over streams, or a
+product side, a class counting series times short rational terms.  The
+bivariate refinements sum_lambda x^(statistic) q^|lambda| take their
+gap-class rows from the same streams.
 
 :func:`counting_series` is the Nahm (sum) side of each pair's first
 identity; the product side, :func:`inv_pochhammer_product`, is kept as its
 oracle and is what :func:`identity_check_sum_product` compares it with.
 
 The eight series and the two class counting series are memoized per
-process.  Each of those ten keys holds the series built at the highest
-order requested so far: a request at or below that order is served by
-truncation, one above it rebuilds the entry.  The key set is fixed, so the
-memo never holds more than ten entries whatever the input.
-Every call returns a fresh :class:`TruncatedSeries`, which the caller may
-mutate without touching the memo.  :func:`inv_pochhammer_product` and the
-bivariate builders are not memoized.
+process, ten fixed keys whatever the input.  Each key holds the series
+built at the highest order requested so far: a lower order is served by
+truncation, a higher one rebuilds the entry.  Every call returns a fresh
+:class:`TruncatedSeries`, which the caller may mutate without touching the
+memo.  :func:`inv_pochhammer_product` and the bivariate builders are not
+memoized.
 """
 
 from __future__ import annotations
@@ -85,16 +89,13 @@ class TruncatedSeries:
         return s
 
     @classmethod
-    def from_terms(cls, order: int, terms: dict, *, clip: bool = False) -> "TruncatedSeries":
-        """Series from {exponent: coefficient}; exponents above order are an
-        error unless ``clip`` is set (they then truncate away silently)."""
+    def from_terms(cls, order: int, terms: dict) -> "TruncatedSeries":
+        """Series from {exponent: coefficient}, exponents in [0, order]."""
         s = cls(order)
         for e, c in terms.items():
             if e < 0:
                 raise NegativeExponentError(f"exponent {e} < 0")
             if e > order:
-                if clip:
-                    continue
                 raise ValueError(f"exponent {e} exceeds order {order}")
             s.coeffs[e] += c
         return s
@@ -235,108 +236,102 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     side.  Memoized per process (one entry per pair); a fresh series is
     returned on every call."""
     if class_id in (ClassId.R1, ClassId.R2):
-        key, stream = ((1, 4), 5), _rr_terms
+        key, stream = ((1, 4), 5), "rr"
     else:
-        key, stream = ((1, 5, 6), 8), _lg_terms
-    return _memoized(key, order, lambda n: _nahm_sum(stream, n))
-
-
-def _nahm_sum(stream, order: int) -> TruncatedSeries:
-    """Sum of the terms of a Nahm-sum term stream, to the given order."""
-    acc = TruncatedSeries.zero(order)
-    for _, term in stream(order):
-        acc.iadd_scaled(term)
-    return acc
-
-
-def _monomial(exp: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_terms(order, {exp: 1}, clip=True)
+        key, stream = ((1, 5, 6), 8), "lg"
+    return _memoized(key, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
 
 
 # --------------------------------------------------------------------------
 # Nahm-sum term streams
 # --------------------------------------------------------------------------
 
-
-def _rr_terms(order: int):
-    """(n, q^(n^2)/(q;q)_n) for n = 0, 1, ... while n^2 <= order."""
-    term = TruncatedSeries.one(order)
-    yield 0, term.copy()
-    n = 1
-    while n * n <= order:
-        term = term.shifted(2 * n - 1).imul_geometric(n)
-        yield n, term.copy()
-        n += 1
-
-
-def _rr_shifted_terms(order: int):
-    """(n, q^(n^2)/(q;q)_(n-1)) for n = 1, 2, ... while n^2 <= order."""
-    if order < 1:
-        return
-    term = _monomial(1, order)
-    yield 1, term.copy()
-    n = 2
-    while n * n <= order:
-        term = term.shifted(2 * n - 1)
-        term.imul_geometric(n - 1)
-        yield n, term.copy()
-        n += 1
+# stream -> ((shift, plus), n -> (shift, plus, period)): term 0 is
+# q^shift (1 + q^plus), and term n is term n-1 times
+# q^shift (1 + q^plus)/(1 - q^period); a plus of None drops (1 + q^plus).
+_STREAMS = {
+    # q^(n^2)/(q;q)_n
+    "rr": ((0, None), lambda n: (2 * n - 1, None, n)),
+    # q^((n+1)^2)/(q;q)_n
+    "rr_shifted": ((1, None), lambda n: (2 * n + 1, None, n)),
+    # q^(n^2+n)/(q;q)_n
+    "rr_second": ((0, None), lambda n: (2 * n, None, n)),
+    # q^(n^2+n) (-1/q;q^2)_n/(q^2;q^2)_n, step numerator q^(2n) + q^(4n-3)
+    "lg": ((0, None), lambda n: (min(2 * n, 4 * n - 3), abs(2 * n - 3), 2 * n)),
+    # q^(n^2+n) (-q;q^2)_(n+1)/(q^2;q^2)_n, whose term 0 is 1 + q
+    "lg12": ((0, 1), lambda n: (2 * n, 2 * n + 1, 2 * n)),
+}
 
 
-def _rr_second_terms(order: int):
-    """(n, q^(n^2+n)/(q;q)_n) for n = 0, 1, ... while n^2 + n <= order."""
-    term = TruncatedSeries.one(order)
-    yield 0, term.copy()
-    n = 1
-    while n * n + n <= order:
-        term = term.shifted(2 * n).imul_geometric(n)
-        yield n, term.copy()
-        n += 1
+def _times_binomial(series: TruncatedSeries, shift: int, plus) -> TruncatedSeries:
+    """New series q^shift (1 + q^plus) times ``series`` (q^shift if plus is None)."""
+    out = series.shifted(shift)
+    return out if plus is None else out.imul_one_plus(plus)
 
 
-def _lg_terms(order: int):
-    """(n, q^(n^2+n) (-1/q;q^2)_n / (q^2;q^2)_n) while n^2 + n - 1 <= order.
-
-    For n >= 1, (-1/q;q^2)_n = q^(-1) (1+q) (-q;q^2)_(n-1), so the term is
-    q^(n^2+n-1) (1+q) (-q;q^2)_(n-1) / (q^2;q^2)_n: no negative exponent."""
-    yield 0, TruncatedSeries.one(order)
-    if order < 1:
-        return
-    term = _monomial(1, order).imul_one_plus(1).imul_geometric(2)
-    n = 1
-    while n * n + n - 1 <= order:
-        if n > 1:
-            term = term.shifted(2 * n)
-            term.imul_one_plus(2 * n - 3)
-            term.imul_geometric(2 * n)
-        yield n, term.copy()
-        n += 1
+def _nahm_terms(stream: str, order: int):
+    """(n, term n) for n = 0, 1, ... over a stream of :data:`_STREAMS`, up to
+    its first zero term (the lowest exponent rises with n, and each later
+    term is a multiple of it).  Each term is a fresh series and the next is
+    built before it is handed out, so the caller may mutate it."""
+    (shift, plus), step = _STREAMS[stream]
+    term, n = _times_binomial(TruncatedSeries.one(order), shift, plus), 0
+    while not term.is_zero():
+        shift, plus, period = step(n + 1)
+        after = _times_binomial(term, shift, plus).imul_geometric(period)
+        yield n, term
+        term, n = after, n + 1
 
 
-def _lg12_terms(order: int):
-    """(n, q^(n^2+n) (-q;q^2)_(n+1) / (q^2;q^2)_n) while n^2 + n - 1 <= order.
-
-    The n = 0 term is (-q;q^2)_1 = 1 + q, not 1."""
-    zeroth = TruncatedSeries.one(order)
-    if order >= 1:
-        zeroth.imul_one_plus(1)
-    yield 0, zeroth
-    if order < 2:
-        return
-    term = _monomial(2, order).imul_one_plus(1).imul_one_plus(3).imul_geometric(2)
-    n = 1
-    while n * n + n - 1 <= order:
-        if n > 1:
-            term = term.shifted(2 * n)
-            term.imul_one_plus(2 * n + 1)
-            term.imul_geometric(2 * n)
-        yield n, term.copy()
-        n += 1
+def _nahm_sum(streams, order: int) -> TruncatedSeries:
+    """Sum over (stream, a, b) in ``streams`` of (a*n + b) times term n of
+    that stream, to the given order."""
+    acc = TruncatedSeries.zero(order)
+    for stream, a, b in streams:
+        for n, term in _nahm_terms(stream, order):
+            if a * n + b:
+                acc.iadd_scaled(term, a * n + b)
+    return acc
 
 
 # --------------------------------------------------------------------------
 # the eight hook generating functions
 # --------------------------------------------------------------------------
+
+# ("S"|"H", j, t) -> the closed form of series_S(j, t) or series_H(j, t).
+# A sum side is a list of (stream, a, b) for :func:`_nahm_sum`.  A product
+# side is (class, [(numerator, period), ...]): the class's counting series
+# times the sum of numerator/(1 - q^period), each as in apply_rational.
+_HOOK_SERIES = {
+    ("S", 1, 1): [("rr", 1, 0)],
+    ("S", 1, 2): [("rr", 1, 0), ("rr_shifted", 0, -1)],
+    ("S", 2, 1): (ClassId.R2, [([(1, 1), (4, 1)], 5)]),
+    ("S", 2, 2): (ClassId.R2, [([(4, 1), (6, 1)], 5), ([(2, 1), (8, 1)], 10)]),
+    ("H", 1, 1): [("lg", 1, 0)],
+    ("H", 1, 2): [("lg12", 1, 0)],
+    ("H", 2, 1): (ClassId.G2, [([(1, 1), (5, 1), (6, 1)], 8)]),
+    ("H", 2, 2): (ClassId.G2, [([(5, 1), (6, 1), (9, 1)], 8),
+                               ([(2, 1), (10, 1), (11, -1), (12, 1)], 16)]),
+}
+
+
+def _checked_key(name: str, family: str, j: int, t: int) -> tuple:
+    """The hook-series key (family, j, t), or ValueError naming ``name``."""
+    if (family, j, t) not in _HOOK_SERIES:
+        raise ValueError(f"{name} undefined for (j, t) = ({j}, {t})")
+    return family, j, t
+
+
+def _build_hook_series(key: tuple, order: int) -> TruncatedSeries:
+    form = _HOOK_SERIES[key]
+    if isinstance(form, list):
+        return _nahm_sum(form, order)
+    class_id, terms = form
+    prod = counting_series(class_id, order)
+    acc = TruncatedSeries.zero(order)
+    for numerator, period in terms:
+        acc.iadd_scaled(apply_rational(prod, numerator, period))
+    return acc
 
 
 def series_S(j: int, t: int, order: int) -> TruncatedSeries:
@@ -346,28 +341,8 @@ def series_S(j: int, t: int, order: int) -> TruncatedSeries:
     Memoized per process (see the module docstring): a request at or below
     the highest order built so far is served by truncation, and a fresh
     series is returned on every call."""
-    if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
-        raise ValueError(f"series_S undefined for (j, t) = ({j}, {t})")
-    return _memoized(("S", j, t), order, lambda n: _build_S(j, t, n))
-
-
-def _build_S(j: int, t: int, order: int) -> TruncatedSeries:
-    if j == 1:
-        acc = TruncatedSeries.zero(order)
-        for n, term in _rr_terms(order):
-            if n:
-                acc.iadd_scaled(term, n)
-        if t == 1:
-            return acc
-        for _, term in _rr_shifted_terms(order):
-            acc.iadd_scaled(term, -1)
-        return acc
-    prod = counting_series(ClassId.R2, order)
-    if t == 1:
-        return apply_rational(prod, [(1, 1), (4, 1)], 5)
-    return apply_rational(prod, [(4, 1), (6, 1)], 5).iadd_scaled(
-        apply_rational(prod, [(2, 1), (8, 1)], 10)
-    )
+    key = _checked_key("series_S", "S", j, t)
+    return _memoized(key, order, lambda n: _build_hook_series(key, n))
 
 
 def series_H(j: int, t: int, order: int) -> TruncatedSeries:
@@ -375,25 +350,8 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
     pair: j = 1 the gap class, j = 2 the mod-8 class; t in {1, 2}.
 
     Memoized per process like :func:`series_S`."""
-    if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
-        raise ValueError(f"series_H undefined for (j, t) = ({j}, {t})")
-    return _memoized(("H", j, t), order, lambda n: _build_H(j, t, n))
-
-
-def _build_H(j: int, t: int, order: int) -> TruncatedSeries:
-    if j == 1:
-        acc = TruncatedSeries.zero(order)
-        stream = _lg_terms(order) if t == 1 else _lg12_terms(order)
-        for n, term in stream:
-            if n:
-                acc.iadd_scaled(term, n)
-        return acc
-    prod = counting_series(ClassId.G2, order)
-    if t == 1:
-        return apply_rational(prod, [(1, 1), (5, 1), (6, 1)], 8)
-    return apply_rational(prod, [(5, 1), (6, 1), (9, 1)], 8).iadd_scaled(
-        apply_rational(prod, [(2, 1), (10, 1), (11, -1), (12, 1)], 16)
-    )
+    key = _checked_key("series_H", "H", j, t)
+    return _memoized(key, order, lambda n: _build_hook_series(key, n))
 
 
 # --------------------------------------------------------------------------
@@ -516,13 +474,12 @@ def _g2_pair_factor(a: int):
 def bivariate_R(j: int, t: int, order: int) -> BivariateSeries:
     """Bivariate refinement sum_lambda x^(statistic) q^|lambda| over the
     Rogers-Ramanujan class pair; statistics as in :func:`series_S`."""
-    if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
-        raise ValueError(f"bivariate_R undefined for (j, t) = ({j}, {t})")
+    _checked_key("bivariate_R", "S", j, t)
     if j == 1:
         if t == 1:
-            return BivariateSeries.from_rows(order, _rr_terms(order))
-        shifted = ((n - 1, term) for n, term in _rr_shifted_terms(order))
-        return BivariateSeries.from_rows(order, chain(shifted, _rr_second_terms(order)))
+            return BivariateSeries.from_rows(order, _nahm_terms("rr", order))
+        rows = chain(_nahm_terms("rr_shifted", order), _nahm_terms("rr_second", order))
+        return BivariateSeries.from_rows(order, rows)
     out = BivariateSeries(order, [TruncatedSeries.one(order)])
     if t == 1:
         for e in range(1, order + 1):
@@ -544,11 +501,9 @@ def bivariate_G(j: int, t: int, order: int) -> BivariateSeries:
     encodes with the cross term x q^(16m+11) (1-(1-x)q^(8m+5))/(1-q^(8m+5))
     (1-(1-x)q^(8m+6))/(1-q^(8m+6)).
     """
-    if (j, t) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
-        raise ValueError(f"bivariate_G undefined for (j, t) = ({j}, {t})")
+    _checked_key("bivariate_G", "H", j, t)
     if j == 1:
-        stream = _lg_terms(order) if t == 1 else _lg12_terms(order)
-        return BivariateSeries.from_rows(order, stream)
+        return BivariateSeries.from_rows(order, _nahm_terms("lg" if t == 1 else "lg12", order))
     out = BivariateSeries(order, [TruncatedSeries.one(order)])
     if t == 1:
         for e in range(1, order + 1):
@@ -600,10 +555,10 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     side, so this check is what ties it to the product.
     """
     if which == "RR1":
-        lhs = _nahm_sum(_rr_terms, order)
+        lhs = _nahm_sum([("rr", 0, 1)], order)
         rhs = inv_pochhammer_product((1, 4), 5, order)
     elif which == "LG1":
-        lhs = _nahm_sum(_lg_terms, order)
+        lhs = _nahm_sum([("lg", 0, 1)], order)
         rhs = inv_pochhammer_product((1, 5, 6), 8, order)
     else:
         raise ValueError(f"unknown identity {which!r} (expected 'RR1' or 'LG1')")

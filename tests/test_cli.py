@@ -436,10 +436,13 @@ def test_main_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_main_rejects_worker_counts_below_one(tmp_path, capsys, workers):
-    census_argv = ["census", "--class", "r1", "--n-max", "10", "--t-max", "2",
-                   "--out", str(tmp_path / "x.csv"), "--cache", str(tmp_path / "cache")]
+    # refused while parsing: neither the --out directory nor the cache is made
+    census_argv = ["census", "--class", "r1", "--n-max", "10", "--t-max", "2", "--out",
+                   str(tmp_path / "newdir" / "x.csv"), "--cache", str(tmp_path / "cdir")]
     for argv in (census_argv, ["verify", "--n-max", "5"], ["conjecture", "--t", "3", "--n-max", "10"]):
         assert main(argv + ["--workers", workers]) == EXIT_USAGE
+        assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "newdir").exists() and not (tmp_path / "cdir").exists()
     assert main(census_argv) == EXIT_OK
     assert main(census_argv + ["--workers", workers]) == EXIT_USAGE  # cache hit too
     assert "workers must be >= 1" in capsys.readouterr().err
