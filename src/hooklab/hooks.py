@@ -238,7 +238,8 @@ def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None
 
     Computed exactly by the boundary-word scan of :func:`_boundary_census`,
     with no enumeration.  ``workers`` is accepted, and must be at least 1,
-    for callers that pass it; the scan is serial, so it selects nothing.
+    because the benchmark harness in ``bench/`` passes it; the scan is
+    serial, so it selects nothing.
     """
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
@@ -252,10 +253,10 @@ def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None
     return {n: (totals[n][1:], n * totals[n][0], totals[n][0]) for n in ns}
 
 
-def census(class_id: ClassId, n_max: int, t_max: int, *, workers: int | None = None) -> HookCensus:
+def census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
     """Full hook census of one class for 0 <= n <= n_max, 1 <= t <= t_max."""
     check_shape(n_max, t_max)
-    rows = census_rows(class_id, range(n_max + 1), t_max, workers=workers)
+    rows = census_rows(class_id, range(n_max + 1), t_max)
     return HookCensus.from_rows(class_id, n_max, t_max, rows)
 
 

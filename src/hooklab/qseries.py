@@ -23,9 +23,14 @@ Two tables define them.  ``_STREAMS`` holds each Nahm-sum term stream as
 one recurrence from n = 0, term n = term (n-1) q^s (1 + q^p)/(1 - q^d)
 with s, p, d depending on n, run by :func:`_nahm_terms`.  ``_HOOK_SERIES``
 holds each series as a sum side, a weighted sum over streams, or a
-product side, a class counting series times short rational terms.  The
-bivariate refinements sum_lambda x^(statistic) q^|lambda| take their
-gap-class rows from the same streams.
+product side, a class counting series times short rational terms.
+
+One builder, :func:`_build_bivariate`, makes the eight bivariate
+refinements sum_lambda x^(statistic) q^|lambda|.  A gap-class table takes
+its rows from the same streams; a congruence-class table is a product of
+one factor per part value that ``classes.RESIDUE_CLASSES`` allows, as is
+the product side of :func:`identity_check_sum_product`, so each congruence
+class is defined there alone.
 
 :func:`counting_series` is the Nahm (sum) side of each pair's first
 identity; the product side, :func:`inv_pochhammer_product`, is kept as its
@@ -46,15 +51,11 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, mul
 
-from .classes import ClassId
+from .classes import RESIDUE_CLASSES, ClassId
 
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
-
-
-class NegativeExponentError(ValueError):
-    """A series term was given a negative exponent."""
 
 
 # --------------------------------------------------------------------------
@@ -86,18 +87,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         s = cls(order)
         s.coeffs[0] = 1
-        return s
-
-    @classmethod
-    def from_terms(cls, order: int, terms: dict) -> "TruncatedSeries":
-        """Series from {exponent: coefficient}, exponents in [0, order]."""
-        s = cls(order)
-        for e, c in terms.items():
-            if e < 0:
-                raise NegativeExponentError(f"exponent {e} < 0")
-            if e > order:
-                raise ValueError(f"exponent {e} exceeds order {order}")
-            s.coeffs[e] += c
         return s
 
     def copy(self) -> "TruncatedSeries":
@@ -226,6 +215,11 @@ def _memoized(key, order: int, build) -> TruncatedSeries:
     return held.truncated(order)
 
 
+# identity -> (the term stream of its sum side, the congruence class whose
+# parts its product side allows)
+_IDENTITIES = {"RR1": ("rr", ClassId.R2), "LG1": ("lg", ClassId.G2)}
+
+
 def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     """Partition-count series of a class, built as the Nahm sum of its
     pair's identity: sum q^(n^2)/(q;q)_n for R1 and R2, and
@@ -233,12 +227,11 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     pair are equinumerous, so they share one series.
 
     :func:`identity_check_sum_product` compares these sums with the product
-    side.  Memoized per process (one entry per pair); a fresh series is
-    returned on every call."""
-    if class_id in (ClassId.R1, ClassId.R2):
-        key, stream = ((1, 4), 5), "rr"
-    else:
-        key, stream = ((1, 5, 6), 8), "lg"
+    side.  Memoized per process, one entry per pair, keyed by the product
+    side's (residues, modulus); a fresh series is returned on every call."""
+    stream, cong = _IDENTITIES["RR1" if class_id in (ClassId.R1, ClassId.R2) else "LG1"]
+    residues, modulus = RESIDUE_CLASSES[cong]
+    key = tuple(sorted(residues)), modulus
     return _memoized(key, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
 
 
@@ -456,10 +449,10 @@ def _two_part_factor(e: int):
     return {0: [(0, 1), (e, -1)], 1: [(e, 1), (2 * e, -1)], 2: [(2 * e, 1)]}, [e]
 
 
-def _g2_pair_factor(a: int):
-    """Parts a and b = a + 1 of the mod-8 class together: each absent or
-    alone as in the two-part factor, or both present, which merges one pair
-    of their 2-hooks into the cross term x q^s (1 - (1-x) q^a)/(1 - q^a)
+def _pair_factor(a: int):
+    """Adjacent parts a > 1 and b = a + 1 together: each absent or alone as
+    in the two-part factor, or both present, which merges one pair of their
+    2-hooks into the cross term x q^s (1 - (1-x) q^a)/(1 - q^a)
     (1 - (1-x) q^b)/(1 - q^b), s = a + b; over (1 - q^a)(1 - q^b)."""
     b, s = a + 1, 2 * a + 1
     den = [(0, 1), (a, -1), (b, -1), (s, 1)]
@@ -471,51 +464,64 @@ def _g2_pair_factor(a: int):
     }, [a, b]
 
 
+def _part_factors(class_id: ClassId, t: int, order: int):
+    """The factors of a congruence class's product-side table: one for each
+    part value up to ``order`` that :data:`RESIDUE_CLASSES` allows.  For
+    t = 2, part 1 and each pair e, e + 1 of adjacent allowed values take
+    their own factors; residue 1 is allowed in both classes, 2 in neither,
+    and no three allowed values are consecutive."""
+    residues, modulus = RESIDUE_CLASSES[class_id]
+    allowed = [e % modulus in residues for e in range(order + 2)]
+    if t == 1:
+        for e in range(1, order + 1):
+            if allowed[e]:
+                yield _one_part_factor(e)
+        return
+    yield _part_one_factor()
+    e = 2
+    while e <= order:
+        if allowed[e]:
+            paired = allowed[e + 1]
+            yield _pair_factor(e) if paired else _two_part_factor(e)
+            e += paired
+        e += 1
+
+
+# ("S"|"H", 1, t) -> the streams whose term n, in turn, is a row x^n of the
+# gap-class table
+_GAP_ROWS = {
+    ("S", 1, 1): ["rr"],
+    ("S", 1, 2): ["rr_shifted", "rr_second"],
+    ("H", 1, 1): ["lg"],
+    ("H", 1, 2): ["lg12"],
+}
+
+
+def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
+    """The table of a hook-series key: a gap class's rows from its term
+    streams, a congruence class's as the product of its part factors."""
+    if key in _GAP_ROWS:
+        rows = chain.from_iterable(_nahm_terms(stream, order) for stream in _GAP_ROWS[key])
+        return BivariateSeries.from_rows(order, rows)
+    class_id, _ = _HOOK_SERIES[key]
+    out = BivariateSeries(order, [TruncatedSeries.one(order)])
+    for factor in _part_factors(class_id, key[2], order):
+        out.imul_factor(*factor)
+    return out
+
+
 def bivariate_R(j: int, t: int, order: int) -> BivariateSeries:
     """Bivariate refinement sum_lambda x^(statistic) q^|lambda| over the
     Rogers-Ramanujan class pair; statistics as in :func:`series_S`."""
-    _checked_key("bivariate_R", "S", j, t)
-    if j == 1:
-        if t == 1:
-            return BivariateSeries.from_rows(order, _nahm_terms("rr", order))
-        rows = chain(_nahm_terms("rr_shifted", order), _nahm_terms("rr_second", order))
-        return BivariateSeries.from_rows(order, rows)
-    out = BivariateSeries(order, [TruncatedSeries.one(order)])
-    if t == 1:
-        for e in range(1, order + 1):
-            if e % 5 in (1, 4):
-                out.imul_factor(*_one_part_factor(e))
-        return out
-    out.imul_factor(*_part_one_factor())
-    for e in range(2, order + 1):
-        if e % 5 in (1, 4):
-            out.imul_factor(*_two_part_factor(e))
-    return out
+    return _build_bivariate(_checked_key("bivariate_R", "S", j, t), order)
 
 
 def bivariate_G(j: int, t: int, order: int) -> BivariateSeries:
-    """Bivariate refinement over the little Gollnitz class pair.
-
-    The mod-8 two-hook table couples each residue pair (8m+5, 8m+6): both
-    values present merge their corner contributions, which the pair factor
-    encodes with the cross term x q^(16m+11) (1-(1-x)q^(8m+5))/(1-q^(8m+5))
-    (1-(1-x)q^(8m+6))/(1-q^(8m+6)).
-    """
-    _checked_key("bivariate_G", "H", j, t)
-    if j == 1:
-        return BivariateSeries.from_rows(order, _nahm_terms("lg" if t == 1 else "lg12", order))
-    out = BivariateSeries(order, [TruncatedSeries.one(order)])
-    if t == 1:
-        for e in range(1, order + 1):
-            if e % 8 in (1, 5, 6):
-                out.imul_factor(*_one_part_factor(e))
-        return out
-    out.imul_factor(*_part_one_factor())
-    for e in range(9, order + 1, 8):
-        out.imul_factor(*_two_part_factor(e))
-    for a in range(5, order + 1, 8):
-        out.imul_factor(*_g2_pair_factor(a))
-    return out
+    """Bivariate refinement over the little Gollnitz class pair; statistics
+    as in :func:`series_H`.  In the mod-8 class two adjacent values merge a
+    pair of their 2-hooks when both occur, which :func:`_pair_factor`
+    encodes."""
+    return _build_bivariate(_checked_key("bivariate_G", "H", j, t), order)
 
 
 # --------------------------------------------------------------------------
@@ -554,14 +560,11 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     :func:`inv_pochhammer_product`.  :func:`counting_series` serves the sum
     side, so this check is what ties it to the product.
     """
-    if which == "RR1":
-        lhs = _nahm_sum([("rr", 0, 1)], order)
-        rhs = inv_pochhammer_product((1, 4), 5, order)
-    elif which == "LG1":
-        lhs = _nahm_sum([("lg", 0, 1)], order)
-        rhs = inv_pochhammer_product((1, 5, 6), 8, order)
-    else:
+    if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r} (expected 'RR1' or 'LG1')")
+    stream, cong = _IDENTITIES[which]
+    lhs = _nahm_sum([(stream, 0, 1)], order)
+    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order)
     for n in range(order + 1):
         if lhs.coeffs[n] != rhs.coeffs[n]:
             return IdentityCheck(which, order, False, n, lhs.coeffs[n], rhs.coeffs[n])

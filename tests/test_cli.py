@@ -349,7 +349,28 @@ def test_conjecture_guards():
     with pytest.raises(ValueError):
         conjecture_scan([], 40)
     with pytest.raises(ValueError):
-        conjecture_scan([3], 121)
+        conjecture_scan([3], 201)
+
+
+def test_conjecture_scan_at_the_census_ceiling(tmp_path):
+    # conjecture is bounded by the census ceiling alone
+    scans = conjecture_scan([3, 4], CENSUS_CEILING)
+    assert len(scans) == 4
+    tables = {cid: census(cid, CENSUS_CEILING, 4) for cid in ClassId}
+    pairs = {"r": (ClassId.R1, ClassId.R2), "g": (ClassId.G1, ClassId.G2)}
+    for scan in scans:
+        gap, cong = (tables[cid].series(scan.t) for cid in pairs[scan.pair])
+        fails = [n for n in range(CENSUS_CEILING + 1) if not gap[n] < cong[n]]
+        if fails and fails[-1] == CENSUS_CEILING:
+            assert scan.holds_from is None
+        else:
+            assert scan.holds_from == (fails[-1] + 1 if fails else 0)
+        assert scan.counterexamples_above == []
+    cache = tmp_path / "cdir"
+    for t_list, n_max in (([3], CENSUS_CEILING + 1), ([3, CENSUS_CEILING + 1], 10)):
+        with pytest.raises(ValueError, match="census ceiling"):
+            conjecture_scan(t_list, n_max, str(cache))
+    assert not cache.exists()
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +452,7 @@ def test_main_usage_errors(tmp_path, capsys):
     assert main(["conjecture", "--t", "2", "--n-max", "10"]) == EXIT_USAGE
     assert main(["conjecture", "--t", "3", "--n-max", "-1"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
-    assert "n_max must be in [0, 120]" in capsys.readouterr().err
+    assert "census ceiling" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -492,19 +513,33 @@ def test_main_census_path_under_a_file(tmp_path, capsys, monkeypatch, flag, belo
     assert not (tmp_path / "ok.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--cache"])
+@pytest.mark.parametrize("flag", ["--out", "--cache", "sidecar"])
 def test_main_census_path_is_a_directory(tmp_path, capsys, monkeypatch, flag):
     import hooklab.cli as cli
 
     calls = []
     monkeypatch.setattr(cli, "census_rows", lambda *a, **kw: calls.append(a))
     out, cache = tmp_path / "out" / "r1.csv", tmp_path / "cache"
-    (out if flag == "--out" else cache / "census-r1.json").mkdir(parents=True)
+    blocked = {"--out": out, "--cache": cache / "census-r1.json", "sidecar": out.with_suffix(".json")}
+    blocked[flag].mkdir(parents=True)
     argv = ["census", "--class", "r1", "--n-max", "5", "--t-max", "2",
             "--out", str(out), "--cache", str(cache)]
     assert main(argv) == EXIT_USAGE
     assert "is a directory" in capsys.readouterr().err
-    assert calls == []
+    assert calls == [] and not out.is_file()
+
+
+def test_main_census_refuses_an_out_path_that_is_its_own_sidecar(tmp_path, capsys, monkeypatch):
+    # x.json's sidecar would be x.json itself, overwriting the CSV
+    import hooklab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "census_rows", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "newdir" / "x.json"
+    argv = ["census", "--class", "r1", "--n-max", "5", "--t-max", "2", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "ends in .json" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "newdir").exists()
 
 
 def test_main_ratios_with_a_zero_denominator(capsys):

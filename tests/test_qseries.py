@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooklab import qseries
-from hooklab.classes import ClassId, iter_class
+from hooklab import classes, qseries
+from hooklab.classes import ClassId, count, iter_class
 from hooklab.hooks import census, t_hook_count
 from hooklab.qseries import (
-    NegativeExponentError,
     OrderMismatchError,
     TruncatedSeries,
     apply_rational,
@@ -46,11 +45,7 @@ def test_strict_order_policy():
 def test_series_constructors():
     with pytest.raises(ValueError):
         TruncatedSeries(3, [1, 2])
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_terms(3, {5: 1})
-    with pytest.raises(NegativeExponentError):
-        TruncatedSeries.from_terms(3, {-1: 1})
-    s = TruncatedSeries.from_terms(4, {1: 3, 2: -1})
+    s = TruncatedSeries(4, [0, 3, -1, 0, 0])
     assert s[1] == 3 and s[2] == -1
     with pytest.raises(IndexError):
         s[5]
@@ -242,7 +237,7 @@ def test_series_match_census_to_40(family, j, t, class_id, empty_memo):
     # each order of 0..12 is above the last, so each is a fresh build: every
     # sum side's stream must end at the right term even at the tiniest orders
     build = series_S if family == "S" else series_H
-    table = census(class_id, 40, 2, workers=1)
+    table = census(class_id, 40, 2)
     for order in range(13):
         assert build(j, t, order).coeffs == table.series(t)[: order + 1], order
     assert build(j, t, 40).coeffs == table.series(t)
@@ -496,3 +491,23 @@ def test_bivariate_rejects_unknown_indices():
         bivariate_R(0, 1, 5)
     with pytest.raises(ValueError):
         bivariate_G(2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "build,class_id,which,patched",
+    [
+        (bivariate_R, ClassId.R2, "RR1", (frozenset({1, 2}), 5)),
+        (bivariate_G, ClassId.G2, "LG1", (frozenset({1, 3, 4}), 8)),
+    ],
+)
+def test_product_sides_read_the_class_table(monkeypatch, build, class_id, which, patched):
+    # a congruence class is defined once, in classes.RESIDUE_CLASSES: the
+    # product-side tables and the identity check follow a change there,
+    # while the sum side (a Nahm sum) does not, so the identity fails
+    monkeypatch.setitem(classes.RESIDUE_CLASSES, class_id, patched)
+    order = 20
+    members = [count(class_id, n) for n in range(order + 1)]
+    assert members != counting_series(class_id, order).coeffs
+    for t in (1, 2):
+        assert build(2, t, order).at_x_one().coeffs == members, t
+    assert not identity_check_sum_product(which, order).ok
