@@ -4,9 +4,17 @@ The hook length of the cell (i, j) of a partition is
 ``h(i, j) = parts[i] + conj[j] - i - j + 1`` (1-based indices, ``conj`` the
 conjugate partition): the cells to its right, the cells below it, and the
 cell itself.  A census aggregates, class by class and size by size, the
-number of cells of each hook length up to a bound.  It is computed by an
-exact scan over boundary words (:func:`census_rows`); exhaustive enumeration
-(:func:`enumerated_census`) is kept as its oracle.
+number of cells of each hook length up to a bound.
+
+A census is computed by an exact scan over boundary words
+(:func:`census_rows`), size-major: the scan walks the part values w, and
+each of its components is one list over sizes, moved by whole-list slice
+operations (``map``/``accumulate``), so the per-size loop runs in C.  An E
+step only renames components; closing parts of value w is a shift by w,
+and in a congruence class, where parts of value w may repeat, it is the
+closed form 1/(1 - q^w) taken by the stride-w running sums of
+``qseries._running_sums``.  Exhaustive enumeration
+(:func:`enumerated_census`) is kept as the scan's oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .classes import RESIDUE_CLASSES, ClassId, Partition, iter_class
+from .qseries import _running_sums
 
 #: largest n_max and t_max a census accepts
 CENSUS_CEILING = 200
@@ -46,6 +55,9 @@ def t_hook_count(parts: Partition, t: int) -> int:
     """Number of cells whose hook length is exactly ``t`` (t >= 1)."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    # the largest hook is the corner cell's, parts[0] + len(parts) - 1
+    if not parts or t > parts[0] + len(parts) - 1:
+        return 0
     bins = [0] * t
     _bin_hooks(parts, t, bins)
     return bins[t - 1]
@@ -179,9 +191,55 @@ def _closing_rule(class_id: ClassId):
     return 1, lambda g, w: w % modulus in residues
 
 
-def _merge(states: dict, key: tuple, vec: list) -> None:
-    old = states.get(key)
-    states[key] = vec if old is None else list(map(add, old, vec))
+def _plus(a, b):
+    """The sum of two components, each a list over sizes or None for zero."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return list(map(add, a, b))
+
+
+def _plus_shifted(a, b, w: int):
+    """The component a + q^w b, over the sizes of a."""
+    if b is None or len(b) <= w:
+        return a
+    if a is None:
+        return [0] * w + b[:-w]
+    out = list(a)
+    out[w:] = map(add, out[w:], b)
+    return out
+
+
+def _geometric(a, w: int):
+    """The component a / (1 - q^w), as a fresh list."""
+    if a is None:
+        return None
+    out = list(a)
+    _running_sums(out, w)
+    return out
+
+
+def _close(src: list, w: int, loop: bool, span: int) -> list:
+    """The layer y of words that end in an N step closing a part of value w,
+    indexed by their size before that step: y = N(src), or, when ``loop``
+    lets several parts of value w close in a row, y = N(src + q^w y).
+
+    N keeps the count, turns each mark of age a into an (a+1)-hook and ages
+    the marks.  The loop is solved one component at a time: the aged marks
+    m_(a+1) = M_a + q^w m_a by recursion over their age, then the count and
+    each H_(a+1) + m_(a+1) by one stride-w running sum."""
+    count, hooks, marks = src[0], src[1 : 1 + span], src[1 + span :]
+    if loop:
+        count, aged, m = _geometric(count, w), [], None
+        for mark in marks:
+            m = _plus_shifted(mark, m, w)
+            aged.append(m)
+        hooks = [_geometric(_plus(h, m), w) for h, m in zip(hooks, aged)]
+        marks = aged
+    else:
+        hooks = list(map(_plus, hooks, marks))
+    return [count] + hooks + [None] + marks[:-1]
 
 
 def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
@@ -195,40 +253,50 @@ def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
     step has hook length equal to their distance in the word, so H_t counts
     the (word, marked E step) pairs whose letter t places after the mark is N.
 
-    The scan runs over the width w.  A state (g, s) holds the words of size s
-    with g E steps since their last N, and carries the vector
-    ``[count, H_1..H_T, M_0..M_(T-1)]``: the number of words, the hooks
-    completed within them, and M_a the (word, marked E) pairs with a letters
-    after the mark.  An E step starts a mark on itself (M_0 = count) and ages
-    the others; an N step turns each mark of age a into an (a+1)-hook
-    (H += M) and ages them.  A mark older than T can complete no hook that is
-    counted and drops out, so the state space is linear in T, not 2^T as for
-    a window of the last T letters.  Hook lengths never exceed the size, so
-    T = min(t_max, n_max).
+    The scan runs over the width w, size-major.  Layer g holds the words
+    with at least g E steps since their last N step (counted up to ``cap``)
+    as 1 + 2T components, each a list over sizes: the number of words, the
+    hooks H_1..H_T completed within them, and M_a the (word, marked E) pairs
+    with a letters after the mark.  A component that is zero at every size
+    is None.  An E step starts a mark on itself and ages the others, so it
+    only renames components: layer g - 1 becomes layer g, its count becomes
+    M_0 and each M_a becomes M_(a+1).  A mark older than T can complete no
+    hook that is counted and drops out, so a layer holds 2T + 1 lists, not
+    2^T as for a window of the last T letters.  Hook lengths never exceed
+    the size, so T = min(t_max, n_max).
+
+    Layers are cumulative because a longer gap never forbids what a shorter
+    one allows: the words that may close a part of value w are one layer,
+    the first g with ``closes(g, w)``.  Their N step (:func:`_close`) gives
+    the words that end in N, whose largest part is w: they are added to the
+    totals, and, shifted by w, to layer 0.  At width w only the sizes up to
+    n_max - w, which can still take a part, are kept.
     """
     span = min(t_max, n_max)
     cap, closes = _closing_rule(class_id)
-    totals = [[0] * (1 + span) for _ in range(n_max + 1)]
-    totals[0][0] = 1  # the empty partition
-    states = {(cap, 0): [1] + [0] * (2 * span)}
+    totals = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(span)]
+    # the empty word, at g = cap since the smallest part has no gap rule
+    layers = [[[1] + [0] * n_max] + [None] * (2 * span)] * (cap + 1)
     for w in range(1, n_max + 1):
-        grown: dict = {}
-        for (g, s), vec in states.items():
-            if s + w <= n_max:  # a part of value >= w still fits
-                _merge(grown, (min(g + 1, cap), s), vec[: 1 + span] + [vec[0]] + vec[1 + span : -1])
-        # sizes ascending, so a congruence class can close several parts of value w
-        for s in range(n_max - w + 1):
-            for g in range(cap, -1, -1):
-                vec = grown.get((g, s))
-                if vec is not None and closes(g, w):
-                    marks = vec[1 + span :]
-                    hooks = list(map(add, vec[1 : 1 + span], marks))
-                    _merge(grown, (0, s + w), [vec[0]] + hooks + [0] + marks[:-1])
-        for (g, s), vec in grown.items():
-            if g == 0:  # the word ends in N: a whole partition, whose largest part is w
-                totals[s] = list(map(add, totals[s], vec[: 1 + span]))
-        states = grown
-    return [row + [0] * (t_max - span) for row in totals]
+        # the E step: a new mark M_0 on every word, the others one letter older
+        layers[1:] = [v[: 1 + span] + v[:1] + v[1 + span : -1] for v in layers[:cap]]
+        first = next((g for g in range(1, cap + 1) if closes(g, w)), None)
+        layers[0] = layers[1]
+        if first is not None:
+            ended = _close(layers[first], w, closes(0, w), span)
+            for total, comp in zip(totals, ended):
+                if comp is not None:
+                    total[w:] = map(add, total[w:], comp)
+            if 2 * w < n_max:  # some of them can still take a part w + 1
+                shifted = [c and [0] * w + c[: n_max - 2 * w] for c in ended]
+                layers[0] = list(map(_plus, layers[1], shifted))
+        # keep the sizes 0..n_max - w - 1, which can still take a part w + 1;
+        # once in a layer a list is written only here, so the lists that
+        # layers share are cut alike
+        for comp in layers[0]:
+            if comp is not None:
+                del comp[n_max - w :]
+    return [list(row) + [0] * (t_max - span) for row in zip(*totals)]
 
 
 def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None) -> dict:

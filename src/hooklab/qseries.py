@@ -121,21 +121,10 @@ class TruncatedSeries:
     # -- in-place exact primitives (used by the series builders) ----------
 
     def imul_geometric(self, period: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^period) in place.
-
-        The recurrence c[k] += c[k - period] is a running sum along each
-        residue class mod ``period``.  A short period takes those sums slice
-        by slice; a long one walks blocks of length ``period``, each adding
-        the block before it, which is already updated."""
+        """Multiply by 1/(1 - q^period) in place (see :func:`_running_sums`)."""
         if period < 1:
             raise ValueError("period must be >= 1")
-        c, size = self.coeffs, self.order + 1
-        if period * period <= size:
-            for r in range(period):
-                c[r::period] = accumulate(c[r::period])
-        else:
-            for lo in range(period, size, period):
-                c[lo : lo + period] = map(add, c[lo : lo + period], c[lo - period : lo])
+        _running_sums(self.coeffs, period)
         return self
 
     def imul_one_plus(self, exp: int) -> "TruncatedSeries":
@@ -163,6 +152,23 @@ class TruncatedSeries:
         # slice assignment drains the map before it writes, so other may be self
         self.coeffs[:] = map(add, self.coeffs, scaled)
         return self
+
+
+def _running_sums(c: list, period: int) -> None:
+    """c[k] += c[k - period] for k ascending, in place: multiplication of
+    the coefficient list ``c`` by 1/(1 - q^period), period >= 1.
+
+    The recurrence is a running sum along each residue class mod ``period``.
+    A short period takes those sums slice by slice; a long one walks blocks
+    of length ``period``, each adding the block before it, which is already
+    updated.  ``hooks`` runs its census scan on this kernel too."""
+    size = len(c)
+    if period * period <= size:
+        for r in range(period):
+            c[r::period] = accumulate(c[r::period])
+    else:
+        for lo in range(period, size, period):
+            c[lo : lo + period] = map(add, c[lo : lo + period], c[lo - period : lo])
 
 
 def _mul_sparse(series: TruncatedSeries, terms, out: TruncatedSeries) -> TruncatedSeries:

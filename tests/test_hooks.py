@@ -1,6 +1,8 @@
 """Young-diagram geometry: conjugation, hook lengths, shortcut statistics,
 and the class censuses."""
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -11,6 +13,7 @@ from hooklab.classes import ClassId, all_partitions, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
     _bin_hooks,
+    _closing_rule,
     census,
     census_rows,
     conjugate,
@@ -19,7 +22,7 @@ from hooklab.hooks import (
     shortcut_stats,
     t_hook_count,
 )
-from hooklab.qseries import series_H, series_S
+from hooklab.qseries import counting_series, series_H, series_S
 
 FIG_PARTITION = (7, 4, 2, 2, 1)
 
@@ -53,6 +56,14 @@ def test_t_hook_count_examples():
     assert t_hook_count((), 5) == 0
     with pytest.raises(ValueError):
         t_hook_count((2, 1), 0)
+    # the corner cell's hook, parts[0] + len(parts) - 1, is the largest; above
+    # it the answer is 0 at once, with no bin list of length t
+    assert t_hook_count(FIG_PARTITION, 11) == 1
+    assert t_hook_count(FIG_PARTITION, 12) == 0
+    assert t_hook_count((1,), 2) == 0
+    assert t_hook_count((3, 1), 10**8) == 0
+    assert t_hook_count((3, 1), 10**12) == 0
+    assert t_hook_count((), 10**12) == 0
 
 
 def test_shortcut_stats_examples():
@@ -180,7 +191,7 @@ CLASS_SERIES = {
 }
 
 
-@given(st.sampled_from(list(ClassId)), st.integers(0, 30), st.integers(1, 10))
+@given(st.sampled_from(list(ClassId)), st.integers(0, 30), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_engine_enumeration_and_series_agree(cid, n_max, t_max):
     engine = census(cid, n_max, t_max)
@@ -204,3 +215,43 @@ def test_census_rows_picks_sizes_and_checks_its_inputs():
     ):
         with pytest.raises(ValueError):
             census_rows(ClassId.R1, **bad)
+
+
+def test_closing_rules_are_monotone_in_the_gap():
+    # the census scan keeps its layers cumulative in g, which needs a longer
+    # gap to allow every part value that a shorter one allows
+    for cid in ClassId:
+        cap, closes = _closing_rule(cid)
+        for w in range(1, CENSUS_CEILING + 1):
+            for g in range(cap):
+                assert closes(g + 1, w) or not closes(g, w), (cid, g, w)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+# sha256 of json.dumps([counts, cardinality, total_hooks]) of census(cid, 200, 8),
+# first 16 hex digits, recorded from the dict-keyed scan this one replaced
+CEILING_DIGESTS = {
+    ClassId.R1: "5898e64d56af21a4",
+    ClassId.R2: "6906aa9348e04b26",
+    ClassId.G1: "868a2749953d8710",
+    ClassId.G2: "44fdc70b6df18ed5",
+}
+
+
+@pytest.mark.parametrize("cid", list(ClassId))
+def test_engine_oracles_at_the_ceiling(cid):
+    n_max = CENSUS_CEILING
+    c = census(cid, n_max, 8)
+    for t in (1, 2):
+        assert c.series(t) == CLASS_SERIES[cid](t, n_max).coeffs
+    assert c.cardinality == counting_series(cid, n_max).coeffs
+    assert c.total_hooks == [n * c.cardinality[n] for n in range(n_max + 1)]
+    assert _digest([c.counts, c.cardinality, c.total_hooks]) == CEILING_DIGESTS[cid]
+
+
+def test_engine_at_t_equal_to_the_ceiling():
+    c = census(ClassId.R1, CENSUS_CEILING, CENSUS_CEILING)
+    assert _digest(c.counts) == "6d74ea914c516687"
