@@ -3,11 +3,12 @@
 Everything runs in binary64, with one exception: :func:`eta_asym_residual`
 measures a quantity far below double resolution and evaluates its two sides
 in scratch arbitrary precision (returning the correctly rounded double).
-The probes evaluate the Nahm sums and infinite products directly at
-q = e^(-z), z = eps(1 + iy), and compare against their leading-order
-models; expansion residuals (Zagier's q-Pochhammer expansion, the
-Dedekind-eta log expansion, Euler-Maclaurin summation) are measured against
-exact double-series evaluations.
+The probes evaluate the Nahm sums (term by term, from the streams of
+``qseries._STREAMS``) and the infinite products (over the residues of
+``classes.RESIDUE_CLASSES``) directly at q = e^(-z), z = eps(1 + iy), and
+compare against their leading-order models; expansion residuals (Zagier's
+q-Pochhammer expansion, the Dedekind-eta log expansion, Euler-Maclaurin
+summation) are measured against exact double-series evaluations.
 
 Growth models: each hook-count sequence grows like A n^(-1/4) e^(B sqrt(n))
 with B = 2 pi / sqrt(15) for the Rogers-Ramanujan pair and B = pi / 2 for
@@ -23,6 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+
+from .classes import RESIDUE_CLASSES, ClassId
+from .qseries import _STREAMS
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG_PHI = math.log(PHI)
@@ -79,10 +83,8 @@ class SaddleProbe:
         return self.direct_value / self.main_term
 
 
-def _cexpm1(u: complex) -> float | complex:
-    """exp(u) - 1 without cancellation for small |u| (complex-capable)."""
-    if isinstance(u, float) or isinstance(u, int):
-        return math.expm1(u)
+def _cexpm1(u: complex) -> complex:
+    """exp(u) - 1 without cancellation for small complex |u|."""
     a, b = u.real, u.imag
     # e^(a+ib) - 1 = (expm1(a) cos b - 2 sin^2(b/2)) + i e^a sin b
     return complex(
@@ -301,14 +303,13 @@ def eta_asym_residual(param: ComplexParam) -> complex:
         return complex(res)
 
 
-def _erfc(a) -> complex | float:
-    """erfc for real or complex argument (mpmath off the real line, at
-    binary64 precision whatever mpmath's global precision)."""
-    if isinstance(a, complex) and a.imag != 0.0:
+def _erfc(a: complex) -> complex | float:
+    """erfc of a complex argument: mpmath off the real line, at binary64
+    precision whatever mpmath's global precision, and math.erfc on it."""
+    if a.imag != 0.0:
         with mp.workprec(53):
             return complex(mp.erfc(a))
-    x = a.real if isinstance(a, complex) else a
-    return math.erfc(x)
+    return math.erfc(a.real)
 
 
 def _hermite(m: int, x) -> complex | float:
@@ -442,6 +443,14 @@ def growth_model(which: str) -> AsymModel:
 _EPS_MIN, _EPS_MAX = 0.003, 0.2  # keeps e^(pi^2/(15 eps)) inside binary64
 
 
+_SADDLE_TARGETS = {
+    # target -> (stream of qseries._STREAMS, peak index * eps,
+    #            amplitude * eps, k in the exponential e^(pi^2/(k eps)))
+    "S11": ("rr", LOG_PHI, (math.sqrt(PHI) / 5**0.25) * LOG_PHI, 15.0),
+    "H11": ("lg", LOG_SILVER / 2.0, LOG_SILVER / 2**1.25, 16.0),
+}
+
+
 def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     """Termwise Nahm-sum value at q = e^(-eps) against the main term.
 
@@ -449,57 +458,44 @@ def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     ``H11``: sum n q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n
              vs  (log(1+sqrt(2))/2^(5/4)) e^(pi^2/(16 eps))/eps.
 
-    Terms are added until the next falls below 1e-18 of the running sum
-    (only checked beyond the peak index, where terms decay), with a hard cap
-    of 10x the peak index.
+    The terms are those of the sum's stream in ``qseries._STREAMS``, run in
+    binary64: term n = term (n-1) q^s (1 + q^p)/(1 - q^d).  Terms are added
+    until the next falls below 1e-18 of the running sum (only checked beyond
+    the peak index, where terms decay), with a hard cap of 10x the peak index.
     """
     if not _EPS_MIN <= epsilon <= _EPS_MAX:
         raise ValueError(f"epsilon must lie in [{_EPS_MIN}, {_EPS_MAX}]")
-    q = math.exp(-epsilon)
-    if target == "S11":
-        peak = LOG_PHI / epsilon
-        cap = math.ceil(10 * peak)
-        poch = 1.0
-        total = 0.0
-        n = 0
-        while True:
-            n += 1
-            if n > cap:
-                raise RuntimeError("saddle sum did not converge within the term cap")
-            poch *= 1.0 - q**n
-            term = n * math.exp(-epsilon * n * n) / poch
-            total += term
-            if n > peak and term < 1e-18 * total:
-                break
-        main = (math.sqrt(PHI) / 5**0.25) * LOG_PHI / epsilon * math.exp(math.pi**2 / (15.0 * epsilon))
-        return SaddleProbe(target, epsilon, total, main)
-    if target == "H11":
-        peak = LOG_SILVER / (2.0 * epsilon)
-        cap = math.ceil(10 * peak)
-        poch2 = 1.0   # (q^2;q^2)_n
-        aprod = 1.0   # (-1/q;q^2)_n
-        total = 0.0
-        n = 0
-        while True:
-            n += 1
-            if n > cap:
-                raise RuntimeError("saddle sum did not converge within the term cap")
-            poch2 *= 1.0 - q ** (2 * n)
-            aprod *= 1.0 + q ** (2 * n - 3)  # factor 1 + q^(2(n-1)-1)
-            term = n * math.exp(-epsilon * (n * n + n)) * aprod / poch2
-            total += term
-            if n > peak and term < 1e-18 * total:
-                break
-        main = (LOG_SILVER / 2**1.25) / epsilon * math.exp(math.pi**2 / (16.0 * epsilon))
-        return SaddleProbe(target, epsilon, total, main)
-    raise ValueError(f"unknown target {target!r} (expected 'S11' or 'H11')")
+    try:
+        stream, peak_eps, amplitude, k = _SADDLE_TARGETS[target]
+    except KeyError:
+        raise ValueError(f"unknown target {target!r} (expected 'S11' or 'H11')")
+
+    def binomial(shift, plus):  # q^shift (1 + q^plus), q^shift if plus is None
+        power = math.exp(-shift * epsilon)
+        return power if plus is None else power * (1.0 + math.exp(-plus * epsilon))
+
+    (shift, plus), step = _STREAMS[stream]
+    peak = peak_eps / epsilon
+    cap = math.ceil(10 * peak)
+    term, total, n = binomial(shift, plus), 0.0, 0
+    while True:
+        n += 1
+        if n > cap:
+            raise RuntimeError("saddle sum did not converge within the term cap")
+        shift, plus, period = step(n)
+        term *= binomial(shift, plus) / -math.expm1(-period * epsilon)
+        total += n * term
+        if n > peak and n * term < 1e-18 * total:
+            break
+    main = amplitude / epsilon * math.exp(math.pi**2 / (k * epsilon))
+    return SaddleProbe(target, epsilon, total, main)
 
 
 _PRODUCT_MAINS = {
-    # residues, modulus, log-amplitude, exponential rate coefficient c in e^(c/eps)
-    "RR14": ((1, 4), 5, 0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
-    "RR23": ((2, 3), 5, -0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
-    "LG": ((1, 5, 6), 8, -0.25 * math.log(2.0), math.pi**2 / 16.0),
+    # (residues, modulus), log-amplitude, exponential rate coefficient c in e^(c/eps)
+    "RR14": (RESIDUE_CLASSES[ClassId.R2], 0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
+    "RR23": ((frozenset({2, 3}), 5), -0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
+    "LG": (RESIDUE_CLASSES[ClassId.G2], -0.25 * math.log(2.0), math.pi**2 / 16.0),
 }
 
 
@@ -517,14 +513,13 @@ def product_asym_probe(which: str, epsilon: float) -> float:
     if not _EPS_MIN <= epsilon <= _EPS_MAX:
         raise ValueError(f"epsilon must lie in [{_EPS_MIN}, {_EPS_MAX}]")
     try:
-        residues, modulus, log_amp, rate = _PRODUCT_MAINS[which]
+        (residues, modulus), log_amp, rate = _PRODUCT_MAINS[which]
     except KeyError:
         raise ValueError(f"unknown product {which!r}; expected one of {sorted(_PRODUCT_MAINS)}")
-    keys = {r % modulus for r in residues}
     log_direct = 0.0
     n_max = int(50.0 / epsilon)
     for n in range(1, n_max + 1):
-        if n % modulus in keys:
+        if n % modulus in residues:
             log_direct -= math.log(-math.expm1(-n * epsilon))
     log_main = log_amp + rate / epsilon
     return math.exp(log_direct - log_main)

@@ -15,12 +15,18 @@ are verified elsewhere (``qseries``), never assumed here.
 Gap conditions constrain adjacent actual parts only: a final part of any
 size is legal (so e.g. (4, 1) belongs to G1).  The empty partition belongs
 to every class.
+
+Two tables define the classes, and every other layer reads them rather
+than restating a rule: :data:`GAP_RULES` gives a gap class's least
+difference below a part, by the part's parity (R1 (2, 2), G1 (2, 3)), and
+:data:`RESIDUE_CLASSES` a congruence class's allowed residues and modulus.
+:func:`contains` and :func:`iter_class` here, the census scan in ``hooks``
+and the series builders in ``qseries`` all take their rules from them.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Iterator
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -34,6 +40,13 @@ class ClassId(enum.Enum):
     G1 = "g1"
     G2 = "g2"
 
+
+#: least difference between a part p and the next smaller part, for p even
+#: and for p odd, in the gap-type classes; the smallest part has no rule
+GAP_RULES: dict[ClassId, tuple[int, int]] = {
+    ClassId.R1: (2, 2),
+    ClassId.G1: (2, 3),
+}
 
 #: residue classes (set of residues, modulus) for the congruence-type classes
 RESIDUE_CLASSES: dict[ClassId, tuple[frozenset, int]] = {
@@ -51,36 +64,21 @@ def is_partition(parts) -> bool:
 
 def contains(class_id: ClassId, parts: Partition) -> bool:
     """Membership test for a valid partition; vacuous for the empty one."""
-    if class_id is ClassId.R1:
-        return all(parts[i] - parts[i + 1] >= 2 for i in range(len(parts) - 1))
-    if class_id is ClassId.G1:
-        for i in range(len(parts) - 1):
-            gap = parts[i] - parts[i + 1]
-            if gap < 2 or (gap == 2 and parts[i] % 2 == 1):
-                return False
-        return True
+    if class_id in GAP_RULES:
+        gaps = GAP_RULES[class_id]
+        return all(p - r >= gaps[p % 2] for p, r in zip(parts, parts[1:]))
     residues, modulus = RESIDUE_CLASSES[class_id]
     return all(p % modulus in residues for p in parts)
 
 
-@lru_cache(maxsize=None)
-def _max_tail_r1(cap: int) -> int:
-    # largest sum achievable with parts <= cap under gaps >= 2
-    if cap <= 0:
-        return 0
-    return cap + _max_tail_r1(cap - 2)
-
-
-@lru_cache(maxsize=None)
-def _max_tail_g1(cap: int) -> int:
-    # same, under the G1 gap rule (next part <= cap-2, or cap-3 below an odd part)
-    if cap <= 0:
-        return 0
-    return cap + _max_tail_g1(cap - 2 if cap % 2 == 0 else cap - 3)
-
-
-def _iter_gap_class(n: int, next_cap, max_tail) -> Iterator[Partition]:
-    # recursive descent, largest part first -> descending lexicographic order
+def _iter_gap_class(n: int, gaps: tuple) -> Iterator[Partition]:
+    # recursive descent, largest part first -> descending lexicographic order;
+    # below a part p the next is at most lower[p], and parts at most c under
+    # the rule sum to at most room[c]
+    lower = [max(p - gaps[p % 2], 0) for p in range(n + 1)]
+    room = [0] * (n + 1)
+    for c in range(1, n + 1):
+        room[c] = c + room[lower[c]]
     prefix: list = []
 
     def rec(rem: int, cap: int) -> Iterator[Partition]:
@@ -88,10 +86,9 @@ def _iter_gap_class(n: int, next_cap, max_tail) -> Iterator[Partition]:
             yield tuple(prefix)
             return
         for p in range(min(rem, cap), 0, -1):
-            lower = next_cap(p)
-            if rem - p <= max_tail(lower):
+            if rem - p <= room[lower[p]]:
                 prefix.append(p)
-                yield from rec(rem - p, lower)
+                yield from rec(rem - p, lower[p])
                 prefix.pop()
 
     return rec(n, n)
@@ -122,10 +119,8 @@ def iter_class(class_id: ClassId, n: int) -> Iterator[Partition]:
     in descending lexicographic order of part tuples."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if class_id is ClassId.R1:
-        return _iter_gap_class(n, lambda p: p - 2, _max_tail_r1)
-    if class_id is ClassId.G1:
-        return _iter_gap_class(n, lambda p: p - 2 if p % 2 == 0 else p - 3, _max_tail_g1)
+    if class_id in GAP_RULES:
+        return _iter_gap_class(n, GAP_RULES[class_id])
     residues, modulus = RESIDUE_CLASSES[class_id]
     return _iter_residue_class(n, residues, modulus)
 

@@ -328,19 +328,16 @@ def verify_report(
                 if t_hook_count(p, 1) != st.ell or t_hook_count(p, 2) != st.ell_gt1:
                     gap_ok = False
                     gw.setdefault("gap", (cid.value, p))
-        for p in iter_class(ClassId.R2, n):
-            st = shortcut_stats(p)
-            if t_hook_count(p, 2) != st.distinct_gt1 + st.mult_gt1:
-                cong_ok = False
-                gw.setdefault("cong", ("r2", p))
-        for p in iter_class(ClassId.G2, n):
-            # adjacent values 8m+5, 8m+6 share a corner when both occur
-            st = shortcut_stats(p)
-            values = set(p)
-            pairs = sum(1 for v in values if v % 8 == 6 and v - 1 in values)
-            if t_hook_count(p, 2) != st.distinct_gt1 + st.mult_gt1 - pairs:
-                cong_ok = False
-                gw.setdefault("cong", ("g2", p))
+        for cid in (ClassId.R2, ClassId.G2):
+            for p in iter_class(cid, n):
+                # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a
+                # corner when both occur
+                st = shortcut_stats(p)
+                values = set(p)
+                pairs = sum(1 for v in values if v - 1 in values)
+                if t_hook_count(p, 2) != st.distinct_gt1 + st.mult_gt1 - pairs:
+                    cong_ok = False
+                    gw.setdefault("cong", (cid.value, p))
     results.append(CheckResult(f"gap classes: 1-hooks == parts, 2-hooks == parts > 1 (n <= {bound})", gap_ok, str(gw.get("gap", ""))))
     results.append(CheckResult(f"congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs (n <= {bound})", cong_ok, str(gw.get("cong", ""))))
     return results
@@ -400,7 +397,11 @@ def crossover_report(pair: str, n_max: int) -> CrossoverReport:
 @dataclass(frozen=True)
 class ConjectureScan:
     """Scan of the strict inequality 'congruence class has more t-hooks'
-    for one t >= 3 and one class pair ('r' or 'g')."""
+    for one t >= 3 and one class pair ('r' or 'g').
+
+    ``holds_from`` is one past the last violation, so there is none above
+    it: ``counterexamples_above`` is always empty, kept for readers of the
+    payload."""
 
     t: int
     pair: str
@@ -434,12 +435,7 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
             lhs = tables[gap_cid].series(t)
             rhs = tables[cong_cid].series(t)
             holds_from, _ = _first_hold_and_violations(lhs, rhs, "lt", n_max)
-            counterexamples = (
-                []
-                if holds_from is None
-                else [n for n in range(holds_from, n_max + 1) if not lhs[n] < rhs[n]]
-            )
-            scans.append(ConjectureScan(t, pair, n_max, holds_from, counterexamples))
+            scans.append(ConjectureScan(t, pair, n_max, holds_from))
     return scans
 
 
@@ -584,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="t >= 3 hook-count inequality scan")
     p.add_argument("--t", type=_int_list, required=True, metavar="LIST")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--cache", default=None)
+    p.add_argument("--cache", default=None, help="cache directory (or $HOOKLAB_CACHE)")
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--json", action="store_true")
 

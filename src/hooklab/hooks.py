@@ -13,7 +13,9 @@ operations (``map``/``accumulate``), so the per-size loop runs in C.  An E
 step only renames components; closing parts of value w is a shift by w,
 and in a congruence class, where parts of value w may repeat, it is the
 closed form 1/(1 - q^w) taken by the stride-w running sums of
-``qseries._running_sums``.  Exhaustive enumeration
+``qseries._running_sums``.  Each class enters the scan as one least-gap
+rule, the fewest E steps before an N step that closes a part of value w,
+read from the class tables of ``classes``.  Exhaustive enumeration
 (:func:`enumerated_census`) is kept as the scan's oracle.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add
 
-from .classes import RESIDUE_CLASSES, ClassId, Partition, iter_class
+from .classes import GAP_RULES, ClassId, Partition, contains, iter_class
 from .qseries import _running_sums
 
 #: largest n_max and t_max a census accepts
@@ -109,20 +111,12 @@ def _bin_hooks(parts: Partition, t_max: int, bins: list) -> None:
     suffix of each row can hold hooks <= t_max; the walk stops at the first
     larger one, which skips exactly the cells that would land in the tail.
     """
-    if not parts:
-        return
-    ell = len(parts)
-    lam1 = parts[0]
-    conj = [0] * (lam1 + 1)
-    k = ell
-    for j in range(1, lam1 + 1):
-        while parts[k - 1] < j:
-            k -= 1
-        conj[j] = k
-    for i in range(1, ell + 1):
-        base = parts[i - 1] - i + 1
-        j = parts[i - 1]
-        while j >= 1:
+    conj = conjugate(parts)
+    # 0-based row i and column j: h = parts[i] + conj[j] - i - j - 1
+    for i, part in enumerate(parts):
+        base = part - i - 1
+        j = part - 1
+        while j >= 0:
             h = base + conj[j] - j
             if h > t_max:
                 break
@@ -178,17 +172,17 @@ def check_shape(n_max: int, t_max: int) -> None:
         )
 
 
-def _closing_rule(class_id: ClassId):
-    """``(cap, closes)`` for the class's boundary words: ``closes(g, w)`` says
-    whether an N step may close a part of value w when g E steps (counted up
-    to ``cap``) have passed since the last N step.  A word starts at g = cap,
-    since the smallest part has no gap rule; g = 0 means the word ends in N."""
-    if class_id is ClassId.R1:
-        return 3, lambda g, w: g >= 2
-    if class_id is ClassId.G1:
-        return 3, lambda g, w: g >= 3 or (g == 2 and w % 2 == 0)
-    residues, modulus = RESIDUE_CLASSES[class_id]
-    return 1, lambda g, w: w % modulus in residues
+def _least_gap(class_id: ClassId):
+    """``(cap, need)`` for the class's boundary words: ``need(w)`` is the
+    fewest E steps that must separate the N step closing a part of value w
+    from the previous N step, or None when no part of value w is allowed.
+    A gap class needs its :data:`~hooklab.classes.GAP_RULES` entry for the
+    parity of w; a congruence class needs 0 where w is allowed, so parts of
+    value w may repeat.  Gaps are counted up to ``cap``, the largest need."""
+    if class_id in GAP_RULES:
+        gaps = GAP_RULES[class_id]
+        return max(gaps), lambda w: gaps[w % 2]
+    return 1, lambda w: 0 if contains(class_id, (w,)) else None
 
 
 def _plus(a, b):
@@ -265,25 +259,26 @@ def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
     2^T as for a window of the last T letters.  Hook lengths never exceed
     the size, so T = min(t_max, n_max).
 
-    Layers are cumulative because a longer gap never forbids what a shorter
-    one allows: the words that may close a part of value w are one layer,
-    the first g with ``closes(g, w)``.  Their N step (:func:`_close`) gives
-    the words that end in N, whose largest part is w: they are added to the
-    totals, and, shifted by w, to layer 0.  At width w only the sizes up to
-    n_max - w, which can still take a part, are kept.
+    Every rule is a least gap (:func:`_least_gap`) and the layers are
+    cumulative, so the words that may close a part of value w are one layer:
+    g = need(w), or g = 1 when need(w) = 0 and the N step may also follow
+    one that closed another part of value w.  Their N step
+    (:func:`_close`) gives the words that end in N, whose largest part is w:
+    they are added to the totals, and, shifted by w, to layer 0.  At width w
+    only the sizes up to n_max - w, which can still take a part, are kept.
     """
     span = min(t_max, n_max)
-    cap, closes = _closing_rule(class_id)
+    cap, need = _least_gap(class_id)
     totals = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(span)]
     # the empty word, at g = cap since the smallest part has no gap rule
     layers = [[[1] + [0] * n_max] + [None] * (2 * span)] * (cap + 1)
     for w in range(1, n_max + 1):
         # the E step: a new mark M_0 on every word, the others one letter older
         layers[1:] = [v[: 1 + span] + v[:1] + v[1 + span : -1] for v in layers[:cap]]
-        first = next((g for g in range(1, cap + 1) if closes(g, w)), None)
+        gap = need(w)
         layers[0] = layers[1]
-        if first is not None:
-            ended = _close(layers[first], w, closes(0, w), span)
+        if gap is not None:
+            ended = _close(layers[max(gap, 1)], w, gap == 0, span)
             for total, comp in zip(totals, ended):
                 if comp is not None:
                     total[w:] = map(add, total[w:], comp)

@@ -382,11 +382,42 @@ def test_polylog_derivative_matches_closed_form():
     assert abs(fd - (-math.log(1 - w) / w)) < 1e-8
 
 
+def _nahm_sum_mp(target, eps):
+    # S11 and H11 from their closed forms at 40 digits, term by term, summed
+    # past the peak index (< 1/eps for both) until a term falls below 1e-45
+    with mp.workdps(40):
+        q = mp.exp(-mp.mpf(eps))
+        total, poch, num, n = mp.mpf(0), mp.mpf(1), mp.mpf(1), 0
+        while True:
+            n += 1
+            if target == "S11":  # n q^(n^2)/(q;q)_n
+                poch *= 1 - q**n
+                term = n * q ** (n * n) / poch
+            else:  # n q^(n^2+n) (-1/q;q^2)_n/(q^2;q^2)_n
+                poch *= 1 - q ** (2 * n)
+                num *= 1 + q ** (2 * n - 3)
+                term = n * q ** (n * n + n) * num / poch
+            total += term
+            if n > 1 / eps and term < total * mp.mpf(10) ** -45:
+                return total
+
+
+@pytest.mark.parametrize("target", ["S11", "H11"])
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.003])
+def test_saddle_probe_matches_closed_form_sum(target, eps):
+    # the probe runs the stream table of qseries in binary64; this sums the
+    # closed forms in mpmath, independently of that table
+    direct = saddle_probe(target, eps).direct_value
+    exact = _nahm_sum_mp(target, eps)
+    assert abs(direct - exact) < 1e-11 * exact
+
+
 def test_saddle_probe_matches_exact_coefficients():
-    # two independent evaluations of the same analytic object: the termwise
-    # Nahm sum at q = e^(-eps) vs sum(coefficient * e^(-eps n)) from the
-    # exact series; eps = 0.2 keeps the n <= ceil(30/eps) truncation tail
-    # below the 1e-6 relative tolerance
+    # the same analytic object evaluated in two ways, both from the stream
+    # table of qseries and differing only in arithmetic: the termwise Nahm
+    # sum at q = e^(-eps) in binary64 vs sum(coefficient * e^(-eps n)) over
+    # the exact integer series; eps = 0.2 keeps the n <= ceil(30/eps)
+    # truncation tail below the 1e-6 relative tolerance
     from hooklab.qseries import series_S
 
     eps = 0.2

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooklab.classes import ClassId, all_partitions, iter_class
+from hooklab.classes import ClassId, all_partitions, contains, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
     _bin_hooks,
-    _closing_rule,
+    _least_gap,
     census,
     census_rows,
     conjugate,
@@ -217,14 +217,18 @@ def test_census_rows_picks_sizes_and_checks_its_inputs():
             census_rows(ClassId.R1, **bad)
 
 
-def test_closing_rules_are_monotone_in_the_gap():
-    # the census scan keeps its layers cumulative in g, which needs a longer
-    # gap to allow every part value that a shorter one allows
+def test_least_gap_rule_is_the_membership_rule():
+    # the scan lets a part w follow a part v <= w exactly when w - v is at
+    # least need(w), which must be what contains says of (w, v), and it
+    # counts gaps up to cap only
     for cid in ClassId:
-        cap, closes = _closing_rule(cid)
+        cap, need = _least_gap(cid)
         for w in range(1, CENSUS_CEILING + 1):
-            for g in range(cap):
-                assert closes(g + 1, w) or not closes(g, w), (cid, g, w)
+            gap = need(w)
+            assert gap is None or 0 <= gap <= cap, (cid, w)
+            for v in range(1, w + 1):
+                scan = gap is not None and w - v >= gap and contains(cid, (v,))
+                assert scan == contains(cid, (w, v)), (cid, w, v)
 
 
 def _digest(value) -> str:
