@@ -21,9 +21,18 @@ The eight univariate series:
 
 Two tables define them.  ``_STREAMS`` holds each Nahm-sum term stream as
 one recurrence from n = 0, term n = term (n-1) q^s (1 + q^p)/(1 - q^d)
-with s, p, d depending on n, run by :func:`_nahm_terms`.  ``_HOOK_SERIES``
-holds each series as a sum side, a weighted sum over streams, or a
-product side, a class counting series times short rational terms.
+with s, p, d depending on n.  ``_HOOK_SERIES`` holds each series as a sum
+side, a weighted sum over streams, or a product side, a class counting
+series times short rational terms.
+
+:func:`_nahm_sum` evaluates a weighted sum over a stream by Horner's rule,
+from the last term that reaches the order inward, so each level is one
+shift, (1 + q^p) and 1/(1 - q^d) applied to the level inside it.  A level
+is kept only on the window that can still reach q^order, which shrinks as
+the lowest exponent of its term grows, so the sum costs about as much as
+the terms' nonzero windows, not (number of terms) x (order).
+:func:`_nahm_terms` runs a stream term by term at full order; it gives the
+gap-class bivariate rows, and the sums are tested against it.
 
 One builder, :func:`_build_bivariate`, makes the eight bivariate
 refinements sum_lambda x^(statistic) q^|lambda|.  A gap-class table takes
@@ -232,9 +241,11 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n for G1 and G2.  Both classes of a
     pair are equinumerous, so they share one series.
 
-    :func:`identity_check_sum_product` compares these sums with the product
-    side.  Memoized per process, one entry per pair, keyed by the product
-    side's (residues, modulus); a fresh series is returned on every call."""
+    The sum is evaluated by Horner's rule on shrinking windows
+    (:func:`_nahm_sum`).  :func:`identity_check_sum_product` compares it with
+    the product side.  Memoized per process, one entry per pair, keyed by
+    the product side's (residues, modulus); a fresh series is returned on
+    every call."""
     stream, cong = _IDENTITIES["RR1" if class_id in (ClassId.R1, ClassId.R2) else "LG1"]
     residues, modulus = RESIDUE_CLASSES[cong]
     key = tuple(sorted(residues)), modulus
@@ -272,7 +283,11 @@ def _nahm_terms(stream: str, order: int):
     """(n, term n) for n = 0, 1, ... over a stream of :data:`_STREAMS`, up to
     its first zero term (the lowest exponent rises with n, and each later
     term is a multiple of it).  Each term is a fresh series and the next is
-    built before it is handed out, so the caller may mutate it."""
+    built before it is handed out, so the caller may mutate it.
+
+    Every term is run at the full order.  This serves the bivariate
+    gap-class rows, which need the terms one by one, and the test that holds
+    :func:`_nahm_sum`, which never forms a term, to the plain sum of them."""
     (shift, plus), step = _STREAMS[stream]
     term, n = _times_binomial(TruncatedSeries.one(order), shift, plus), 0
     while not term.is_zero():
@@ -284,12 +299,45 @@ def _nahm_terms(stream: str, order: int):
 
 def _nahm_sum(streams, order: int) -> TruncatedSeries:
     """Sum over (stream, a, b) in ``streams`` of (a*n + b) times term n of
-    that stream, to the given order."""
+    that stream, to the given order.
+
+    Each weighted sum is evaluated by Horner's rule, from the innermost term
+    outward.  With F_n the factor taking term n-1 to term n (F_0 = term 0)
+    and K the last term whose lowest exponent is at most ``order``, the sum
+    is F_0 T_0, where T_K = a*K + b and T_k = (a*k + b) + F_(k+1) T_(k+1).
+    T_k enters the sum multiplied by F_0 ... F_k, which is term k, so it is
+    needed only below q^(order + 1 - low_k), low_k being the lowest exponent
+    of term k: each level is kept on that window, which shrinks as k grows,
+    and costs one shift, at most one (1 + q^p) and one 1/(1 - q^d) on it."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     acc = TruncatedSeries.zero(order)
     for stream, a, b in streams:
-        for n, term in _nahm_terms(stream, order):
-            if a * n + b:
-                acc.iadd_scaled(term, a * n + b)
+        (shift, plus), step = _STREAMS[stream]
+        # factors[n] = (s, p, d) of F_n, and room the window of the level
+        # T_k in hand, order + 1 - low_k; no window is empty
+        factors, room = [(shift, plus, None)], order + 1 - shift
+        if room < 1:
+            continue
+        while True:
+            factor = step(len(factors))
+            if factor[0] >= room:
+                break
+            factors.append(factor)
+            room -= factor[0]
+        level = TruncatedSeries.zero(room - 1)
+        for k in range(len(factors) - 1, -1, -1):
+            level.coeffs[0] += a * k + b
+            s, p, d = factors[k]
+            # F_k T_k on the window of T_(k-1), which is s longer
+            outer = TruncatedSeries.zero(level.order + s)
+            outer.coeffs[s:] = level.coeffs
+            if p is not None:
+                outer.imul_one_plus(p)
+            if d is not None:
+                outer.imul_geometric(d)
+            level = outer
+        acc.iadd_scaled(level)
     return acc
 
 

@@ -354,6 +354,75 @@ def test_memo_key_bound(empty_memo):
     assert len(qseries._MEMO) == 10
 
 
+class _Unwalkable(dict):
+    """A stream table that fails the test when any stream is looked up."""
+
+    def __getitem__(self, stream):
+        raise AssertionError(f"stream {stream!r} walked")
+
+
+@pytest.mark.parametrize("memo", ["empty", "held"])
+def test_negative_order_rejected_before_any_work(monkeypatch, empty_memo, memo):
+    if memo == "held":
+        for _, build in MEMOIZED:
+            build(10)
+    monkeypatch.setattr(qseries, "_STREAMS", _Unwalkable(qseries._STREAMS))
+    calls = [
+        lambda: qseries._nahm_sum([("rr", 0, 1)], -1),
+        *(lambda cid=cid: counting_series(cid, -1) for cid in ClassId),
+        *(lambda j=j, t=t: series_S(j, t, -1) for j in (1, 2) for t in (1, 2)),
+        *(lambda j=j, t=t: series_H(j, t, -1) for j in (1, 2) for t in (1, 2)),
+        lambda: identity_check_sum_product("RR1", -1),
+        lambda: identity_check_sum_product("LG1", -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+# --------------------------------------------------------------------------
+# the Nahm sums against their term streams
+# --------------------------------------------------------------------------
+
+
+def _sum_weights() -> dict:
+    """stream -> the weights (a, b) to check: (1, 0) and (0, 1) for every
+    stream, and each one that a hook series or an identity sums it with."""
+    weights = {stream: {(1, 0), (0, 1)} for stream in qseries._STREAMS}
+    for form in qseries._HOOK_SERIES.values():
+        if isinstance(form, list):
+            for stream, a, b in form:
+                weights[stream].add((a, b))
+    for stream, _ in qseries._IDENTITIES.values():
+        weights[stream].add((0, 1))
+    return weights
+
+
+def _window_edges(stream: str, top: int) -> set:
+    """The lowest exponent of each term of ``stream`` up to q^top, and the
+    orders one either side of it: where a term enters the sum."""
+    edges = set()
+    for _, term in qseries._nahm_terms(stream, top):
+        low = next(e for e, c in enumerate(term.coeffs) if c)
+        edges |= {low - 1, low, low + 1}
+    return {e for e in edges if 0 <= e <= top}
+
+
+@pytest.mark.parametrize("stream", sorted(qseries._STREAMS))
+def test_nahm_sum_matches_its_terms(stream):
+    # the Horner evaluation against the terms run one by one at full order;
+    # a lower order of the oracle is its truncation
+    top = 2000
+    terms = list(qseries._nahm_terms(stream, top))
+    for a, b in _sum_weights()[stream]:
+        expected = TruncatedSeries.zero(top)
+        for n, term in terms:
+            expected.iadd_scaled(term, a * n + b)
+        for order in sorted(set(range(81)) | _window_edges(stream, top)):
+            assert qseries._nahm_sum([(stream, a, b)], order) == expected.truncated(order), (
+                a, b, order)
+
+
 # sha256 of the comma-joined decimal coefficients at order 5000, recorded
 # from the per-coefficient loop engine that built the class products as
 # products, before the slice kernels and the Nahm-sum counting series
@@ -417,18 +486,22 @@ def test_identity_report_on_mismatch(monkeypatch):
         assert "q^7" in msg and f"sum side {true[which]}" in msg
         assert f"product side {true[which] + 1}" in msg
 
-        real_terms = qseries._nahm_terms
+        real_sum = qseries._nahm_sum
 
-        def corrupted(stream, order, planted=streams[which]):
-            for n, term in real_terms(stream, order):
-                yield n, _raised_at_7(term) if (stream, n) == (planted, 0) else term
+        def corrupted(rows, order, planted=[(streams[which], 0, 1)]):
+            # the fault goes into the sum of the identity's own stream
+            out = real_sum(rows, order)
+            return _raised_at_7(out) if rows == planted else out
 
         with monkeypatch.context() as m:
-            m.setattr(qseries, "_nahm_terms", corrupted)
+            m.setattr(qseries, "_nahm_sum", corrupted)
             chk = identity_check_sum_product(which, 40)
         assert not chk.ok
         assert (chk.first_mismatch, chk.sum_value, chk.product_value) == (
             7, true[which] + 1, true[which])
+        msg = str(chk)
+        assert "q^7" in msg and f"sum side {true[which] + 1}" in msg
+        assert f"product side {true[which]}" in msg
     assert identity_check_sum_product("RR1", 40).ok
     assert identity_check_sum_product("LG1", 40).ok
 
