@@ -548,6 +548,116 @@ def test_main_ratios_with_a_zero_denominator(capsys):
     assert "checkpoint n=1" in capsys.readouterr().err
 
 
+_VERIFY_6 = [
+    "series H11 == census g1 (t=1, n <= 6)",
+    "series H12 == census g1 (t=2, n <= 6)",
+    "series H21 == census g2 (t=1, n <= 6)",
+    "series H22 == census g2 (t=2, n <= 6)",
+    "series S11 == census r1 (t=1, n <= 6)",
+    "series S12 == census r1 (t=2, n <= 6)",
+    "series S21 == census r2 (t=1, n <= 6)",
+    "series S22 == census r2 (t=2, n <= 6)",
+    "census cardinality == counting series for r1",
+    "census cardinality == counting series for r2",
+    "census cardinality == counting series for g1",
+    "census cardinality == counting series for g2",
+    "census engine == enumeration for r1 (t <= 4, n <= 6)",
+    "census engine == enumeration for r2 (t <= 4, n <= 6)",
+    "census engine == enumeration for g1 (t <= 4, n <= 6)",
+    "census engine == enumeration for g2 (t <= 4, n <= 6)",
+    "sum-product identity RR1 (n <= 6)",
+    "sum-product identity LG1 (n <= 6)",
+]
+_PROPERTIES_6 = [
+    "conjugation involution (n <= 6)",
+    "hook-sum conservation per partition (n <= 6)",
+    "1-hooks == distinct parts (n <= 6)",
+    "2-hooks == gap_gt1 + mult_gt1 (n <= 6)",
+    "gap classes: 1-hooks == parts, 2-hooks == parts > 1 (n <= 6)",
+    "congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs (n <= 6)",
+]
+# the first partition each planted fault below breaks, per property
+_WITNESSES_6 = ["(2,)", "(1, 1)", "(3, 1)", "(1, 1)", "('r1', (3, 1))", "('r2', (1, 1))"]
+
+# argv -> (exit code, stdout); {tmp} is the test's temporary directory
+_GOLDEN = {
+    "census": (
+        ["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv"], EXIT_OK,
+        ["wrote {tmp}/g2.csv and {tmp}/g2.json"],
+    ),
+    "verify": (
+        ["verify", "--n-max", "6"], EXIT_OK,
+        [f"[ok] {name}" for name in _VERIFY_6 + _PROPERTIES_6] + ["verify: PASS"],
+    ),
+    "crossover": (
+        ["crossover", "--pair", "g-t2", "--n-max", "40"], EXIT_OK,
+        ["pair g-t2: first_hold=16 (n_max=40, 15 violations below)"],
+    ),
+    "crossover-absent": (
+        ["crossover", "--pair", "r-t1", "--n-max", "0"], EXIT_OK,
+        ["pair r-t1: first_hold=absent (n_max=0, 1 violations below)"],
+    ),
+    "conjecture": (
+        ["conjecture", "--t", "4,3", "--n-max", "30"], EXIT_OK,
+        [
+            "t=3 pair=r: holds_from=6 counterexamples_above=[]",
+            "t=3 pair=g: holds_from=8 counterexamples_above=[]",
+            "t=4 pair=r: holds_from=12 counterexamples_above=[]",
+            "t=4 pair=g: holds_from=9 counterexamples_above=[]",
+        ],
+    ),
+    "conjecture-absent": (
+        ["conjecture", "--t", "3", "--n-max", "5"], EXIT_OK,
+        [
+            "t=3 pair=r: holds_from=absent counterexamples_above=[]",
+            "t=3 pair=g: holds_from=absent counterexamples_above=[]",
+        ],
+    ),
+    "ratios-model": (
+        ["ratios", "--pair", "r11-model", "--checkpoints", "50,10"], EXIT_OK,
+        ["n=10: coefficient/model = 0.984540", "n=50: coefficient/model = 0.996154"],
+    ),
+    "ratios-cross": (
+        ["ratios", "--pair", "r1-cross", "--checkpoints", "100,200"], EXIT_OK,
+        [
+            "n=100: ratio = 1.190289 (limit 1.203030, off by 0.012741)",
+            "n=200: ratio = 1.193974 (limit 1.203030, off by 0.009055)",
+        ],
+    ),
+    "asym": (
+        ["asym", "--target", "S11", "--eps", "0.02,0.05"], EXIT_OK,
+        [
+            "eps=0.05: ratio = 0.9926849395 (|ratio-1| = 7.315e-03)",
+            "eps=0.02: ratio = 0.9970884546 (|ratio-1| = 2.912e-03)",
+            "monotone approach to 1: yes",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_main_human_output_is_golden(tmp_path, capsys, name):
+    argv, code, lines = _GOLDEN[name]
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    expected = "".join(line.replace("{tmp}", str(tmp_path)) + "\n" for line in lines)
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_main_verify_failure_output_is_golden(monkeypatch, capsys):
+    import hooklab.cli as cli
+
+    # a 1-hook too many at (3, 1) and a 2-hook too many at (1, 1), and a
+    # conjugation that fixes (1, 1), break every property check once
+    real_count, real_conjugate = cli.t_hook_count, cli.conjugate
+    planted = {((3, 1), 1), ((1, 1), 2)}
+    monkeypatch.setattr(cli, "t_hook_count", lambda p, t: real_count(p, t) + ((p, t) in planted))
+    monkeypatch.setattr(cli, "conjugate", lambda p: p if p == (1, 1) else real_conjugate(p))
+    assert main(["verify", "--n-max", "6"]) == EXIT_CHECK_FAILED
+    lines = [f"[ok] {name}" for name in _VERIFY_6]
+    lines += [f"[FAIL] {name}: {w}" for name, w in zip(_PROPERTIES_6, _WITNESSES_6)]
+    assert capsys.readouterr().out == "\n".join(lines + ["verify: FAIL"]) + "\n"
+
+
 def _child_env() -> dict:
     """The environment for a child interpreter that imports this hooklab,
     whether it is installed or only on the test session's path."""
