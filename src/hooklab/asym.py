@@ -45,8 +45,12 @@ class ComplexParam:
     y: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        # NaN fails every comparison, so each test is written to pass only
+        # for a finite value
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
+        if not math.isfinite(self.y):
+            raise ValueError("y must be finite")
 
     @property
     def z(self) -> complex:

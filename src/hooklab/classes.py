@@ -95,7 +95,8 @@ def _iter_gap_class(n: int, gaps: tuple) -> Iterator[Partition]:
 
 
 def _iter_residue_class(n: int, residues: frozenset, modulus: int) -> Iterator[Partition]:
-    # residue 1 is allowed in both congruence classes, so every branch completes
+    # the value 1 is allowed in both congruence classes and mod 1, so every
+    # branch completes
     allowed = [v for v in range(n, 0, -1) if v % modulus in residues]
     prefix: list = []
 
@@ -135,14 +136,9 @@ def count(class_id: ClassId, n: int) -> int:
     return sum(1 for _ in iter_class(class_id, n))
 
 
-def all_partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All unrestricted partitions of ``n``, descending lexicographic."""
+def all_partitions(n: int) -> Iterator[Partition]:
+    """All unrestricted partitions of ``n``, descending lexicographic: the
+    congruence enumerator with every residue mod 1 allowed."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cap = n if max_part is None else min(max_part, n)
-    if n == 0:
-        yield ()
-        return
-    for p in range(cap, 0, -1):
-        for rest in all_partitions(n - p, p):
-            yield (p,) + rest
+    return _iter_residue_class(n, frozenset({0}), 1)

@@ -1,7 +1,13 @@
 """Command-line orchestration: censuses with caching, the verification
 suite, inequality crossovers, the t >= 3 conjecture scan, and asymptotic
-ratio tables.  All outputs are CSV/JSON; exit codes are 0 success, 1 check
-failure, 2 usage error."""
+ratio tables.
+
+Each subcommand has one handler, registered on its subparser as the
+default of ``run``.  A handler takes the parsed arguments and returns the
+JSON payload, the human-readable lines and the exit code; :func:`main`
+prints the payload under ``--json`` and the lines otherwise, and maps a
+``ValueError`` or ``OSError`` to a usage error.  Exit codes are 0 success,
+1 check failure, 2 usage error."""
 
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, asym
-from .classes import ClassId, all_partitions, iter_class
+from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, all_partitions, iter_class
 from .hooks import (
     HookCensus,
     census_rows,
@@ -241,6 +247,42 @@ def _agreement(name: str, n_max: int, left: tuple, right: tuple, lead: str = "")
     return CheckResult(name, False, f"{lead}n={bad}: {left_label} {a[bad]}, {right_label} {b[bad]}")
 
 
+def _hook_properties(p: tuple, n: int, cid: ClassId | None) -> dict:
+    """Whether the partition ``p`` of ``n`` keeps each hook property, by
+    check title: the unrestricted t = 1, 2 identities when ``cid`` is None,
+    else their specialisation to ``cid``, a gap or a congruence class."""
+    st = shortcut_stats(p)
+    if cid is None:
+        ones, twos = t_hook_count(p, 1), t_hook_count(p, 2)
+        # every cell has one hook in [1, n]; the table and t_hook_count
+        # are independent formulas for the same hooks
+        hooks = [h for row in hook_lengths(p) for h in row]
+        return {
+            "conjugation involution": conjugate(conjugate(p)) == p,
+            "hook-sum conservation per partition": (
+                len(hooks) == n
+                and all(1 <= h <= n for h in hooks)
+                and hooks.count(1) == ones
+                and hooks.count(2) == twos
+            ),
+            "1-hooks == distinct parts": ones == st.distinct,
+            "2-hooks == gap_gt1 + mult_gt1": n < 2 or twos == st.gap_gt1 + st.mult_gt1,
+        }
+    if cid in GAP_RULES:
+        return {
+            "gap classes: 1-hooks == parts, 2-hooks == parts > 1":
+                t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,
+        }
+    # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a corner
+    # when both occur
+    values = set(p)
+    pairs = sum(1 for v in values if v - 1 in values)
+    return {
+        "congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs":
+            t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,
+    }
+
+
 def verify_report(
     n_max: int = 40,
     *,
@@ -288,58 +330,21 @@ def verify_report(
         results.append(CheckResult(f"sum-product identity {which} (n <= {n_max})", chk.ok, str(chk) if not chk.ok else ""))
 
     bound = min(n_max, HOOK_PROPERTY_BOUND)
-    involution = conservation = one_hook = two_hook = True
-    witness = {}
+    # title -> the first partition breaking it, or None; size 0 (the empty
+    # partition, in every class) enters the titles in report order
+    witness: dict = {}
     for n in range(bound + 1):
-        for p in all_partitions(n):
-            if conjugate(conjugate(p)) != p:
-                involution = False
-                witness.setdefault("involution", p)
-            st = shortcut_stats(p)
-            ones, twos = t_hook_count(p, 1), t_hook_count(p, 2)
-            # every cell has one hook in [1, n]; the table and t_hook_count
-            # are independent formulas for the same hooks
-            hooks = [h for row in hook_lengths(p) for h in row]
-            if (
-                len(hooks) != n
-                or not all(1 <= h <= n for h in hooks)
-                or hooks.count(1) != ones
-                or hooks.count(2) != twos
-            ):
-                conservation = False
-                witness.setdefault("conservation", p)
-            if ones != st.distinct:
-                one_hook = False
-                witness.setdefault("one_hook", p)
-            if n >= 2 and twos != st.gap_gt1 + st.mult_gt1:
-                two_hook = False
-                witness.setdefault("two_hook", p)
-    results.append(CheckResult(f"conjugation involution (n <= {bound})", involution, str(witness.get("involution", ""))))
-    results.append(CheckResult(f"hook-sum conservation per partition (n <= {bound})", conservation, str(witness.get("conservation", ""))))
-    results.append(CheckResult(f"1-hooks == distinct parts (n <= {bound})", one_hook, str(witness.get("one_hook", ""))))
-    results.append(CheckResult(f"2-hooks == gap_gt1 + mult_gt1 (n <= {bound})", two_hook, str(witness.get("two_hook", ""))))
-
-    gap_ok = cong_ok = True
-    gw = {}
-    for n in range(bound + 1):
-        for cid in (ClassId.R1, ClassId.G1):
-            for p in iter_class(cid, n):
-                st = shortcut_stats(p)
-                if t_hook_count(p, 1) != st.ell or t_hook_count(p, 2) != st.ell_gt1:
-                    gap_ok = False
-                    gw.setdefault("gap", (cid.value, p))
-        for cid in (ClassId.R2, ClassId.G2):
-            for p in iter_class(cid, n):
-                # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a
-                # corner when both occur
-                st = shortcut_stats(p)
-                values = set(p)
-                pairs = sum(1 for v in values if v - 1 in values)
-                if t_hook_count(p, 2) != st.distinct_gt1 + st.mult_gt1 - pairs:
-                    cong_ok = False
-                    gw.setdefault("cong", (cid.value, p))
-    results.append(CheckResult(f"gap classes: 1-hooks == parts, 2-hooks == parts > 1 (n <= {bound})", gap_ok, str(gw.get("gap", ""))))
-    results.append(CheckResult(f"congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs (n <= {bound})", cong_ok, str(gw.get("cong", ""))))
+        sources = [(None, all_partitions(n))]
+        sources += [(cid, iter_class(cid, n)) for cid in (*GAP_RULES, *RESIDUE_CLASSES)]
+        for cid, parts in sources:
+            for p in parts:
+                for title, ok in _hook_properties(p, n, cid).items():
+                    if witness.get(title) is None:
+                        witness[title] = None if ok else (p if cid is None else (cid.value, p))
+    results += [
+        CheckResult(f"{title} (n <= {bound})", w is None, "" if w is None else str(w))
+        for title, w in witness.items()
+    ]
     return results
 
 
@@ -534,9 +539,6 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-WORKERS_HELP = "kept for scripts that pass it (must be >= 1); the census engine is serial, so it selects nothing"
-
-
 def _worker_count(text: str) -> int:
     """--workers, refused below 1 while parsing, before any file or series is made."""
     try:
@@ -548,7 +550,60 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _census_command(args) -> tuple:
+    payload = run_census(ClassId(args.class_id), args.n_max, args.t_max, args.out, args.cache)
+    return payload, [f"wrote {payload['csv']} and {payload['sidecar']}"], EXIT_OK
+
+
+def _verify_command(args) -> tuple:
+    results = verify_report(args.n_max)
+    ok = all(r.ok for r in results)
+    payload = {"n_max": args.n_max, "ok": ok, "checks": [asdict(r) for r in results]}
+    lines = [r.line() for r in results] + [f"verify: {'PASS' if ok else 'FAIL'}"]
+    return payload, lines, EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _crossover_command(args) -> tuple:
+    report = crossover_report(args.pair, args.n_max)
+    first = "absent" if report.first_hold is None else report.first_hold
+    line = f"pair {report.pair}: first_hold={first} (n_max={report.n_max}, {len(report.violations)} violations below)"
+    return asdict(report), [line], EXIT_OK
+
+
+def _conjecture_command(args) -> tuple:
+    scans = conjecture_scan(args.t, args.n_max, args.cache)
+    lines = [
+        f"t={s.t} pair={s.pair}: holds_from={'absent' if s.holds_from is None else s.holds_from} "
+        f"counterexamples_above={s.counterexamples_above}"
+        for s in scans
+    ]
+    return {"scans": [asdict(s) for s in scans]}, lines, EXIT_OK
+
+
+def _ratios_command(args) -> tuple:
+    table = ratio_table(args.pair, args.checkpoints)
+    if table["kind"] == "model":
+        lines = [f"n={row['n']}: coefficient/model = {row['ratio']:.6f}" for row in table["rows"]]
+    else:
+        lines = [
+            f"n={row['n']}: ratio = {row['ratio']:.6f} (limit {row['limit']:.6f}, off by {row['abs_error']:.6f})"
+            for row in table["rows"]
+        ]
+    return table, lines, EXIT_OK
+
+
+def _asym_command(args) -> tuple:
+    table = asym_table(args.target, args.eps)
+    lines = [
+        f"eps={row['epsilon']}: ratio = {row['ratio']:.10f} (|ratio-1| = {row['deviation']:.3e})"
+        for row in table["rows"]
+    ] + [f"monotone approach to 1: {'yes' if table['monotone'] else 'NO'}"]
+    return table, lines, EXIT_OK if table["monotone"] else EXIT_CHECK_FAILED
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``hooklab`` parser: each subparser names its handler as the
+    default of ``run``, and each shared option is declared once."""
     parser = argparse.ArgumentParser(
         prog="hooklab",
         description="t-hook censuses, generating-function verification and "
@@ -558,134 +613,64 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hooklab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("census", help="exact t-hook census of one class")
-    p.add_argument("--class", dest="class_id", required=True, choices=[c.value for c in ClassId])
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--out", required=True, help="CSV output path (JSON sidecar alongside)")
-    p.add_argument("--cache", default=None, help="cache directory (or $HOOKLAB_CACHE)")
-    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
-    p.add_argument("--json", action="store_true")
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("verify", help="oracle-equivalence and property checks")
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
-    p.add_argument("--json", action="store_true")
+    census = command("census", _census_command, "exact t-hook census of one class")
+    census.add_argument("--class", dest="class_id", required=True, choices=[c.value for c in ClassId])
+    census.add_argument("--n-max", type=int, required=True)
+    census.add_argument("--t-max", type=int, required=True)
+    census.add_argument("--out", required=True, help="CSV output path (JSON sidecar alongside)")
 
-    p = sub.add_parser("crossover", help="locate a t in {1,2} inequality crossover")
+    verify = command("verify", _verify_command, "oracle-equivalence and property checks")
+    verify.add_argument("--n-max", type=int, default=40)
+
+    p = command("crossover", _crossover_command, "locate a t in {1,2} inequality crossover")
     p.add_argument("--pair", required=True, choices=sorted(_CROSSOVER_PAIRS))
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("conjecture", help="t >= 3 hook-count inequality scan")
-    p.add_argument("--t", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--cache", default=None, help="cache directory (or $HOOKLAB_CACHE)")
-    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
-    p.add_argument("--json", action="store_true")
+    conjecture = command("conjecture", _conjecture_command, "t >= 3 hook-count inequality scan")
+    conjecture.add_argument("--t", type=_int_list, required=True, metavar="LIST")
+    conjecture.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("ratios", help="coefficient/model and cross-ratio tables")
+    p = command("ratios", _ratios_command, "coefficient/model and cross-ratio tables")
     p.add_argument("--pair", required=True)
     p.add_argument("--checkpoints", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("asym", help="saddle-point probe table")
+    p = command("asym", _asym_command, "saddle-point probe table")
     p.add_argument("--target", required=True, choices=["S11", "H11"])
     p.add_argument("--eps", type=_float_list, required=True, metavar="LIST")
-    p.add_argument("--json", action="store_true")
+
+    for p in (census, conjecture):
+        p.add_argument("--cache", default=None, help="cache directory")
+    for p in (census, verify, conjecture):
+        p.add_argument("--workers", type=_worker_count, default=None, help="kept for scripts that "
+                       "pass it (must be >= 1); the census engine is serial, so it selects nothing")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
-def _emit(payload: dict, as_json: bool, human_lines) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def main(argv: list | None = None) -> int:
-    parser = _build_parser()
+    """Parse ``argv``, run the subcommand's handler, and print its JSON
+    payload (``--json``) or its lines; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-
-    cache_default = os.environ.get("HOOKLAB_CACHE")
     try:
-        if args.command == "census":
-            payload = run_census(
-                ClassId(args.class_id),
-                args.n_max,
-                args.t_max,
-                args.out,
-                args.cache or cache_default,
-            )
-            _emit(
-                payload,
-                args.json,
-                [f"wrote {payload['csv']} and {payload['sidecar']}"],
-            )
-            return EXIT_OK
-
-        if args.command == "verify":
-            results = verify_report(args.n_max)
-            ok = all(r.ok for r in results)
-            payload = {"n_max": args.n_max, "ok": ok, "checks": [asdict(r) for r in results]}
-            _emit(payload, args.json, [r.line() for r in results] + [f"verify: {'PASS' if ok else 'FAIL'}"])
-            return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-        if args.command == "crossover":
-            report = crossover_report(args.pair, args.n_max)
-            payload = asdict(report)
-            lines = [
-                f"pair {report.pair}: first_hold="
-                f"{'absent' if report.first_hold is None else report.first_hold} "
-                f"(n_max={report.n_max}, {len(report.violations)} violations below)"
-            ]
-            _emit(payload, args.json, lines)
-            return EXIT_OK
-
-        if args.command == "conjecture":
-            scans = conjecture_scan(args.t, args.n_max, args.cache or cache_default)
-            payload = {"scans": [asdict(s) for s in scans]}
-            lines = [
-                f"t={s.t} pair={s.pair}: holds_from="
-                f"{'absent' if s.holds_from is None else s.holds_from} "
-                f"counterexamples_above={s.counterexamples_above}"
-                for s in scans
-            ]
-            _emit(payload, args.json, lines)
-            return EXIT_OK
-
-        if args.command == "ratios":
-            table = ratio_table(args.pair, args.checkpoints)
-            lines = []
-            for row in table["rows"]:
-                if table["kind"] == "model":
-                    lines.append(f"n={row['n']}: coefficient/model = {row['ratio']:.6f}")
-                else:
-                    lines.append(
-                        f"n={row['n']}: ratio = {row['ratio']:.6f} "
-                        f"(limit {row['limit']:.6f}, off by {row['abs_error']:.6f})"
-                    )
-            _emit(table, args.json, lines)
-            return EXIT_OK
-
-        if args.command == "asym":
-            table = asym_table(args.target, args.eps)
-            lines = [
-                f"eps={row['epsilon']}: ratio = {row['ratio']:.10f} "
-                f"(|ratio-1| = {row['deviation']:.3e})"
-                for row in table["rows"]
-            ] + [f"monotone approach to 1: {'yes' if table['monotone'] else 'NO'}"]
-            _emit(table, args.json, lines)
-            return EXIT_OK if table["monotone"] else EXIT_CHECK_FAILED
-
+        payload, lines, code = args.run(args)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
     except (ValueError, OSError) as exc:  # bad arguments, or an unusable --out/--cache path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
+    return code
 
 
 if __name__ == "__main__":

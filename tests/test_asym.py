@@ -201,6 +201,16 @@ def test_eta_residual_cone_guard():
         ComplexParam(-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_complex_param_rejects_non_finite_values(bad):
+    # refused on construction: an infinite epsilon would give a nan
+    # residual, and a NaN would fail only deep inside a series
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        ComplexParam(bad)
+    with pytest.raises(ValueError, match="y must be finite"):
+        ComplexParam(0.05, bad)
+
+
 def test_eta_residual_epsilon_floor(monkeypatch):
     from hooklab import asym
 

@@ -76,6 +76,20 @@ def test_enumerate_against_filtered_generator(class_id):
         assert all(contains(class_id, p) and sum(p) == n for p in fast)
 
 
+def test_all_partitions_against_the_pentagonal_recurrence():
+    # all_partitions shares its recursion with the congruence enumerator, so
+    # its completeness is checked against Euler's recurrence for p(n)
+    p = [1]
+    for n in range(1, 41):
+        terms = ((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (-1) ** (k + 1)) for k in range(1, n + 1))
+        p.append(sum(sign * (p[n - a] + (p[n - b] if b <= n else 0)) for a, b, sign in terms if a <= n))
+    for n in range(41):
+        parts = list(all_partitions(n))
+        assert len(parts) == len(set(parts)) == p[n]
+        assert parts == sorted(parts, reverse=True)
+        assert all(is_partition(q) and sum(q) == n for q in parts)
+
+
 def test_equinumerous_pairs_to_60():
     # first Rogers-Ramanujan / first little Gollnitz identities, counting form
     for n in range(61):

@@ -423,14 +423,6 @@ def test_main_census(tmp_path, capsys):
     assert payload["class"] == "r1" and out.is_file()
 
 
-def test_main_census_env_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HOOKLAB_CACHE", str(tmp_path / "envcache"))
-    code = main(["census", "--class", "g2", "--n-max", "5", "--t-max", "1",
-                 "--out", str(tmp_path / "g2.csv")])
-    assert code == EXIT_OK
-    assert (tmp_path / "envcache" / "census-g2.json").is_file()
-
-
 def test_main_verify_ok(capsys):
     assert main(["verify", "--n-max", "15"]) == EXIT_OK
     out = capsys.readouterr().out
