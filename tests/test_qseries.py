@@ -584,3 +584,42 @@ def test_product_sides_read_the_class_table(monkeypatch, build, class_id, which,
     for t in (1, 2):
         assert build(2, t, order).at_x_one().coeffs == members, t
     assert not identity_check_sum_product(which, order).ok
+
+
+# sha256 of each bivariate table's columns (comma-joined decimal
+# coefficients, one line per x-degree) and of the two class products,
+# recorded from the column-by-column product-side tables and the
+# smallest-part-first product
+BIVARIATE_DIGESTS = {
+    ("R", 1, 1, 150): "679736731b4f4fb943e987b046327df8d9cc01f799e35b86b7a61cb2a0a2f6a6",
+    ("R", 1, 2, 150): "462196f0249e3d78ce5692dfdc9241a8786db560ff4c2c797f96898ae64e25d5",
+    ("R", 2, 1, 150): "e9e91664ce052fae2fac814fbb79b20d89e136467839f44a78d3a36515851fa2",
+    ("R", 2, 2, 150): "ce8cc5bcf7028db131c261ba71ffaef314956131cf14791d042407da337a6fd2",
+    ("G", 1, 1, 150): "bac3a1a1da124db2c8b6dec26aa8890f0c809bfc3d93ae944aa939f6455f9b82",
+    ("G", 1, 2, 150): "66fb6a0d4079c29ef824435bf473b995e6ec6dc63fe89f77a229a48a346a4b65",
+    ("G", 2, 1, 150): "c44ac07f760695c153cecda270f9183f37aa2be347e2dfe37ac4b63629491783",
+    ("G", 2, 2, 150): "3b7276540e295f471c58471ad2d7e7a1a18a7283a50a11a092e1720117466fa7",
+    ("R", 2, 1, 400): "9a1e948fedd306065ed3477f24fdbda7bc2770f482f3be81ecb43a5104c3a696",
+    ("R", 2, 2, 400): "51ec43883c742c589e908c3fa70cee99fd56957b766a00e41d5788622be3805c",
+    ("G", 2, 1, 400): "a25957c5d1db2045f93eceae37b519b081deacd0ea94be86a09f22d718abb4e9",
+    ("G", 2, 2, 400): "5accc7a4962132f40ac01eaefe9276a6aa659bfb36a89eaa99971a5182f02338",
+}
+PRODUCT_DIGESTS_2000 = {
+    ((1, 4), 5): "54785e710467e9adb4be67d0bb8948f746591eec11d15f8700f93a7775fd9e2b",
+    ((1, 5, 6), 8): "2dfdf60d5657426c5958c0cc745151b653ea0b1ac17f3157754f7a3003250fe5",
+}
+
+
+def _sha(lines) -> str:
+    text = "\n".join(",".join(map(str, coeffs)) for coeffs in lines)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bivariate_and_product_digests():
+    builders = {"R": bivariate_R, "G": bivariate_G}
+    for (family, j, t, order), digest in BIVARIATE_DIGESTS.items():
+        table = builders[family](j, t, order)
+        assert _sha(col.coeffs for col in table.cols) == digest, (family, j, t, order)
+    for (residues, modulus), digest in PRODUCT_DIGESTS_2000.items():
+        series = inv_pochhammer_product(set(residues), modulus, 2000)
+        assert _sha([series.coeffs]) == digest, (residues, modulus)
