@@ -36,14 +36,16 @@ gap-class bivariate rows, and the sums are tested against it.
 
 One builder, :func:`_build_bivariate`, makes the eight bivariate
 refinements sum_lambda x^(statistic) q^|lambda|.  A gap-class table takes
-its rows from the same streams; a congruence-class table is a product of
+its rows from the same streams.  A congruence-class table is a product of
 one factor per part value that ``classes.RESIDUE_CLASSES`` allows, as is
 the product side of :func:`identity_check_sum_product`, so each congruence
-class is defined there alone.
+class is defined there alone; it is taken at x = 2^b as one series whose
+b-bit digits are the table's columns (Kronecker substitution).
 
 :func:`counting_series` is the Nahm (sum) side of each pair's first
-identity; the product side, :func:`inv_pochhammer_product`, is kept as its
-oracle and is what :func:`identity_check_sum_product` compares it with.
+identity; the product side, :func:`inv_pochhammer_product`, built largest
+part first, is its oracle and what :func:`identity_check_sum_product`
+compares it with.
 
 The eight series and the two class counting series are memoized per
 process, ten fixed keys whatever the input.  Each key holds the series
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from math import ceil, log, pi, sqrt
 from operator import add, mul
 
 from .classes import RESIDUE_CLASSES, ClassId
@@ -210,7 +213,12 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
         raise ValueError(f"residues must lie in [1, {modulus}]")
     keys = {r % modulus for r in residues}
     out = TruncatedSeries.one(order)
-    for e in range(1, order + 1):
+    # parts above order/2 occur at most once and never two together, so
+    # their factors are together 1 + sum q^e; the rest go largest first
+    half = order // 2
+    for e in range(half + 1, order + 1):
+        out.coeffs[e] = int(e % modulus in keys)
+    for e in range(half, 0, -1):
         if e % modulus in keys:
             out.imul_geometric(e)
     return out
@@ -406,13 +414,6 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
 # --------------------------------------------------------------------------
 
 
-def _trimmed(cols: list) -> list:
-    """cols without its zero top columns, keeping at least one."""
-    while len(cols) > 1 and cols[-1].is_zero():
-        cols.pop()
-    return cols
-
-
 class BivariateSeries:
     """Series in q and x, stored as one TruncatedSeries per x-degree.
 
@@ -424,8 +425,9 @@ class BivariateSeries:
     __slots__ = ("order_q", "cols")
 
     def __init__(self, order_q: int, cols: list):
-        self.order_q = order_q
-        self.cols = _trimmed(cols)
+        while len(cols) > 1 and cols[-1].is_zero():
+            cols.pop()
+        self.order_q, self.cols = order_q, cols
 
     @classmethod
     def from_rows(cls, order_q: int, rows) -> "BivariateSeries":
@@ -447,26 +449,6 @@ class BivariateSeries:
             raise IndexError(f"x-degree {k} outside table")
         return self.cols[k][n]
 
-    def imul_factor(self, numerator: dict, periods) -> "BivariateSeries":
-        """Multiply in place by sum_p x^p N_p(q) / prod_{d in periods} (1 - q^d).
-
-        ``numerator`` maps each x-power p to the (exp, sign) monomials of
-        N_p; the factor is applied with the primitives of
-        :func:`apply_rational`, column by column.
-        """
-        cols = [
-            TruncatedSeries.zero(self.order_q)
-            for _ in range(len(self.cols) + max(numerator))
-        ]
-        for k, col in enumerate(self.cols):
-            for p, terms in numerator.items():
-                _mul_sparse(col, terms, cols[k + p])
-        for col in cols:
-            for d in periods:
-                col.imul_geometric(d)
-        self.cols = _trimmed(cols)
-        return self
-
     def at_x_one(self) -> TruncatedSeries:
         """Marginalize the statistic: substitute x = 1."""
         acc = TruncatedSeries.zero(self.order_q)
@@ -483,44 +465,42 @@ class BivariateSeries:
         return acc
 
 
-# Product-side factors, one per part value, as (numerator, periods) for
-# BivariateSeries.imul_factor.
+# Product-side factors, one per part value, as (numerator, periods): the
+# factor N(x, q) / prod_{d in periods} (1 - q^d), with N given by its
+# (exp, coefficient) monomials in q, each coefficient a polynomial in x
+# evaluated at the given integer x.
 
 
-def _one_part_factor(e: int):
+def _one_part_factor(e: int, x: int):
     """1 + x q^e/(1 - q^e): a part e, at any multiplicity, is one 1-hook."""
-    return {0: [(0, 1), (e, -1)], 1: [(e, 1)]}, [e]
+    return [(0, 1), (e, x - 1)], [e]
 
 
-def _part_one_factor():
+def _part_one_factor(x: int):
     """1 + q + x q^2/(1 - q): parts 1 give a 2-hook only when repeated."""
-    return {0: [(0, 1), (2, -1)], 1: [(2, 1)]}, [1]
+    return [(0, 1), (2, x - 1)], [1]
 
 
-def _two_part_factor(e: int):
+def _two_part_factor(e: int, x: int):
     """1 + x q^e + x^2 q^(2e)/(1 - q^e): a part e > 1 gives one 2-hook, and
     a second one when repeated."""
-    return {0: [(0, 1), (e, -1)], 1: [(e, 1), (2 * e, -1)], 2: [(2 * e, 1)]}, [e]
+    return [(0, 1), (e, x - 1), (2 * e, x * (x - 1))], [e]
 
 
-def _pair_factor(a: int):
+def _pair_factor(a: int, x: int):
     """Adjacent parts a > 1 and b = a + 1 together: each absent or alone as
     in the two-part factor, or both present, which merges one pair of their
     2-hooks into the cross term x q^s (1 - (1-x) q^a)/(1 - q^a)
-    (1 - (1-x) q^b)/(1 - q^b), s = a + b; over (1 - q^a)(1 - q^b)."""
+    (1 - (1-x) q^b)/(1 - q^b), s = a + b.  Over (1 - q^a)(1 - q^b) that is
+    1 + (x-1)(q^a + q^b - q^s) + x(x-1)(q^(2a) + q^(2b)) + x(x-1)^2 q^(2s)."""
     b, s = a + 1, 2 * a + 1
-    den = [(0, 1), (a, -1), (b, -1), (s, 1)]
-    return {
-        0: den,
-        1: [(e + f, sign) for e in (a, b, s) for f, sign in den],
-        2: [(2 * a, 1), (2 * b, 1), (2 * s, -2)],
-        3: [(2 * s, 1)],
-    }, [a, b]
+    return [(0, 1), (a, x - 1), (b, x - 1), (s, 1 - x), (2 * a, x * (x - 1)),
+            (2 * b, x * (x - 1)), (2 * s, x * (x - 1) ** 2)], [a, b]
 
 
-def _part_factors(class_id: ClassId, t: int, order: int):
-    """The factors of a congruence class's product-side table: one for each
-    part value up to ``order`` that :data:`RESIDUE_CLASSES` allows.  For
+def _part_factors(class_id: ClassId, t: int, order: int, x: int):
+    """The factors of a congruence class's product-side table at ``x``: one
+    for each part value up to ``order`` that :data:`RESIDUE_CLASSES` allows.  For
     t = 2, part 1 and each pair e, e + 1 of adjacent allowed values take
     their own factors; residue 1 is allowed in both classes, 2 in neither,
     and no three allowed values are consecutive."""
@@ -529,14 +509,14 @@ def _part_factors(class_id: ClassId, t: int, order: int):
     if t == 1:
         for e in range(1, order + 1):
             if allowed[e]:
-                yield _one_part_factor(e)
+                yield _one_part_factor(e, x)
         return
-    yield _part_one_factor()
+    yield _part_one_factor(x)
     e = 2
     while e <= order:
         if allowed[e]:
             paired = allowed[e + 1]
-            yield _pair_factor(e) if paired else _two_part_factor(e)
+            yield _pair_factor(e, x) if paired else _two_part_factor(e, x)
             e += paired
         e += 1
 
@@ -551,17 +531,35 @@ _GAP_ROWS = {
 }
 
 
+def _digit_width(order: int) -> int:
+    """Bits per x-degree in a packed product-side table: a coefficient of
+    x^k q^n, n <= order, counts class members of size n, so it is at most
+    p(n) < exp(pi sqrt(2n/3)) (Apostol, Thm 14.5); 2 bits spare."""
+    return ceil(pi * sqrt(2 * order / 3) / log(2)) + 2
+
+
 def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
     """The table of a hook-series key: a gap class's rows from its term
-    streams, a congruence class's as the product of its part factors."""
+    streams, a congruence class's as the product of its part factors.
+
+    That product is taken at x = 2^b, b = :func:`_digit_width` (Kronecker
+    substitution): the coefficient of x^k q^n lands in bits b*k .. b*k+b-1
+    of one series, so each factor costs one sparse product and its
+    1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
+    every coefficient of x^k q^n is below 2^b, so column k is read back
+    exactly as digit k."""
     if key in _GAP_ROWS:
         rows = chain.from_iterable(_nahm_terms(stream, order) for stream in _GAP_ROWS[key])
         return BivariateSeries.from_rows(order, rows)
     class_id, _ = _HOOK_SERIES[key]
-    out = BivariateSeries(order, [TruncatedSeries.one(order)])
-    for factor in _part_factors(class_id, key[2], order):
-        out.imul_factor(*factor)
-    return out
+    packed, width = TruncatedSeries.one(order), _digit_width(order)
+    for numerator, periods in _part_factors(class_id, key[2], order, 1 << width):
+        packed = _mul_sparse(packed, numerator, TruncatedSeries.zero(order))
+        for d in periods:
+            packed.imul_geometric(d)
+    mask, digits = (1 << width) - 1, -(-max(packed.coeffs).bit_length() // width)
+    cols = [[c >> width * k & mask for c in packed.coeffs] for k in range(digits)]
+    return BivariateSeries(order, [TruncatedSeries(order, col) for col in cols])
 
 
 def bivariate_R(j: int, t: int, order: int) -> BivariateSeries:

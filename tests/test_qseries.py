@@ -154,11 +154,13 @@ def _restricted_partition_counts(values, order):
     [({1, 4}, 5), ({2, 3}, 5), ({1, 5, 6}, 8), ({1}, 1), ({1, 2}, 4)],
 )
 def test_inv_pochhammer_vs_dp(residues, modulus):
-    order = 80
-    series = inv_pochhammer_product(residues, modulus, order)
+    # every order to 40 puts each part value on both sides of the order/2
+    # band of single parts, at odd and even orders
     keys = {r % modulus for r in residues}
-    values = [v for v in range(1, order + 1) if v % modulus in keys]
-    assert series.coeffs == _restricted_partition_counts(values, order)
+    for order in (*range(41), 80):
+        series = inv_pochhammer_product(residues, modulus, order)
+        values = [v for v in range(1, order + 1) if v % modulus in keys]
+        assert series.coeffs == _restricted_partition_counts(values, order), order
 
 
 def test_inv_pochhammer_examples():
@@ -539,14 +541,50 @@ def test_bivariate_table_vs_enumeration(build, j, t, class_id):
                 assert table.coefficient(n, k) == dists[n].get(k, 0), (order, n, k)
 
 
+def _check_marginal_and_derivative(build, j, t, class_id, order):
+    table = build(j, t, order)
+    assert table.at_x_one() == counting_series(class_id, order)
+    expected = (series_S if build is bivariate_R else series_H)(j, t, order)
+    assert table.x_derivative_at_one() == expected
+    assert all(c >= 0 for col in table.cols for c in col.coeffs)
+
+
 @pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
 def test_bivariate_marginal_and_derivative(build, j, t, class_id):
     for order in (40, 150):
-        table = build(j, t, order)
-        assert table.at_x_one() == counting_series(class_id, order)
-        expected = (series_S if build is bivariate_R else series_H)(j, t, order)
-        assert table.x_derivative_at_one() == expected
-        assert all(c >= 0 for col in table.cols for c in col.coeffs)
+        _check_marginal_and_derivative(build, j, t, class_id, order)
+
+
+PRODUCT_SIDE_BUILDERS = [case for case in BIVARIATE_BUILDERS if case[1] == 2]
+
+
+def test_digit_width_exceeds_the_partition_numbers():
+    # p(n) by Euler's pentagonal recurrence, independent of the width's
+    # analytic bound; every table coefficient at size n is at most p(n)
+    top = 5000
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        k, total = 1, 0
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p[n] = total
+    assert p[100] == 190569292
+    for n in range(top + 1):
+        assert qseries._digit_width(n) > p[n].bit_length(), n
+
+
+@pytest.mark.parametrize("build,j,t,class_id", PRODUCT_SIDE_BUILDERS)
+def test_narrow_digits_break_the_product_side_tables(monkeypatch, build, j, t, class_id):
+    # the largest coefficients of these tables at order 150 take 19 or 20
+    # bits, so 18-bit digits carry into the next x-degree and the checks
+    # that pass at the real width must fail
+    monkeypatch.setattr(qseries, "_digit_width", lambda order: 18)
+    with pytest.raises(AssertionError):
+        _check_marginal_and_derivative(build, j, t, class_id, 150)
 
 
 def test_bivariate_examples():
@@ -564,6 +602,18 @@ def test_bivariate_rejects_unknown_indices():
         bivariate_R(0, 1, 5)
     with pytest.raises(ValueError):
         bivariate_G(2, 3, 5)
+
+
+@pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
+def test_bivariate_order_bounds(build, j, t, class_id):
+    # a negative order is refused with the series' own message, before the
+    # digit width (a square root of the order) is taken; order 0 is the
+    # empty partition alone, with no hooks
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        build(j, t, -1)
+    table = build(j, t, 0)
+    assert (table.order_q, table.order_x) == (0, 0)
+    assert table.cols[0].coeffs == [1]
 
 
 @pytest.mark.parametrize(
