@@ -184,14 +184,14 @@ def _running_sums(c: list, period: int) -> None:
 
 
 def _mul_sparse(series: TruncatedSeries, terms, out: TruncatedSeries) -> TruncatedSeries:
-    """Add series times sum(sign q^exp), over (exp, sign) pairs with
+    """Add series times sum(c q^exp), over (exp, c) pairs with integer c and
     exponents >= 0, into ``out`` (of the same order) and return it."""
     src, dst = series.coeffs, out.coeffs
-    for exp, sign in terms:
+    for exp, c in terms:
         if exp < 0:
             raise ValueError("numerator exponents must be >= 0")
         # map stops at the end of dst[exp:], so it reads src[: order + 1 - exp]
-        dst[exp:] = map(add, dst[exp:], src if sign == 1 else map(mul, src, repeat(sign)))
+        dst[exp:] = map(add, dst[exp:], src if c == 1 else map(mul, src, repeat(c)))
     return out
 
 
@@ -500,10 +500,10 @@ def _pair_factor(a: int, x: int):
 
 def _part_factors(class_id: ClassId, t: int, order: int, x: int):
     """The factors of a congruence class's product-side table at ``x``: one
-    for each part value up to ``order`` that :data:`RESIDUE_CLASSES` allows.  For
-    t = 2, part 1 and each pair e, e + 1 of adjacent allowed values take
-    their own factors; residue 1 is allowed in both classes, 2 in neither,
-    and no three allowed values are consecutive."""
+    for each part value up to ``order`` that :data:`RESIDUE_CLASSES`
+    allows.  For t = 2, part 1 and each pair e, e + 1 of adjacent allowed
+    values take their own factors; residue 1 is allowed in both classes, 2
+    in neither, and no three allowed values are consecutive."""
     residues, modulus = RESIDUE_CLASSES[class_id]
     allowed = [e % modulus in residues for e in range(order + 2)]
     if t == 1:
