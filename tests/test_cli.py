@@ -1,6 +1,7 @@
 """CLI layer: census files and caching, the verify suite, crossovers,
 conjecture scans, ratio/saddle tables, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -279,6 +280,23 @@ def test_verify_checks_cardinality_against_the_counting_series(monkeypatch):
 def test_verify_ceiling():
     with pytest.raises(ValueError):
         verify_report(81)
+
+
+# sha256 of the JSON list of (name, ok, detail) of every check, per run
+_VERIFY_DIGESTS = {
+    (0, None): "c9feb961bed59d99e19e1a61ac3b5ba184b37396f59f1c730ca6ffbb50909ed6",
+    (6, None): "43b71ab26eddb79c82042b265a0b048098fc0278649da87ad832a6c2ccaf42bd",
+    (30, None): "85c2dbdc0d76d94b576bc486ee5888093f1fd90655b87eb9fe10cb558498087c",
+    (40, None): "45600daa0e31e899a44ee498c2b359e3ba180bb3170041ec787898d3225b4ddf",
+    (16, ("H22", 9, -1)): "0ffa6e18168ab7fb32a8e5a6c3169944c18800246d3a51630d99b03acc9897fd",
+}
+
+
+@pytest.mark.parametrize("n_max, corrupt", sorted(_VERIFY_DIGESTS, key=str))
+def test_verify_report_digest(n_max, corrupt):
+    rows = [(r.name, r.ok, r.detail) for r in verify_report(n_max, _corrupt=corrupt)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _VERIFY_DIGESTS[n_max, corrupt]
 
 
 # --------------------------------------------------------------------------
