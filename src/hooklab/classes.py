@@ -95,24 +95,44 @@ def _iter_gap_class(n: int, gaps: tuple) -> Iterator[Partition]:
 
 
 def _iter_residue_class(n: int, residues: frozenset, modulus: int) -> Iterator[Partition]:
-    # the value 1 is allowed in both congruence classes and mod 1, so every
-    # branch completes
+    """The partitions of ``n`` into allowed values, descending lexicographic,
+    by greedy fill and backtrack.
+
+    The fill completes the parts so far with as many copies as fit of the
+    largest allowed value, then of the largest that fits what is left, and
+    so on; the value 1 is allowed in both congruence classes and mod 1, so
+    every fill ends at 0.  That gives the largest completion, which comes
+    next in the order.  The backtrack then drops the trailing 1s and steps
+    the last remaining part down to the next smaller allowed value, and the
+    fill completes that.  No part left of the step changes, so the order is
+    kept, and the enumeration ends when only 1s are left to drop.
+    """
     allowed = [v for v in range(n, 0, -1) if v % modulus in residues]
-    prefix: list = []
-
-    def rec(rem: int, idx: int) -> Iterator[Partition]:
-        if rem == 0:
-            yield tuple(prefix)
-            return
-        for j in range(idx, len(allowed)):
+    # fit[r]: the index in ``allowed`` of the largest allowed value <= r
+    fit, j = [0] * (n + 1), len(allowed)
+    for r in range(1, n + 1):
+        if r % modulus in residues:
+            j -= 1
+        fit[r] = j
+    parts: list = []
+    rem, j = n, 0
+    while True:
+        while rem:
             v = allowed[j]
-            if v > rem:
-                continue
-            prefix.append(v)
-            yield from rec(rem - v, j)
-            prefix.pop()
-
-    return rec(n, 0)
+            k = rem // v
+            parts += [v] * k
+            rem -= k * v
+            j = fit[rem]
+        yield tuple(parts)
+        if parts and parts[-1] == 1:
+            first = parts.index(1)
+            rem = len(parts) - first
+            del parts[first:]
+        if not parts:
+            return
+        v = parts.pop()
+        rem += v
+        j = fit[v] + 1
 
 
 def iter_class(class_id: ClassId, n: int) -> Iterator[Partition]:

@@ -18,12 +18,14 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import __version__, asym
 from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, all_partitions, iter_class
 from .hooks import (
     HookCensus,
+    _bin_hooks,
     census_rows,
     check_shape,
     conjugate,
@@ -247,40 +249,50 @@ def _agreement(name: str, n_max: int, left: tuple, right: tuple, lead: str = "")
     return CheckResult(name, False, f"{lead}n={bad}: {left_label} {a[bad]}, {right_label} {b[bad]}")
 
 
-def _hook_properties(p: tuple, n: int, cid: ClassId | None) -> dict:
-    """Whether the partition ``p`` of ``n`` keeps each hook property, by
-    check title: the unrestricted t = 1, 2 identities when ``cid`` is None,
-    else their specialisation to ``cid``, a gap or a congruence class."""
+#: the hook-property check titles, in report order, for the unrestricted
+#: partitions, the gap classes and the congruence classes
+_PROPERTY_TITLES = {
+    "unrestricted": (
+        "conjugation involution",
+        "hook-sum conservation per partition",
+        "1-hooks == distinct parts",
+        "2-hooks == gap_gt1 + mult_gt1",
+    ),
+    "gap": ("gap classes: 1-hooks == parts, 2-hooks == parts > 1",),
+    "congruence": ("congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs",),
+}
+
+
+def _hook_properties(p: tuple, n: int, kind: str) -> tuple:
+    """Whether the partition ``p`` of ``n`` keeps each hook property of
+    ``_PROPERTY_TITLES[kind]``, in that order: the unrestricted t = 1, 2
+    identities, or their specialisation to a gap or a congruence class."""
     st = shortcut_stats(p)
-    if cid is None:
-        ones, twos = t_hook_count(p, 1), t_hook_count(p, 2)
-        # every cell has one hook in [1, n]; the table and t_hook_count
-        # are independent formulas for the same hooks
-        hooks = [h for row in hook_lengths(p) for h in row]
-        return {
-            "conjugation involution": conjugate(conjugate(p)) == p,
-            "hook-sum conservation per partition": (
-                len(hooks) == n
-                and all(1 <= h <= n for h in hooks)
-                and hooks.count(1) == ones
-                and hooks.count(2) == twos
-            ),
-            "1-hooks == distinct parts": ones == st.distinct,
-            "2-hooks == gap_gt1 + mult_gt1": n < 2 or twos == st.gap_gt1 + st.mult_gt1,
-        }
-    if cid in GAP_RULES:
-        return {
-            "gap classes: 1-hooks == parts, 2-hooks == parts > 1":
-                t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,
-        }
+    if kind == "unrestricted":
+        conj = conjugate(p)
+        bins = [0, 0]
+        _bin_hooks(p, 2, bins, conj)
+        ones, twos = bins
+        # every cell has one hook in [1, n]; the table and the bin walk are
+        # independent formulas for the same hooks
+        hooks = list(chain.from_iterable(hook_lengths(p, conj)))
+        return (
+            conjugate(conj) == p,
+            len(hooks) == n
+            and min(hooks, default=1) >= 1
+            and max(hooks, default=n) <= n
+            and hooks.count(1) == ones
+            and hooks.count(2) == twos,
+            ones == st.distinct,
+            n < 2 or twos == st.gap_gt1 + st.mult_gt1,
+        )
+    if kind == "gap":
+        return (t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,)
     # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a corner
     # when both occur
     values = set(p)
     pairs = sum(1 for v in values if v - 1 in values)
-    return {
-        "congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs":
-            t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,
-    }
+    return (t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,)
 
 
 def verify_report(
@@ -330,17 +342,20 @@ def verify_report(
         results.append(CheckResult(f"sum-product identity {which} (n <= {n_max})", chk.ok, str(chk) if not chk.ok else ""))
 
     bound = min(n_max, HOOK_PROPERTY_BOUND)
-    # title -> the first partition breaking it, or None; size 0 (the empty
-    # partition, in every class) enters the titles in report order
-    witness: dict = {}
+    # title -> the first partition breaking it, or None
+    witness = dict.fromkeys(t for titles in _PROPERTY_TITLES.values() for t in titles)
     for n in range(bound + 1):
-        sources = [(None, all_partitions(n))]
-        sources += [(cid, iter_class(cid, n)) for cid in (*GAP_RULES, *RESIDUE_CLASSES)]
-        for cid, parts in sources:
+        sources = [("unrestricted", None, all_partitions(n))]
+        sources += [("gap", cid, iter_class(cid, n)) for cid in GAP_RULES]
+        sources += [("congruence", cid, iter_class(cid, n)) for cid in RESIDUE_CLASSES]
+        for kind, cid, parts in sources:
+            titles = _PROPERTY_TITLES[kind]
             for p in parts:
-                for title, ok in _hook_properties(p, n, cid).items():
-                    if witness.get(title) is None:
-                        witness[title] = None if ok else (p if cid is None else (cid.value, p))
+                oks = _hook_properties(p, n, kind)
+                if False in oks:
+                    for title, ok in zip(titles, oks):
+                        if not ok and witness[title] is None:
+                            witness[title] = p if cid is None else (cid.value, p)
     results += [
         CheckResult(f"{title} (n <= {bound})", w is None, "" if w is None else str(w))
         for title, w in witness.items()

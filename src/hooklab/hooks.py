@@ -22,7 +22,7 @@ read from the class tables of ``classes``.  Exhaustive enumeration
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, sub
 
 from .classes import GAP_RULES, ClassId, Partition, contains, iter_class
 from .qseries import _running_sums
@@ -32,24 +32,34 @@ CENSUS_CEILING = 200
 
 
 def conjugate(parts: Partition) -> Partition:
-    """The partition whose rows are the columns of the Young diagram."""
-    if not parts:
-        return ()
-    out = []
-    k = len(parts)
-    for j in range(1, parts[0] + 1):
-        while parts[k - 1] < j:
-            k -= 1
-        out.append(k)
+    """The partition whose rows are the columns of the Young diagram.
+
+    Built from the runs of equal parts, smallest first: the columns past the
+    next smaller part value and up to a value v are each as long as the
+    number of parts >= v, so each distinct part adds one run of the result.
+    """
+    out: list = []
+    prev = 0
+    for k in range(len(parts), 0, -1):
+        v = parts[k - 1]
+        if v > prev:  # parts[k - 1] is the last part of value v
+            out += [k] * (v - prev)
+            prev = v
     return tuple(out)
 
 
-def hook_lengths(parts: Partition) -> list:
-    """Table of hook lengths, one list per row of the Young diagram."""
-    conj = conjugate(parts)
+def hook_lengths(parts: Partition, conj: Partition | None = None) -> list:
+    """Table of hook lengths, one list per row of the Young diagram.
+
+    ``conj`` is the conjugate of ``parts``, computed here when not given.
+    """
+    if conj is None:
+        conj = conjugate(parts)
+    # 0-based row i and column j: h = parts[i] + conj[j] - i - j - 1, that
+    # is conj[j] less j - parts[i] + i + 1, one subtraction per cell in C
     return [
-        [parts[i - 1] + conj[j - 1] - i - j + 1 for j in range(1, parts[i - 1] + 1)]
-        for i in range(1, len(parts) + 1)
+        list(map(sub, conj[:part], range(i + 1 - part, i + 1)))
+        for i, part in enumerate(parts)
     ]
 
 
@@ -104,14 +114,16 @@ def shortcut_stats(parts: Partition) -> ShortcutStats:
     return ShortcutStats(ell, distinct, ell_gt1, distinct_gt1, mult_gt1, gap_gt1)
 
 
-def _bin_hooks(parts: Partition, t_max: int, bins: list) -> None:
+def _bin_hooks(parts: Partition, t_max: int, bins: list, conj: Partition | None = None) -> None:
     """Accumulate into ``bins[t-1]`` the cells of hook length t <= t_max.
 
     Within a row the hook lengths strictly decrease left to right, so only a
     suffix of each row can hold hooks <= t_max; the walk stops at the first
     larger one, which skips exactly the cells that would land in the tail.
+    ``conj`` is the conjugate of ``parts``, computed here when not given.
     """
-    conj = conjugate(parts)
+    if conj is None:
+        conj = conjugate(parts)
     # 0-based row i and column j: h = parts[i] + conj[j] - i - j - 1
     for i, part in enumerate(parts):
         base = part - i - 1

@@ -77,8 +77,9 @@ def test_enumerate_against_filtered_generator(class_id):
 
 
 def test_all_partitions_against_the_pentagonal_recurrence():
-    # all_partitions shares its recursion with the congruence enumerator, so
-    # its completeness is checked against Euler's recurrence for p(n)
+    # all_partitions is the congruence enumerator's greedy fill and backtrack
+    # with every value allowed, so the filtered-generator test above rests on
+    # it; its completeness is checked against Euler's recurrence for p(n)
     p = [1]
     for n in range(1, 41):
         terms = ((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (-1) ** (k + 1)) for k in range(1, n + 1))

@@ -238,11 +238,33 @@ def test_verify_cross_checks_the_hook_table(monkeypatch):
 
     # relabel 2-hooks as 3-hooks from n = 3 on: n cells, all in [1, n], the
     # 1-hooks intact, so only the count of 2s betrays the table
-    monkeypatch.setattr(cli, "hook_lengths", lambda p: [
-        [3 if h == 2 and sum(p) >= 3 else h for h in row] for row in hook_lengths(p)
+    monkeypatch.setattr(cli, "hook_lengths", lambda p, conj: [
+        [3 if h == 2 and sum(p) >= 3 else h for h in row] for row in hook_lengths(p, conj)
     ])
     bad = [r.name for r in verify_report(6) if not r.ok]
     assert bad == ["hook-sum conservation per partition (n <= 6)"]
+
+
+def test_verify_calls_the_traced_geometry_names(monkeypatch):
+    import hooklab.cli as cli
+
+    # the benchmark's tracer wraps these three by name in cli, and reports
+    # its geometry layer group only when t_hook_count was called
+    calls = dict.fromkeys(("t_hook_count", "conjugate", "shortcut_stats"), 0)
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert all(r.ok for r in verify_report(8))
+    assert all(calls.values()), calls
 
 
 def test_verify_reports_an_engine_fault(monkeypatch):
@@ -656,10 +678,18 @@ def test_main_human_output_is_golden(tmp_path, capsys, name):
 def test_main_verify_failure_output_is_golden(monkeypatch, capsys):
     import hooklab.cli as cli
 
-    # a 1-hook too many at (3, 1) and a 2-hook too many at (1, 1), and a
+    # a 1-hook too many at (3, 1) and a 2-hook too many at (1, 1), in the
+    # unrestricted sweep's bin walk and in the classes' t_hook_count, and a
     # conjugation that fixes (1, 1), break every property check once
-    real_count, real_conjugate = cli.t_hook_count, cli.conjugate
+    real_bins, real_count, real_conjugate = cli._bin_hooks, cli.t_hook_count, cli.conjugate
     planted = {((3, 1), 1), ((1, 1), 2)}
+
+    def planted_bins(p, t_max, bins, conj=None):
+        real_bins(p, t_max, bins, conj)
+        for t in range(1, t_max + 1):
+            bins[t - 1] += (p, t) in planted
+
+    monkeypatch.setattr(cli, "_bin_hooks", planted_bins)
     monkeypatch.setattr(cli, "t_hook_count", lambda p, t: real_count(p, t) + ((p, t) in planted))
     monkeypatch.setattr(cli, "conjugate", lambda p: p if p == (1, 1) else real_conjugate(p))
     assert main(["verify", "--n-max", "6"]) == EXIT_CHECK_FAILED

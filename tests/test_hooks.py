@@ -37,6 +37,22 @@ def test_conjugate_examples():
     assert conjugate((3,)) == (1, 1, 1)
 
 
+def _conjugate_by_definition(p):
+    # column j (0-based) is as long as the number of parts longer than j
+    return tuple(sum(1 for part in p if part > j) for j in range(p[0] if p else 0))
+
+
+def test_conjugate_against_its_definition():
+    assert conjugate(()) == _conjugate_by_definition(()) == ()
+    for n in range(26):
+        for p in all_partitions(n):
+            assert conjugate(p) == _conjugate_by_definition(p)
+    # class members have long parts and few rows
+    for cid in ClassId:
+        for p in iter_class(cid, 60):
+            assert conjugate(p) == _conjugate_by_definition(p)
+
+
 def test_hook_length_table():
     # the classic example diagram, row by row
     assert hook_lengths(FIG_PARTITION) == [
