@@ -17,8 +17,8 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from itertools import chain
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, asym
