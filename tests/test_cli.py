@@ -198,6 +198,49 @@ def test_cache_above_the_ceiling_is_rewritten_at_the_request(tmp_path, monkeypat
     assert json.loads(path.read_text()) == _census_payload(served)
 
 
+# what runs with and without --cache; {out} is the CSV path
+_CACHED_RUNS = {
+    "census": ["census", "--class", "g2", "--n-max", "20", "--t-max", "4", "--out", "{out}"],
+    "conjecture": ["conjecture", "--t", "4,3", "--n-max", "20"],
+}
+# what fills the cache directory first: nothing, tables larger than the run's
+# in n and t, or tables larger in n and narrower in t
+_CACHE_PRIMES = {
+    "empty": [],
+    "larger": [["conjecture", "--t", "3,6", "--n-max", "40"]],
+    "longer-narrower": [
+        ["census", "--class", c, "--n-max", "40", "--t-max", "1", "--out", "{prime}/" + c + ".csv"]
+        for c in ("r1", "r2", "g1", "g2")
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("prime", sorted(_CACHE_PRIMES))
+@pytest.mark.parametrize("command", sorted(_CACHED_RUNS))
+def test_cache_changes_no_output(tmp_path, capsys, command, prime, fmt):
+    out = tmp_path / "out" / "table.csv"
+    argv = [a.replace("{out}", str(out)) for a in _CACHED_RUNS[command]] + fmt
+
+    def run(extra: list) -> tuple:
+        """stdout, stderr and the bytes of the CSV and sidecar, which are
+        then removed so the next run writes its own"""
+        assert main(argv + extra) == EXIT_OK
+        files = []
+        for path in (out, out.with_suffix(".json")):
+            files.append(path.read_bytes() if path.is_file() else None)
+            path.unlink(missing_ok=True)
+        return capsys.readouterr(), files
+
+    plain = run([])
+    cache = tmp_path / "cache"
+    for prime_argv in _CACHE_PRIMES[prime]:
+        prime_argv = [a.replace("{prime}", str(tmp_path / "prime")) for a in prime_argv]
+        assert main(prime_argv + ["--cache", str(cache)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["--cache", str(cache)]) == plain
+
+
 def test_census_csv_text_shape():
     c = cached_census(ClassId.R1, 3, 2)
     text = census_csv_text(c)
