@@ -1,6 +1,7 @@
-"""Command-line orchestration: censuses with caching, the verification
-suite, inequality crossovers, the t >= 3 conjecture scan, and asymptotic
-ratio tables.
+"""Command-line orchestration: censuses (each also written, on request, to
+a per-class cache file that is never read back), the verification suite,
+inequality crossovers, the t >= 3 conjecture scan, and asymptotic ratio
+tables.
 
 Each subcommand has one handler, registered on its subparser as the
 default of ``run``.  A handler takes the parsed arguments and returns the
@@ -96,31 +97,6 @@ def _census_payload(c: HookCensus) -> dict:
     }
 
 
-def _slice_census(c: HookCensus, n_max: int, t_max: int) -> HookCensus:
-    return HookCensus(
-        c.class_id,
-        n_max,
-        t_max,
-        [row[:t_max] for row in c.counts[: n_max + 1]],
-        c.cardinality[: n_max + 1],
-        c.total_hooks[: n_max + 1],
-    )
-
-
-def _stored_shape(text: str | None) -> tuple | None:
-    """The (n_max, t_max) a cache file's text claims, or None when the text
-    is missing or unreadable or the shape lies outside the census ceiling."""
-    try:
-        payload = json.loads(text)
-        shape = payload["n_max"], payload["t_max"]
-        if all(type(v) is int for v in shape):
-            check_shape(*shape)
-            return shape
-    except (ValueError, KeyError, TypeError):
-        pass
-    return None
-
-
 def _prepare_file(path: Path) -> None:
     """Create the parent directories of a file about to be written and
     refuse a path that is a directory, so that an unusable ``--out`` or
@@ -148,34 +124,21 @@ def cached_census(
     t_max: int,
     cache_dir: str | None = None,
 ) -> HookCensus:
-    """Census through a per-class cache file that mirrors the engine.
+    """Census of ``class_id`` at exactly (n_max, t_max).
 
-    Only the stored shape is read from the file.  The table is computed at
-    the larger of the stored and the requested shapes, served sliced to the
-    request, and written back only when the file's contents differ, so a
-    tampered or stale file is repaired and an intact one is left alone.
-    Recomputing costs less than checking the stored counts would.
+    With a cache directory, the table also replaces the class's cache file
+    there.  The file is written through and never read back: computing the
+    exact census costs less than reading and checking a stored one would.
     """
     check_shape(n_max, t_max)
     path = None if cache_dir is None else _cache_file(cache_dir, class_id)
-    old = None
     if path is not None:
         _prepare_file(path)
-        try:
-            old = path.read_text()
-        except (OSError, ValueError):  # missing, unreadable, or not text
-            pass
-    n_full, t_full = n_max, t_max
-    stored = _stored_shape(old)
-    if stored is not None:
-        n_full, t_full = max(n_full, stored[0]), max(t_full, stored[1])
-    rows = census_rows(class_id, range(n_full + 1), t_full)
-    table = HookCensus.from_rows(class_id, n_full, t_full, rows)
+    rows = census_rows(class_id, range(n_max + 1), t_max)
+    table = HookCensus.from_rows(class_id, n_max, t_max, rows)
     if path is not None:
-        text = json.dumps(_census_payload(table))
-        if text != old:
-            _write_cache(path, text)
-    return _slice_census(table, n_max, t_max)
+        _write_cache(path, json.dumps(_census_payload(table)))
+    return table
 
 
 def census_csv_text(c: HookCensus) -> str:
@@ -194,7 +157,7 @@ def run_census(
     out_path: str,
     cache_dir: str | None = None,
 ) -> dict:
-    """Compute a census (through the cache, if any) and write CSV plus a
+    """Compute a census (writing the cache file, if any) and write CSV plus a
     JSON sidecar, the CSV path with suffix ``.json``.  Every path is checked
     before the census runs, and a CSV path that is its own sidecar's is
     refused."""
@@ -659,7 +622,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_float_list, required=True, metavar="LIST")
 
     for p in (census, conjecture):
-        p.add_argument("--cache", default=None, help="cache directory")
+        p.add_argument("--cache", default=None, help="directory to write each computed "
+                       "census to as census-CLASS.json (never read back)")
     for p in (census, verify, conjecture):
         p.add_argument("--workers", type=_worker_count, default=None, help="kept for scripts that "
                        "pass it (must be >= 1); the census engine is serial, so it selects nothing")

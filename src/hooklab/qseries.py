@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from math import ceil, log, pi, sqrt
 from operator import add, mul
 
 from .classes import RESIDUE_CLASSES, ClassId
@@ -531,11 +530,13 @@ _GAP_ROWS = {
 }
 
 
-def _digit_width(order: int) -> int:
+def _digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed product-side table: a coefficient of
-    x^k q^n, n <= order, counts class members of size n, so it is at most
-    p(n) < exp(pi sqrt(2n/3)) (Apostol, Thm 14.5); 2 bits spare."""
-    return ceil(pi * sqrt(2 * order / 3) / log(2)) + 2
+    x^k q^n, n <= order, counts class members of size n, and those counts
+    do not decrease with n (part 1 is allowed, so appending a 1 maps size
+    n into size n + 1 one to one).  So every coefficient is at most the
+    class's count at ``order``, read off the literal product."""
+    return inv_pochhammer_product(*RESIDUE_CLASSES[class_id], order).coeffs[order].bit_length()
 
 
 def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
@@ -552,7 +553,7 @@ def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
         rows = chain.from_iterable(_nahm_terms(stream, order) for stream in _GAP_ROWS[key])
         return BivariateSeries.from_rows(order, rows)
     class_id, _ = _HOOK_SERIES[key]
-    packed, width = TruncatedSeries.one(order), _digit_width(order)
+    packed, width = TruncatedSeries.one(order), _digit_width(class_id, order)
     for numerator, periods in _part_factors(class_id, key[2], order, 1 << width):
         packed = _mul_sparse(packed, numerator, TruncatedSeries.zero(order))
         for d in periods:

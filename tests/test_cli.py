@@ -1,4 +1,4 @@
-"""CLI layer: census files and caching, the verify suite, crossovers,
+"""CLI layer: census and cache files, the verify suite, crossovers,
 conjecture scans, ratio/saddle tables, exit codes."""
 
 import hashlib
@@ -63,139 +63,101 @@ def test_census_degenerate(tmp_path):
     assert out.read_text() == "n,t,count\n0,1,0\n"
 
 
-def test_cache_roundtrip_extension(tmp_path):
-    cache = tmp_path / "cache"
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    out_fresh = tmp_path / "fresh.csv"
-    run_census(ClassId.G1, 20, 2, str(out_a), str(cache))
-    assert (cache / "census-g1.json").is_file()
-    run_census(ClassId.G1, 30, 2, str(out_b), str(cache))   # extend by 10
-    run_census(ClassId.G1, 30, 2, str(out_fresh))           # no cache
-    assert out_b.read_bytes() == out_fresh.read_bytes()
-    # a smaller request is computed at the stored shape, which the file keeps
-    stored = (cache / "census-g1.json").read_text()
-    again = cached_census(ClassId.G1, 12, 1, str(cache))
-    fresh = cached_census(ClassId.G1, 12, 1)
-    assert again.counts == fresh.counts
-    assert again.cardinality == fresh.cardinality
-    assert (cache / "census-g1.json").read_text() == stored
-
-
-def test_cache_handles_t_max_increase(tmp_path):
-    cache = tmp_path / "cache"
-    first = cached_census(ClassId.R2, 15, 1, str(cache))
-    wider = cached_census(ClassId.R2, 15, 3, str(cache))
-    assert wider.t_max == 3
-    assert [row[0] for row in wider.counts] == [row[0] for row in first.counts]
-    assert wider.counts == cached_census(ClassId.R2, 15, 3).counts
-
-
-def test_cache_hit_leaves_the_file_alone(tmp_path):
-    cache = tmp_path / "cache"
-    cached_census(ClassId.R1, 20, 2, str(cache))
-    path = cache / "census-r1.json"
-    before = path.stat()
-    again = cached_census(ClassId.R1, 20, 2, str(cache))
-    after = path.stat()
-    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
-    assert again == cached_census(ClassId.R1, 20, 2)
-    assert [p.name for p in cache.iterdir()] == ["census-r1.json"]  # no temporary file left
-
-
-def test_cache_with_a_wrong_count_is_recomputed(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    run_census(ClassId.R1, 30, 3, str(tmp_path / "a.csv"), str(cache))
-    path = cache / "census-r1.json"
-    payload = json.loads(path.read_text())
-    payload["counts"][30][0] += 1000
-    path.write_text(json.dumps(payload))
-    out = tmp_path / "b.csv"
-    code = main(["census", "--class", "r1", "--n-max", "30", "--t-max", "3",
-                 "--out", str(out), "--cache", str(cache)])
-    assert code == EXIT_OK
-    assert "30,1,396" in out.read_text().splitlines()
-    assert json.loads(path.read_text())["counts"][30][0] == 396  # overwritten
-    capsys.readouterr()
-
-
-def test_cache_with_truncated_counts_is_recomputed(tmp_path):
-    cache = tmp_path / "cache"
-    first = conjecture_scan([3], 30, str(cache))
-    path = cache / "census-g1.json"
-    payload = json.loads(path.read_text())
-    payload["counts"] = payload["counts"][:20]
-    path.write_text(json.dumps(payload))
-    assert conjecture_scan([3], 30, str(cache)) == first
-    assert len(json.loads(path.read_text())["counts"]) == 31
-
-
-@pytest.mark.parametrize(
-    "where,change",
-    [
-        (("class",), lambda v: "r2"),
-        (("n_max",), lambda v: v + 1),
-        (("t_max",), lambda v: v + 1),
-        (("counts", 12, 0), lambda v: v + 1),      # a t = 1 count
-        (("counts", 12, 1), lambda v: v - 1),      # a t = 2 count
-        (("counts", 12, 2), lambda v: -1),         # a t = 3 count below zero
-        (("counts", 12, 2), float),                # a t = 3 count that is no int
-        (("counts", 12), lambda row: row[:2]),     # a short row
-        (("cardinality", 12), lambda v: v + 1),
-        (("cardinality", 0), lambda v: v + 1),    # 0 * cardinality hides it from total_hooks
-        (("total_hooks", 12), lambda v: v + 12),
-        (("counts", 12, 2), lambda v: v + 1),      # a t = 3 count, off by one
-    ],
-)
-def test_cache_check_rejects_a_tampered_table(tmp_path, where, change):
-    cache = tmp_path / "cache"
-    good = cached_census(ClassId.R1, 20, 3, str(cache))
-    path = cache / "census-r1.json"
-    payload = json.loads(path.read_text())
+def _tampered(where: tuple, change) -> bytes:
+    """The (20, 3) r2 table's cache file with the entry at ``where`` changed."""
+    payload = _census_payload(census(ClassId.R2, 20, 3))
     *outer, last = where
     node = payload
     for key in outer:
         node = node[key]
     node[last] = change(node[last])
-    path.write_text(json.dumps(payload))
-    assert cached_census(ClassId.R1, 20, 3, str(cache)) == good
-    # rewritten as the engine's table, at a shape covering the request
-    stored = json.loads(path.read_text())
-    assert stored["n_max"] >= 20 and stored["t_max"] >= 3
-    assert stored == _census_payload(census(ClassId.R1, stored["n_max"], stored["t_max"]))
+    return json.dumps(payload).encode()
 
 
-@pytest.mark.parametrize("text", ["{", "[]", '{"class": "zz"}', '{"class": "r1"}'])
-def test_cache_check_rejects_an_unreadable_file(tmp_path, text):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "census-r1.json").write_text(text)
-    fresh = cached_census(ClassId.R1, 12, 2)
-    assert cached_census(ClassId.R1, 12, 2, str(cache)) == fresh
-    assert json.loads((cache / "census-r1.json").read_text()) == _census_payload(fresh)
+# what census-r2.json held before the call -> a function giving its bytes,
+# or None for no file
+_CACHE_BEFORE = {
+    "missing": lambda: None,
+    "larger": lambda: json.dumps(_census_payload(census(ClassId.R2, CENSUS_CEILING, CENSUS_CEILING))).encode(),
+    "not-text": lambda: b"\xff\xfe{",
+    **{f"unreadable-{text}": (lambda text=text: text.encode())
+       for text in ("{", "[]", '{"class": "zz"}', '{"class": "r2"}')},
+    **{f"tampered-{name}": (lambda where=where, change=change: _tampered(where, change))
+       for name, where, change in (
+           ("class", ("class",), lambda v: "r1"),
+           ("n_max", ("n_max",), lambda v: v + 1),
+           ("n_max-above-the-ceiling", ("n_max",), lambda v: CENSUS_CEILING + 1),
+           ("t_max", ("t_max",), lambda v: v + 1),
+           ("t1-count", ("counts", 12, 0), lambda v: v + 1),
+           ("t2-count", ("counts", 12, 1), lambda v: v - 1),
+           ("t3-count-below-zero", ("counts", 12, 2), lambda v: -1),
+           ("t3-count-no-int", ("counts", 12, 2), float),
+           ("t3-count-off-by-one", ("counts", 12, 2), lambda v: v + 1),
+           ("short-row", ("counts", 12), lambda row: row[:2]),
+           ("truncated-counts", ("counts",), lambda rows: rows[:5]),
+           ("cardinality", ("cardinality", 12), lambda v: v + 1),
+           ("cardinality-at-0", ("cardinality", 0), lambda v: v + 1),
+           ("total_hooks", ("total_hooks", 12), lambda v: v + 12),
+       )},
+}
 
 
-def test_cache_above_the_ceiling_is_rewritten_at_the_request(tmp_path, monkeypatch):
+@pytest.mark.parametrize("before", sorted(_CACHE_BEFORE))
+def test_cache_file_is_written_through(tmp_path, monkeypatch, before):
     import hooklab.cli as cli
 
+    # whatever the file held, the census is computed once at the requested
+    # shape and the file is replaced by that table
     cache = tmp_path / "cache"
-    cached_census(ClassId.G1, 15, 2, str(cache))
-    path = cache / "census-g1.json"
-    payload = json.loads(path.read_text())
-    payload["n_max"] = CENSUS_CEILING + 1
-    path.write_text(json.dumps(payload))
+    path = cache / "census-r2.json"
+    held = _CACHE_BEFORE[before]()
+    if held is not None:
+        cache.mkdir()
+        path.write_bytes(held)
     asked = []
     real = cli.census_rows
 
     def recorded(cid, ns, t_max, **kw):
-        asked.append((max(ns), t_max))
+        asked.append((cid, ns, t_max))
         return real(cid, ns, t_max, **kw)
 
     monkeypatch.setattr(cli, "census_rows", recorded)
-    served = cached_census(ClassId.G1, 10, 2, str(cache))
-    assert asked == [(10, 2)]
-    assert served == census(ClassId.G1, 10, 2)
-    assert json.loads(path.read_text()) == _census_payload(served)
+    served = cached_census(ClassId.R2, 10, 2, str(cache))
+    assert asked == [(ClassId.R2, range(11), 2)]
+    assert served == census(ClassId.R2, 10, 2)
+    assert path.read_text() == json.dumps(_census_payload(served))
+    assert [p.name for p in cache.iterdir()] == ["census-r2.json"]  # no temporary file left
+
+
+@pytest.mark.parametrize("command", ["census", "conjecture"])
+def test_cached_commands_call_the_traced_census_names(tmp_path, capsys, monkeypatch, command):
+    import hooklab.cli as cli
+
+    # the benchmark's tracer wraps cli.cached_census, reading cache_dir as
+    # its fourth argument, and cli.census_rows by name
+    cache = str(tmp_path / "cache")
+    argv = {
+        "census": ["census", "--class", "g1", "--n-max", "12", "--t-max", "3",
+                   "--out", str(tmp_path / "g1.csv")],
+        "conjecture": ["conjecture", "--t", "3", "--n-max", "12"],
+    }[command]
+    cache_dirs, classes = [], []
+    real_cached, real_rows = cli.cached_census, cli.census_rows
+
+    def cached(*args, **kw):
+        cache_dirs.append(args[3] if len(args) > 3 else kw.get("cache_dir"))
+        return real_cached(*args, **kw)
+
+    def rows(*args, **kw):
+        classes.append(args[0])
+        return real_rows(*args, **kw)
+
+    monkeypatch.setattr(cli, "cached_census", cached)
+    monkeypatch.setattr(cli, "census_rows", rows)
+    assert main(argv + ["--cache", cache]) == EXIT_OK
+    capsys.readouterr()
+    assert cache_dirs and set(cache_dirs) == {cache}
+    assert sorted(c.value for c in classes) == (["g1"] if command == "census" else ["g1", "g2", "r1", "r2"])
 
 
 # what runs with and without --cache; {out} is the CSV path
@@ -540,7 +502,7 @@ def test_main_rejects_worker_counts_below_one(tmp_path, capsys, workers):
         assert "workers must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "newdir").exists() and not (tmp_path / "cdir").exists()
     assert main(census_argv) == EXIT_OK
-    assert main(census_argv + ["--workers", workers]) == EXIT_USAGE  # cache hit too
+    assert main(census_argv + ["--workers", workers]) == EXIT_USAGE  # a cache file present too
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
@@ -549,7 +511,7 @@ def test_main_rejects_empty_census_shapes(tmp_path, capsys):
     assert main(["census", "--class", "r1", "--n-max", "5", "--t-max", "2", "--out",
                  str(tmp_path / "a.csv"), "--cache", cache]) == EXIT_OK
     for n_max, t_max in (("-1", "2"), ("5", "0")):
-        for extra in ([], ["--cache", cache]):  # a cache hit included
+        for extra in ([], ["--cache", cache]):  # a cache file present included
             argv = ["census", "--class", "r1", "--n-max", n_max, "--t-max", t_max,
                     "--out", str(tmp_path / "b.csv")] + extra
             assert main(argv) == EXIT_USAGE

@@ -558,23 +558,21 @@ def test_bivariate_marginal_and_derivative(build, j, t, class_id):
 PRODUCT_SIDE_BUILDERS = [case for case in BIVARIATE_BUILDERS if case[1] == 2]
 
 
-def test_digit_width_exceeds_the_partition_numbers():
-    # p(n) by Euler's pentagonal recurrence, independent of the width's
-    # analytic bound; every table coefficient at size n is at most p(n)
-    top = 5000
-    p = [1] + [0] * top
-    for n in range(1, top + 1):
-        k, total = 1, 0
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= n:
-                total += sign * p[n - k * (3 * k + 1) // 2]
-            k += 1
-        p[n] = total
-    assert p[100] == 190569292
-    for n in range(top + 1):
-        assert qseries._digit_width(n) > p[n].bit_length(), n
+def test_digit_width_exceeds_the_partition_numbers(monkeypatch):
+    # a coefficient of x^k q^n counts class members of size n, so the width
+    # must hold the class's count at every size up to the order, here from
+    # the sum side, and every entry of a table packed with digits too wide
+    # to carry
+    real = qseries._digit_width
+    for class_id in (ClassId.R2, ClassId.G2):
+        for order in (0, 1, 2, 40, 150, 1000):
+            counts = counting_series(class_id, order).coeffs
+            assert max(counts).bit_length() <= real(class_id, order), (class_id, order)
+    monkeypatch.setattr(qseries, "_digit_width", lambda class_id, order: 2 * real(class_id, order) + 8)
+    for build, j, t, class_id in PRODUCT_SIDE_BUILDERS:
+        for order in (0, 40, 150, 400):
+            entries = [c for col in build(j, t, order).cols for c in col.coeffs]
+            assert max(entries).bit_length() <= real(class_id, order), (build.__name__, t, order)
 
 
 @pytest.mark.parametrize("build,j,t,class_id", PRODUCT_SIDE_BUILDERS)
@@ -582,7 +580,7 @@ def test_narrow_digits_break_the_product_side_tables(monkeypatch, build, j, t, c
     # the largest coefficients of these tables at order 150 take 19 or 20
     # bits, so 18-bit digits carry into the next x-degree and the checks
     # that pass at the real width must fail
-    monkeypatch.setattr(qseries, "_digit_width", lambda order: 18)
+    monkeypatch.setattr(qseries, "_digit_width", lambda class_id, order: 18)
     with pytest.raises(AssertionError):
         _check_marginal_and_derivative(build, j, t, class_id, 150)
 
@@ -607,8 +605,8 @@ def test_bivariate_rejects_unknown_indices():
 @pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
 def test_bivariate_order_bounds(build, j, t, class_id):
     # a negative order is refused with the series' own message, before the
-    # digit width (a square root of the order) is taken; order 0 is the
-    # empty partition alone, with no hooks
+    # digit width is taken; order 0 is the empty partition alone, with no
+    # hooks
     with pytest.raises(ValueError, match="order must be >= 0"):
         build(j, t, -1)
     table = build(j, t, 0)
