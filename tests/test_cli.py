@@ -129,6 +129,22 @@ def test_cache_file_is_written_through(tmp_path, monkeypatch, before):
     assert [p.name for p in cache.iterdir()] == ["census-r2.json"]  # no temporary file left
 
 
+def test_cache_with_a_wrong_count_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    run_census(ClassId.R1, 30, 3, str(tmp_path / "a.csv"), str(cache))
+    path = cache / "census-r1.json"
+    payload = json.loads(path.read_text())
+    payload["counts"][30][0] += 1000
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "b.csv"
+    code = main(["census", "--class", "r1", "--n-max", "30", "--t-max", "3",
+                 "--out", str(out), "--cache", str(cache)])
+    assert code == EXIT_OK
+    assert "30,1,396" in out.read_text().splitlines()
+    assert json.loads(path.read_text())["counts"][30][0] == 396  # overwritten
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["census", "conjecture"])
 def test_cached_commands_call_the_traced_census_names(tmp_path, capsys, monkeypatch, command):
     import hooklab.cli as cli
