@@ -219,6 +219,29 @@ def test_cache_changes_no_output(tmp_path, capsys, command, prime, fmt):
     assert run(["--cache", str(cache)]) == plain
 
 
+# sha256 of what census and conjecture write for g1 at n <= 84, t <= 4
+_WRITTEN_DIGESTS = {
+    "csv": "2c9d2eb23e221901f0ccd57e3db248c0568a7d9a14559759520224a95c922b5a",
+    "sidecar": "ccd46f05fd2797de0e030ca0a5103c6fe6d51203210665d465aea17a29217bfe",
+    "cache": "8df1c28e2f1b556787faf4e5bd3406b2b7127deda0259fd38c5d358c878a7886",
+    "conjecture --json": "9ec9a91705ee55917e84752e31c1b0dad536a2b40e8dfdc741d90ea3f9b44473",
+}
+
+
+def test_written_bytes_are_pinned(tmp_path, capsys):
+    out, cache = tmp_path / "out" / "g1.csv", tmp_path / "cache"
+    assert main(["census", "--class", "g1", "--n-max", "84", "--t-max", "4",
+                 "--out", str(out), "--cache", str(cache)]) == EXIT_OK
+    assert capsys.readouterr() == (f"wrote {out} and {out.with_suffix('.json')}\n", "")
+    written = {"csv": out.read_bytes(), "sidecar": out.with_suffix(".json").read_bytes(),
+               "cache": (cache / "census-g1.json").read_bytes()}
+    assert main(["conjecture", "--t", "4,3", "--n-max", "84", "--json"]) == EXIT_OK
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    written["conjecture --json"] = stdout.encode()
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in written.items()} == _WRITTEN_DIGESTS
+
+
 def test_census_csv_text_shape():
     c = cached_census(ClassId.R1, 3, 2)
     text = census_csv_text(c)
