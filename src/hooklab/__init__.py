@@ -16,7 +16,7 @@ The package has four layers:
 ``cli`` wires these into the ``hooklab`` command.
 """
 
-from .classes import ClassId, contains, count, enumerate_class
+from .classes import ClassId, contains
 from .hooks import HookCensus, census, conjugate, hook_lengths, shortcut_stats, t_hook_count
 from .qseries import (
     BivariateSeries,
@@ -32,8 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassId",
     "contains",
-    "count",
-    "enumerate_class",
     "HookCensus",
     "census",
     "conjugate",

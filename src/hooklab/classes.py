@@ -55,13 +55,6 @@ RESIDUE_CLASSES: dict[ClassId, tuple[frozenset, int]] = {
 }
 
 
-def is_partition(parts) -> bool:
-    """True if ``parts`` is a weakly decreasing sequence of positive ints."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def contains(class_id: ClassId, parts: Partition) -> bool:
     """Membership test for a valid partition; vacuous for the empty one."""
     if class_id in GAP_RULES:
@@ -144,16 +137,6 @@ def iter_class(class_id: ClassId, n: int) -> Iterator[Partition]:
         return _iter_gap_class(n, GAP_RULES[class_id])
     residues, modulus = RESIDUE_CLASSES[class_id]
     return _iter_residue_class(n, residues, modulus)
-
-
-def enumerate_class(class_id: ClassId, n: int) -> list:
-    """Materialized :func:`iter_class`; ``[()]`` for n = 0."""
-    return list(iter_class(class_id, n))
-
-
-def count(class_id: ClassId, n: int) -> int:
-    """Cardinality of ``enumerate_class(class_id, n)``."""
-    return sum(1 for _ in iter_class(class_id, n))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

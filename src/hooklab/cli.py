@@ -82,10 +82,6 @@ def _cache_file(cache_dir: str, class_id: ClassId) -> Path:
     return Path(cache_dir) / f"census-{class_id.value}.json"
 
 
-def _census_row(c: HookCensus, n: int) -> tuple:
-    return c.counts[n], c.cardinality[n], c.total_hooks[n]
-
-
 def _census_payload(c: HookCensus) -> dict:
     return {
         "class": c.class_id.value,
@@ -106,13 +102,13 @@ def _prepare_file(path: Path) -> None:
         raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
 
 
-def _write_cache(path: Path, text: str) -> None:
-    """Replace the cache file whole: write a temporary file beside it, then
+def _replace_file(path: Path, text: str) -> None:
+    """Replace a file whole: write a temporary file beside it, then
     ``os.replace`` it into place, so an interrupted write leaves the old
-    file intact."""
+    file intact.  Every file hooklab writes goes through here."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, newline="\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -137,7 +133,7 @@ def cached_census(
     rows = census_rows(class_id, range(n_max + 1), t_max)
     table = HookCensus.from_rows(class_id, n_max, t_max, rows)
     if path is not None:
-        _write_cache(path, json.dumps(_census_payload(table)))
+        _replace_file(path, json.dumps(_census_payload(table)))
     return table
 
 
@@ -159,18 +155,20 @@ def run_census(
 ) -> dict:
     """Compute a census (writing the cache file, if any) and write CSV plus a
     JSON sidecar, the CSV path with suffix ``.json``.  Every path is checked
-    before the census runs, and a CSV path that is its own sidecar's is
-    refused."""
+    before the census runs: a CSV path that is its own sidecar's is
+    refused, and so is a sidecar that is the class's cache file (the CSV
+    cannot be, as it does not end in ``.json``)."""
     check_shape(n_max, t_max)
     out = Path(out_path)
     side = out.with_suffix(".json")
     if side == out:
         raise ValueError(f"--out {out_path} ends in .json, the name of its JSON sidecar")
+    if cache_dir is not None and side.resolve() == _cache_file(cache_dir, class_id).resolve():
+        raise ValueError(f"the sidecar of --out {out_path} is the --cache file of {class_id.value}")
     _prepare_file(out)
     _prepare_file(side)
     c = cached_census(class_id, n_max, t_max, cache_dir)
-    with open(out, "w", newline="\n") as fh:
-        fh.write(census_csv_text(c))
+    _replace_file(out, census_csv_text(c))
     sidecar = {
         "class": class_id.value,
         "n_max": n_max,
@@ -179,9 +177,7 @@ def run_census(
         "total_hooks": c.total_hooks,
         "generated_by": f"hooklab {__version__}",
     }
-    with open(side, "w", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _replace_file(side, json.dumps(sidecar, indent=2) + "\n")
     return {"csv": str(out), "sidecar": str(side), **sidecar}
 
 
@@ -296,8 +292,8 @@ def verify_report(
         c, oracle = censuses[cid], enumerated_census(cid, n_max, ENGINE_CHECK_T)
         results.append(_agreement(
             f"census engine == enumeration for {cid.value} (t <= {ENGINE_CHECK_T}, n <= {n_max})", n_max,
-            ("engine", [_census_row(c, n) for n in range(n_max + 1)]),
-            ("enumeration", [_census_row(oracle, n) for n in range(n_max + 1)]),
+            ("engine", list(zip(c.counts, c.cardinality))),
+            ("enumeration", list(zip(oracle.counts, oracle.cardinality))),
         ))
 
     for which in ("RR1", "LG1"):
@@ -399,7 +395,8 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
     One shared census pass per class at t_max = max(t_list); per t the
     strict inequalities gap-class < congruence-class are scanned for both
     family pairs, reporting the least N0 stable through n_max.  The shape
-    (n_max, max(t_list)) is bounded by the census ceiling alone.
+    (n_max, max(t_list)) is bounded by the census ceiling alone, checked by
+    the first census before any work.
     """
     t_list = sorted(set(t_list))
     if not t_list:
@@ -407,7 +404,6 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
     if any(t < 3 for t in t_list):
         raise ValueError("conjecture scan requires every t >= 3")
     t_top = max(t_list)
-    check_shape(n_max, t_top)
     tables = {cid: cached_census(cid, n_max, t_top, cache_dir) for cid in ClassId}
     scans = []
     for t in t_list:
@@ -503,18 +499,17 @@ def asym_table(target: str, eps_list: list) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+def _number_list(kind: type, noun: str) -> Callable[[str], list]:
+    """An argparse type for a comma-separated list of ``kind`` values,
+    named ``noun`` in its error message."""
 
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
 
-def _float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    return parse
 
 
 def _worker_count(text: str) -> int:
@@ -610,16 +605,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
 
     conjecture = command("conjecture", _conjecture_command, "t >= 3 hook-count inequality scan")
-    conjecture.add_argument("--t", type=_int_list, required=True, metavar="LIST")
+    conjecture.add_argument("--t", type=_number_list(int, "integer"), required=True, metavar="LIST")
     conjecture.add_argument("--n-max", type=int, required=True)
 
     p = command("ratios", _ratios_command, "coefficient/model and cross-ratio tables")
     p.add_argument("--pair", required=True)
-    p.add_argument("--checkpoints", type=_int_list, required=True, metavar="LIST")
+    p.add_argument("--checkpoints", type=_number_list(int, "integer"), required=True, metavar="LIST")
 
     p = command("asym", _asym_command, "saddle-point probe table")
     p.add_argument("--target", required=True, choices=["S11", "H11"])
-    p.add_argument("--eps", type=_float_list, required=True, metavar="LIST")
+    p.add_argument("--eps", type=_number_list(float, "float"), required=True, metavar="LIST")
 
     for p in (census, conjecture):
         p.add_argument("--cache", default=None, help="directory to write each computed "

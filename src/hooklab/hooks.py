@@ -141,9 +141,8 @@ class HookCensus:
     """Exact t-hook counts over one class for all sizes up to ``n_max``.
 
     ``counts[n][t-1]`` is the total number of t-hooks over the class members
-    of size n, for 1 <= t <= t_max.  ``total_hooks[n]`` sums hooks of every
-    length (each cell carries one hook, so it must equal
-    ``n * cardinality[n]``), and ``cardinality[n]`` is the class count.
+    of size n, for 1 <= t <= t_max, and ``cardinality[n]`` is the class
+    count.
     """
 
     class_id: ClassId
@@ -151,15 +150,15 @@ class HookCensus:
     t_max: int
     counts: list = field(default_factory=list)
     cardinality: list = field(default_factory=list)
-    total_hooks: list = field(default_factory=list)
 
-    def count(self, n: int, t: int) -> int:
-        if not (0 <= n <= self.n_max and 1 <= t <= self.t_max):
-            raise IndexError(f"(n={n}, t={t}) outside census table")
-        return self.counts[n][t - 1]
+    @property
+    def total_hooks(self) -> list:
+        """Hooks of every length per size: each cell carries one hook, so
+        ``total_hooks[n]`` is ``n * cardinality[n]``."""
+        return [n * card for n, card in enumerate(self.cardinality)]
 
     def series(self, t: int) -> list:
-        """Coefficient list [count(0,t), ..., count(n_max,t)]."""
+        """Coefficient list of the t-hook counts over sizes 0..n_max."""
         return [row[t - 1] for row in self.counts]
 
     @classmethod
@@ -167,9 +166,8 @@ class HookCensus:
         """The table for sizes 0..n_max from ``{n: (bins, total_hooks, cardinality)}``."""
         table = cls(class_id, n_max, t_max)
         for n in range(n_max + 1):
-            bins, total, card = rows[n]
+            bins, _, card = rows[n]
             table.counts.append(bins)
-            table.total_hooks.append(total)
             table.cardinality.append(card)
         return table
 
@@ -337,20 +335,18 @@ def census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
 
 def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
     """The same census by exhaustive enumeration: every class member from
-    :func:`iter_class`, its hooks binned one partition at a time and its
-    parts summed for ``total_hooks``.  Serial and slow; it is the independent
-    oracle that the boundary-word scan is checked against."""
+    :func:`iter_class`, its hooks binned one partition at a time.  Serial
+    and slow; it is the independent oracle that the boundary-word scan is
+    checked against."""
     if n_max < 0 or t_max < 1:
         raise ValueError("need n_max >= 0 and t_max >= 1")
-    rows = {}
+    table = HookCensus(class_id, n_max, t_max)
     for n in range(n_max + 1):
         bins = [0] * t_max
-        card = total = 0
+        card = 0
         for p in iter_class(class_id, n):
             card += 1
-            total += sum(p)
             _bin_hooks(p, t_max, bins)
-        rows[n] = (bins, total, card)
-    return HookCensus.from_rows(class_id, n_max, t_max, rows)
-
-
+        table.counts.append(bins)
+        table.cardinality.append(card)
+    return table

@@ -2,16 +2,23 @@
 
 import pytest
 
-from hooklab.classes import (
-    ClassId,
-    all_partitions,
-    contains,
-    count,
-    enumerate_class,
-    is_partition,
-    iter_class,
-)
+from hooklab.classes import ClassId, all_partitions, contains, iter_class
 from hooklab.qseries import counting_series
+
+
+def is_partition(parts) -> bool:
+    """True if ``parts`` is a weakly decreasing sequence of positive ints."""
+    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+def enumerate_class(class_id: ClassId, n: int) -> list:
+    return list(iter_class(class_id, n))
+
+
+def count(class_id: ClassId, n: int) -> int:
+    return sum(1 for _ in iter_class(class_id, n))
 
 
 def test_is_partition():

@@ -1,7 +1,10 @@
 """CLI layer: census and cache files, the verify suite, crossovers,
 conjecture scans, ratio/saddle tables, exit codes."""
 
+import builtins
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -616,6 +619,79 @@ def test_main_census_refuses_an_out_path_that_is_its_own_sidecar(tmp_path, capsy
     assert main(argv) == EXIT_USAGE
     assert "ends in .json" in capsys.readouterr().err
     assert calls == [] and not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_main_census_refuses_an_out_path_onto_the_cache_file(tmp_path, capsys, monkeypatch, suffix):
+    # with --out D/census-r1.csv the sidecar would be D/census-r1.json, the
+    # cache file; with --out D/census-r1.json the CSV would be
+    import hooklab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "census_rows", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "d" / f"census-r1{suffix}"
+    argv = ["census", "--class", "r1", "--n-max", "6", "--t-max", "2",
+            "--out", str(out), "--cache", str(tmp_path / "d")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == [] and not (tmp_path / "d").exists()
+
+
+class _FailsOnClose:
+    """A file open for writing whose close fails after its text is written,
+    as a full disk may first show at the flush."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        self.fh.close()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["csv", "sidecar", "cache"])
+def test_a_failed_write_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch, failing):
+    out, cache = tmp_path / "out" / "r1.csv", tmp_path / "cache"
+    files = {"csv": out, "sidecar": out.with_suffix(".json"), "cache": cache / "census-r1.json"}
+
+    def census_argv(n_max: int) -> list:
+        return ["census", "--class", "r1", "--n-max", str(n_max), "--t-max", "2",
+                "--out", str(out), "--cache", str(cache)]
+
+    assert main(census_argv(10)) == EXIT_OK
+    old = {name: path.read_bytes() for name, path in files.items()}
+    assert main(census_argv(12)) == EXIT_OK
+    new = {name: path.read_bytes() for name, path in files.items()}
+    assert main(census_argv(10)) == EXIT_OK
+
+    # every write of the failing file, or of a temporary file named after
+    # it, fails once its text is written
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith(files[failing].name):
+            return _FailsOnClose(fh)
+        return fh
+
+    monkeypatch.setattr(io, "open", failing_open)
+    monkeypatch.setattr(builtins, "open", failing_open)
+    assert main(census_argv(12)) == EXIT_USAGE
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    after = {name: path.read_bytes() for name, path in files.items()}
+    assert after[failing] == old[failing]
+    assert all(after[name] in (old[name], new[name]) for name in files)
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
 
 
 def test_main_ratios_with_a_zero_denominator(capsys):
