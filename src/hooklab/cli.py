@@ -78,7 +78,7 @@ _SERIES = {
 # --------------------------------------------------------------------------
 
 
-def _cache_file(cache_dir: str, class_id: ClassId) -> Path:
+def _cache_file(cache_dir: str | Path, class_id: ClassId) -> Path:
     return Path(cache_dir) / f"census-{class_id.value}.json"
 
 
@@ -108,7 +108,8 @@ def _replace_file(path: Path, text: str) -> None:
     file intact.  Every file hooklab writes goes through here."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, newline="\n")
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -156,15 +157,21 @@ def run_census(
     """Compute a census (writing the cache file, if any) and write CSV plus a
     JSON sidecar, the CSV path with suffix ``.json``.  Every path is checked
     before the census runs: a CSV path that is its own sidecar's is
-    refused, and so is a sidecar that is the class's cache file (the CSV
-    cannot be, as it does not end in ``.json``)."""
+    refused, and so is a sidecar that is any class's cache file (the CSV
+    cannot be, as it does not end in ``.json``).  Each file is replaced
+    whole, not rewritten in place: a symlink at the path is replaced, and
+    the new file's mode comes from the umask."""
     check_shape(n_max, t_max)
     out = Path(out_path)
     side = out.with_suffix(".json")
     if side == out:
         raise ValueError(f"--out {out_path} ends in .json, the name of its JSON sidecar")
-    if cache_dir is not None and side.resolve() == _cache_file(cache_dir, class_id).resolve():
-        raise ValueError(f"the sidecar of --out {out_path} is the --cache file of {class_id.value}")
+    if cache_dir is not None:
+        # both files are replaced, not written through, so they collide
+        # when their real directories and names match
+        real_dir = Path(cache_dir).resolve()
+        if side.parent.resolve() / side.name in {_cache_file(real_dir, c) for c in ClassId}:
+            raise ValueError(f"the sidecar of --out {out_path} is a --cache file")
     _prepare_file(out)
     _prepare_file(side)
     c = cached_census(class_id, n_max, t_max, cache_dir)

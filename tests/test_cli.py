@@ -4,7 +4,6 @@ conjecture scans, ratio/saddle tables, exit codes."""
 import builtins
 import errno
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -621,15 +620,15 @@ def test_main_census_refuses_an_out_path_that_is_its_own_sidecar(tmp_path, capsy
     assert calls == [] and not (tmp_path / "newdir").exists()
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".json"])
-def test_main_census_refuses_an_out_path_onto_the_cache_file(tmp_path, capsys, monkeypatch, suffix):
+@pytest.mark.parametrize("name", ["census-r1.csv", "census-r2.csv"])
+def test_main_census_refuses_an_out_path_onto_the_cache_file(tmp_path, capsys, monkeypatch, name):
     # with --out D/census-r1.csv the sidecar would be D/census-r1.json, the
-    # cache file; with --out D/census-r1.json the CSV would be
+    # r1 cache file; with D/census-r2.csv it would be the r2 cache file
     import hooklab.cli as cli
 
     calls = []
     monkeypatch.setattr(cli, "census_rows", lambda *a, **kw: calls.append(a))
-    out = tmp_path / "d" / f"census-r1{suffix}"
+    out = tmp_path / "d" / name
     argv = ["census", "--class", "r1", "--n-max", "6", "--t-max", "2",
             "--out", str(out), "--cache", str(tmp_path / "d")]
     assert main(argv) == EXIT_USAGE
@@ -675,7 +674,7 @@ def test_a_failed_write_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch,
 
     # every write of the failing file, or of a temporary file named after
     # it, fails once its text is written
-    real_open = io.open
+    real_open = builtins.open
 
     def failing_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
@@ -683,7 +682,6 @@ def test_a_failed_write_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch,
             return _FailsOnClose(fh)
         return fh
 
-    monkeypatch.setattr(io, "open", failing_open)
     monkeypatch.setattr(builtins, "open", failing_open)
     assert main(census_argv(12)) == EXIT_USAGE
     monkeypatch.undo()
