@@ -139,6 +139,17 @@ def test_g2_adjacent_pair_counterexample():
     assert stats.distinct_gt1 + stats.mult_gt1 == 2
 
 
+def test_t_hook_count_matches_hook_table_in_every_class():
+    # every t up to one past the largest hook, so the count past the word is
+    # checked to be 0 too
+    for cid in ClassId:
+        for n in range(0, 41):
+            for p in iter_class(cid, n):
+                hooks = Counter(h for row in hook_lengths(p) for h in row)
+                for t in range(1, max(hooks, default=0) + 2):
+                    assert t_hook_count(p, t) == hooks[t], (cid, p, t)
+
+
 def test_bin_kernel_matches_hook_table():
     for n in range(0, 19):
         for p in all_partitions(n):
