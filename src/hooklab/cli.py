@@ -26,7 +26,7 @@ from . import __version__, asym
 from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, all_partitions, iter_class
 from .hooks import (
     HookCensus,
-    _bin_hooks,
+    _boundary_masks,
     census_rows,
     check_shape,
     conjugate,
@@ -236,11 +236,10 @@ def _hook_properties(p: tuple, n: int, kind: str) -> tuple:
     st = shortcut_stats(p)
     if kind == "unrestricted":
         conj = conjugate(p)
-        bins = [0, 0]
-        _bin_hooks(p, 2, bins, conj)
-        ones, twos = bins
-        # every cell has one hook in [1, n]; the table and the bin walk are
-        # independent formulas for the same hooks
+        north, east = _boundary_masks(p)
+        ones, twos = (east & north >> 1).bit_count(), (east & north >> 2).bit_count()
+        # every cell has one hook in [1, n]; the table reads the diagram's
+        # cells, the popcounts its boundary word
         hooks = list(chain.from_iterable(hook_lengths(p, conj)))
         return (
             conjugate(conj) == p,

@@ -1,13 +1,17 @@
 """Young-diagram geometry and t-hook censuses.
 
-The hook length of the cell (i, j) of a partition is
-``h(i, j) = parts[i] + conj[j] - i - j + 1`` (1-based indices, ``conj`` the
-conjugate partition): the cells to its right, the cells below it, and the
-cell itself.  A census aggregates, class by class and size by size, the
-number of cells of each hook length up to a bound.
+Read from its smallest part up, a partition is the boundary word
+E^(l_k) N E^(l_(k-1) - l_k) N ... E^(l_1 - l_2) N of its Young diagram:
+each N step closes a part whose value is the width, the number of E steps
+before it.  The cell in the column of an E step and the row of a later N
+step has hook length equal to their distance in the word, so a t-hook is
+an E step whose letter t places later is N.  For one partition that is
+one popcount of two bitmasks (:func:`_boundary_masks`); a census scans all
+the words of a class at once (:func:`census_rows`).  The cell formula
+``h(i, j) = parts[i] + conj[j] - i - j + 1`` of :func:`hook_lengths`
+(1-based, ``conj`` the conjugate) is the independent oracle for both.
 
-A census is computed by an exact scan over boundary words
-(:func:`census_rows`), size-major: the scan walks the part values w, and
+The census scan is exact and size-major: it walks the part values w, and
 each of its components is one list over sizes, moved by whole-list slice
 operations (``map``/``accumulate``), so the per-size loop runs in C.  An E
 step only renames components; closing parts of value w is a shift by w,
@@ -63,16 +67,23 @@ def hook_lengths(parts: Partition, conj: Partition | None = None) -> list:
     ]
 
 
+def _boundary_masks(parts: Partition) -> tuple:
+    """``(north, east)``: the boundary word of ``parts`` as two int bitmasks,
+    bit k set when letter k (from 0) is N or is E, so the t-hooks number
+    ``(east & north >> t).bit_count()``.  The N step closing the k-th
+    smallest part follows its E steps and the k N steps before it."""
+    north = 0
+    for k, part in enumerate(reversed(parts)):
+        north |= 1 << part + k
+    return north, ((1 << north.bit_length()) - 1) ^ north
+
+
 def t_hook_count(parts: Partition, t: int) -> int:
     """Number of cells whose hook length is exactly ``t`` (t >= 1)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    # the largest hook is the corner cell's, parts[0] + len(parts) - 1
-    if not parts or t > parts[0] + len(parts) - 1:
-        return 0
-    bins = [0] * t
-    _bin_hooks(parts, t, bins)
-    return bins[t - 1]
+    north, east = _boundary_masks(parts)
+    return (east & north >> t).bit_count()
 
 
 @dataclass(frozen=True)
@@ -114,28 +125,6 @@ def shortcut_stats(parts: Partition) -> ShortcutStats:
     return ShortcutStats(ell, distinct, ell_gt1, distinct_gt1, mult_gt1, gap_gt1)
 
 
-def _bin_hooks(parts: Partition, t_max: int, bins: list, conj: Partition | None = None) -> None:
-    """Accumulate into ``bins[t-1]`` the cells of hook length t <= t_max.
-
-    Within a row the hook lengths strictly decrease left to right, so only a
-    suffix of each row can hold hooks <= t_max; the walk stops at the first
-    larger one, which skips exactly the cells that would land in the tail.
-    ``conj`` is the conjugate of ``parts``, computed here when not given.
-    """
-    if conj is None:
-        conj = conjugate(parts)
-    # 0-based row i and column j: h = parts[i] + conj[j] - i - j - 1
-    for i, part in enumerate(parts):
-        base = part - i - 1
-        j = part - 1
-        while j >= 0:
-            h = base + conj[j] - j
-            if h > t_max:
-                break
-            bins[h - 1] += 1
-            j -= 1
-
-
 @dataclass
 class HookCensus:
     """Exact t-hook counts over one class for all sizes up to ``n_max``.
@@ -159,6 +148,8 @@ class HookCensus:
 
     def series(self, t: int) -> list:
         """Coefficient list of the t-hook counts over sizes 0..n_max."""
+        if not 1 <= t <= self.t_max:
+            raise ValueError(f"t must be in 1..{self.t_max}; got t={t}")
         return [row[t - 1] for row in self.counts]
 
     @classmethod
@@ -250,12 +241,8 @@ def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
     """``[cardinality, H_1, ..., H_t_max]`` for every size 0..n_max, where H_t
     is the number of t-hooks summed over the class members of that size.
 
-    Read from its smallest part up, a partition is the boundary word
-    E^(l_k) N E^(l_(k-1) - l_k) N ... E^(l_1 - l_2) N of its Young diagram:
-    each N step closes a part whose value is the width, the number of E steps
-    before it.  The cell in the column of an E step and the row of a later N
-    step has hook length equal to their distance in the word, so H_t counts
-    the (word, marked E step) pairs whose letter t places after the mark is N.
+    By the hook rule of the module docstring, H_t counts the (word, marked
+    E step) pairs whose letter t places after the mark is N.
 
     The scan runs over the width w, size-major.  Layer g holds the words
     with at least g E steps since their last N step (counted up to ``cap``)
@@ -335,9 +322,9 @@ def census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
 
 def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
     """The same census by exhaustive enumeration: every class member from
-    :func:`iter_class`, its hooks binned one partition at a time.  Serial
-    and slow; it is the independent oracle that the boundary-word scan is
-    checked against."""
+    :func:`iter_class`, its t-hooks one popcount of its own boundary word
+    (:func:`_boundary_masks`) for each t.  Serial and slow; it is the
+    oracle that the scan over all the class's words is checked against."""
     if n_max < 0 or t_max < 1:
         raise ValueError("need n_max >= 0 and t_max >= 1")
     table = HookCensus(class_id, n_max, t_max)
@@ -346,7 +333,10 @@ def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
         card = 0
         for p in iter_class(class_id, n):
             card += 1
-            _bin_hooks(p, t_max, bins)
+            north, east = _boundary_masks(p)
+            for t in range(t_max):
+                north >>= 1
+                bins[t] += (east & north).bit_count()
         table.counts.append(bins)
         table.cardinality.append(card)
     return table

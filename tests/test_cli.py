@@ -797,17 +797,22 @@ def test_main_verify_failure_output_is_golden(monkeypatch, capsys):
     import hooklab.cli as cli
 
     # a 1-hook too many at (3, 1) and a 2-hook too many at (1, 1), in the
-    # unrestricted sweep's bin walk and in the classes' t_hook_count, and a
-    # conjugation that fixes (1, 1), break every property check once
-    real_bins, real_count, real_conjugate = cli._bin_hooks, cli.t_hook_count, cli.conjugate
+    # unrestricted sweep's mask counts and in the classes' t_hook_count, and
+    # a conjugation that fixes (1, 1), break every property check once
+    real_masks, real_count, real_conjugate = cli._boundary_masks, cli.t_hook_count, cli.conjugate
     planted = {((3, 1), 1), ((1, 1), 2)}
 
-    def planted_bins(p, t_max, bins, conj=None):
-        real_bins(p, t_max, bins, conj)
-        for t in range(1, t_max + 1):
-            bins[t - 1] += (p, t) in planted
+    def planted_masks(p):
+        # an E step past the end of the word and an N step t letters after
+        # it: one more t-hook, and the others it makes are longer than 2
+        north, east = real_masks(p)
+        far = north.bit_length() + 3
+        for t in range(1, 3):
+            if (p, t) in planted:
+                north, east = north | 1 << far + t, east | 1 << far
+        return north, east
 
-    monkeypatch.setattr(cli, "_bin_hooks", planted_bins)
+    monkeypatch.setattr(cli, "_boundary_masks", planted_masks)
     monkeypatch.setattr(cli, "t_hook_count", lambda p, t: real_count(p, t) + ((p, t) in planted))
     monkeypatch.setattr(cli, "conjugate", lambda p: p if p == (1, 1) else real_conjugate(p))
     assert main(["verify", "--n-max", "6"]) == EXIT_CHECK_FAILED

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hooklab.classes import ClassId, all_partitions, contains, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
-    _bin_hooks,
+    _boundary_masks,
     _least_gap,
     census,
     census_rows,
@@ -73,7 +73,7 @@ def test_t_hook_count_examples():
     with pytest.raises(ValueError):
         t_hook_count((2, 1), 0)
     # the corner cell's hook, parts[0] + len(parts) - 1, is the largest; above
-    # it the answer is 0 at once, with no bin list of length t
+    # it a shift by t leaves no N step of the word, so the count is 0
     assert t_hook_count(FIG_PARTITION, 11) == 1
     assert t_hook_count(FIG_PARTITION, 12) == 0
     assert t_hook_count((1,), 2) == 0
@@ -150,23 +150,28 @@ def test_t_hook_count_matches_hook_table_in_every_class():
                     assert t_hook_count(p, t) == hooks[t], (cid, p, t)
 
 
-def test_bin_kernel_matches_hook_table():
+def _mask_counts(p, t_max):
+    """The t-hooks of ``p`` for t = 1..t_max, as popcounts of its boundary word."""
+    north, east = _boundary_masks(p)
+    return [(east & north >> t).bit_count() for t in range(1, t_max + 1)]
+
+
+def test_boundary_masks_match_hook_table():
+    assert _boundary_masks(()) == (0, 0)
+    assert _boundary_masks((3, 1)) == (0b10010, 0b01101)  # E N E E N
     for n in range(0, 19):
         for p in all_partitions(n):
             hooks = Counter(h for row in hook_lengths(p) for h in row)
-            bins = [0] * 6
-            _bin_hooks(p, 6, bins)
-            assert bins == [hooks[t] for t in range(1, 7)]
+            assert _mask_counts(p, n + 1) == [hooks[t] for t in range(1, n + 2)], p
 
 
 @given(partitions)
 @settings(max_examples=300, deadline=None)
 def test_conjugate_involution_random(p):
     assert conjugate(conjugate(p)) == p
-    bins = [0] * 4
-    _bin_hooks(p, 4, bins)
+    n = sum(p)
     hooks = Counter(h for row in hook_lengths(p) for h in row)
-    assert bins == [hooks[t] for t in range(1, 5)]
+    assert _mask_counts(p, n + 1) == [hooks[t] for t in range(1, n + 2)]
 
 
 def test_census_examples():
@@ -181,6 +186,16 @@ def test_census_structure():
     assert c.counts[0] == [0, 0, 0]
     assert c.total_hooks == [n * c.cardinality[n] for n in range(13)]
     assert c.series(1) == [row[0] for row in c.counts]
+
+
+def test_census_series_rejects_t_outside_its_columns():
+    # t <= 0 must not read another column from the end, nor t > t_max fail
+    # with a bare IndexError
+    c = census(ClassId.R1, 10, 3)
+    assert c.series(3) == [row[2] for row in c.counts]
+    for t in (0, -1, 4):
+        with pytest.raises(ValueError, match=r"1\.\.3"):
+            c.series(t)
 
 
 def test_census_total_symmetry():
