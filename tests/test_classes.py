@@ -1,8 +1,12 @@
 """Membership, enumeration, and counting of the four partition classes."""
 
+import math
+
 import pytest
 
+from hooklab import classes
 from hooklab.classes import ClassId, all_partitions, contains, iter_class
+from hooklab.hooks import CENSUS_CEILING
 from hooklab.qseries import counting_series
 
 
@@ -87,6 +91,61 @@ def test_all_partitions_against_the_pentagonal_recurrence():
         assert len(parts) == len(set(parts)) == p[n]
         assert parts == sorted(parts, reverse=True)
         assert all(is_partition(q) and sum(q) == n for q in parts)
+
+
+def _gap_rule(gaps):
+    """A gap rule written out here: the least gap below a part of value v,
+    by the parity of v."""
+    return lambda v: gaps[v % 2]
+
+
+def _residue_rule(residues, modulus):
+    """A congruence rule written out here: gap 0 where v is allowed, so
+    parts of value v may repeat, and None where it is not."""
+    return lambda v: 0 if v % modulus in residues else None
+
+
+def _meets_walk_condition(need, n: int) -> bool:
+    """Part 1 is allowed and room[c], the size of the greedy chain from the
+    largest allowed value <= c, does not decrease for c <= n; a repeat makes
+    room unbounded."""
+    if need(1) is None:
+        return False
+    top, room = [0], [0]
+    for c in range(1, n + 1):
+        top.append(c if need(c) is not None else top[-1])
+        v = top[c]
+        room.append(math.inf if need(v) == 0 else v + room[top[max(v - need(v), 0)]])
+    return all(a <= b for a, b in zip(room, room[1:]))
+
+
+def test_enumeration_is_exact_for_rules_that_meet_its_condition(monkeypatch):
+    # the enumerator is exact only when part 1 is allowed and room does not
+    # decrease: (2, 4) and (5, 1) break that, every shipped rule keeps it,
+    # and for rules that keep it the members are all_partitions filtered by
+    # the rule as written here, in the same order
+    assert not _meets_walk_condition(_gap_rule((2, 4)), 30)
+    assert not _meets_walk_condition(_gap_rule((5, 1)), 30)
+    for cid, gaps in classes.GAP_RULES.items():
+        assert _meets_walk_condition(_gap_rule(gaps), CENSUS_CEILING), cid
+    for cid, residues in classes.RESIDUE_CLASSES.items():
+        assert _meets_walk_condition(_residue_rule(*residues), CENSUS_CEILING), cid
+    cases = [
+        (classes.GAP_RULES, ClassId.R1, gaps, _gap_rule(gaps))
+        for gaps in ((1, 1), (3, 2), (3, 4), (4, 4), (1, 3))
+    ] + [
+        (classes.RESIDUE_CLASSES, ClassId.R2, residues, _residue_rule(*residues))
+        for residues in ((frozenset({1, 3}), 4), (frozenset({1}), 3), (frozenset({1, 2}), 5), (frozenset({1, 4, 6}), 7))
+    ]
+    for table, cid, rule, need in cases:
+        assert _meets_walk_condition(need, 30), rule
+        monkeypatch.setitem(table, cid, rule)
+        for n in range(31):
+            brute = [
+                p for p in all_partitions(n)
+                if all(need(v) is not None for v in p) and all(a - b >= need(a) for a, b in zip(p, p[1:]))
+            ]
+            assert list(iter_class(cid, n)) == brute, (rule, n)
 
 
 def test_equinumerous_pairs_to_60():
