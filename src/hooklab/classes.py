@@ -16,17 +16,22 @@ Gap conditions constrain adjacent actual parts only: a final part of any
 size is legal (so e.g. (4, 1) belongs to G1).  The empty partition belongs
 to every class.
 
-Two tables define the classes, and every other layer reads them rather
-than restating a rule: :data:`GAP_RULES` gives a gap class's least
-difference below a part, by the part's parity (R1 (2, 2), G1 (2, 3)), and
-:data:`RESIDUE_CLASSES` a congruence class's allowed residues and modulus.
-:func:`contains` and :func:`iter_class` here, the census scan in ``hooks``
-and the series builders in ``qseries`` all take their rules from them.
+Two tables define the classes: :data:`GAP_RULES` gives a gap class's
+least difference below a part, by the part's parity (R1 (2, 2), G1 (2, 3)),
+and :data:`RESIDUE_CLASSES` a congruence class's allowed residues and
+modulus.  Both kinds are one rule, read by :func:`least_gap` alone: each
+part value has a least gap to the next smaller part, or is not allowed; a
+congruence class has gap 0 on its allowed values, so their parts repeat.
+:func:`contains`, the enumerator (:func:`iter_class`, and
+:func:`all_partitions` with gap 0 everywhere) and the census scan in
+``hooks`` all take membership from it; the product sides in ``qseries`` and
+``asym`` read :data:`RESIDUE_CLASSES` directly.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import zip_longest
 from typing import Iterator
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -55,77 +60,76 @@ RESIDUE_CLASSES: dict[ClassId, tuple[frozenset, int]] = {
 }
 
 
+def least_gap(class_id: ClassId, v: int) -> int | None:
+    """The fewest units by which a part of value ``v`` must exceed the next
+    smaller part, or None when no part of value ``v`` is allowed: the
+    :data:`GAP_RULES` entry for the parity of v in a gap class, and in a
+    congruence class 0 where v is allowed, so parts of value v may repeat."""
+    if class_id in GAP_RULES:
+        return GAP_RULES[class_id][v % 2]
+    residues, modulus = RESIDUE_CLASSES[class_id]
+    return 0 if v % modulus in residues else None
+
+
 def contains(class_id: ClassId, parts: Partition) -> bool:
     """Membership test for a valid partition; vacuous for the empty one."""
-    if class_id in GAP_RULES:
-        gaps = GAP_RULES[class_id]
-        return all(p - r >= gaps[p % 2] for p, r in zip(parts, parts[1:]))
-    residues, modulus = RESIDUE_CLASSES[class_id]
-    return all(p % modulus in residues for p in parts)
+    return all(
+        (gap := least_gap(class_id, p)) is not None and (r is None or p - r >= gap)
+        for p, r in zip_longest(parts, parts[1:])
+    )
 
 
-def _iter_gap_class(n: int, gaps: tuple) -> Iterator[Partition]:
-    # recursive descent, largest part first -> descending lexicographic order;
-    # below a part p the next is at most lower[p], and parts at most c under
-    # the rule sum to at most room[c]
-    lower = [max(p - gaps[p % 2], 0) for p in range(n + 1)]
-    room = [0] * (n + 1)
-    for c in range(1, n + 1):
-        room[c] = c + room[lower[c]]
-    prefix: list = []
+def _walk(n: int, need) -> Iterator[Partition]:
+    """The partitions of ``n`` under the rule ``need`` (a least gap per part
+    value, as :func:`least_gap`), descending lexicographic, by greedy fill
+    and backtrack.
 
-    def rec(rem: int, cap: int) -> Iterator[Partition]:
-        if rem == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(rem, cap), 0, -1):
-            if rem - p <= room[lower[p]]:
-                prefix.append(p)
-                yield from rec(rem - p, lower[p])
-                prefix.pop()
+    Three tables: ``top[c]`` the largest allowed value <= c, ``below[v]``
+    the largest part that may follow a part v, and ``room[c]`` the largest
+    size reachable with parts <= c, that of the greedy chain from top[c]
+    (all of n once a part may repeat).  The fill completes the parts so far
+    with the largest part that fits, top[min(rem, cap)], all its copies at
+    once where it may repeat; that is the largest completion, which comes
+    next in the order.  The backtrack drops the trailing 1s as one slice,
+    then pops parts until the last one popped, v, can step down: room[v - 1]
+    covers what is left to fill.  No part left of the step changes, so the
+    order is kept, and the walk ends when nothing can step down.
 
-    return rec(n, n)
-
-
-def _iter_residue_class(n: int, residues: frozenset, modulus: int) -> Iterator[Partition]:
-    """The partitions of ``n`` into allowed values, descending lexicographic,
-    by greedy fill and backtrack.
-
-    The fill completes the parts so far with as many copies as fit of the
-    largest allowed value, then of the largest that fits what is left, and
-    so on; the value 1 is allowed in both congruence classes and mod 1, so
-    every fill ends at 0.  That gives the largest completion, which comes
-    next in the order.  The backtrack then drops the trailing 1s and steps
-    the last remaining part down to the next smaller allowed value, and the
-    fill completes that.  No part left of the step changes, so the order is
-    kept, and the enumeration ends when only 1s are left to drop.
+    The walk is exact only when part 1 is allowed and ``room`` does not
+    decrease; every class here meets both.  Otherwise it silently drops
+    partitions: gaps (2, 4) by parity lose some from n = 22, and (5, 1)
+    from n = 10.
     """
-    allowed = [v for v in range(n, 0, -1) if v % modulus in residues]
-    # fit[r]: the index in ``allowed`` of the largest allowed value <= r
-    fit, j = [0] * (n + 1), len(allowed)
-    for r in range(1, n + 1):
-        if r % modulus in residues:
-            j -= 1
-        fit[r] = j
+    top, below, room = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for c in range(1, n + 1):
+        gap = need(c)
+        top[c] = top[c - 1] if gap is None else c
+        if gap is not None:
+            below[c] = top[max(c - gap, 0)]
+        v = top[c]
+        room[c] = n if below[v] == v else v + room[below[v]]
     parts: list = []
-    rem, j = n, 0
+    rem = cap = n
     while True:
         while rem:
-            v = allowed[j]
-            k = rem // v
+            v = top[rem if rem < cap else cap]
+            k = rem // v if below[v] == v else 1
             parts += [v] * k
             rem -= k * v
-            j = fit[rem]
+            cap = below[v]
         yield tuple(parts)
         if parts and parts[-1] == 1:
             first = parts.index(1)
             rem = len(parts) - first
             del parts[first:]
-        if not parts:
+        while parts:
+            v = parts.pop()
+            rem += v
+            if room[v - 1] >= rem:
+                break
+        else:
             return
-        v = parts.pop()
-        rem += v
-        j = fit[v] + 1
+        cap = v - 1
 
 
 def iter_class(class_id: ClassId, n: int) -> Iterator[Partition]:
@@ -133,15 +137,12 @@ def iter_class(class_id: ClassId, n: int) -> Iterator[Partition]:
     in descending lexicographic order of part tuples."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if class_id in GAP_RULES:
-        return _iter_gap_class(n, GAP_RULES[class_id])
-    residues, modulus = RESIDUE_CLASSES[class_id]
-    return _iter_residue_class(n, residues, modulus)
+    return _walk(n, lambda v: least_gap(class_id, v))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
     """All unrestricted partitions of ``n``, descending lexicographic: the
-    congruence enumerator with every residue mod 1 allowed."""
+    walk with gap 0 at every value."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _iter_residue_class(n, frozenset({0}), 1)
+    return _walk(n, lambda v: 0)

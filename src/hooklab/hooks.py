@@ -19,7 +19,7 @@ and in a congruence class, where parts of value w may repeat, it is the
 closed form 1/(1 - q^w) taken by the stride-w running sums of
 ``qseries._running_sums``.  Each class enters the scan as one least-gap
 rule, the fewest E steps before an N step that closes a part of value w,
-read from the class tables of ``classes``.  Exhaustive enumeration
+from ``classes.least_gap``.  Exhaustive enumeration
 (:func:`enumerated_census`) is kept as the scan's oracle.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .classes import GAP_RULES, ClassId, Partition, contains, iter_class
+from .classes import ClassId, Partition, iter_class, least_gap
 from .qseries import _running_sums
 
 #: largest n_max and t_max a census accepts
@@ -173,19 +173,6 @@ def check_shape(n_max: int, t_max: int) -> None:
         )
 
 
-def _least_gap(class_id: ClassId):
-    """``(cap, need)`` for the class's boundary words: ``need(w)`` is the
-    fewest E steps that must separate the N step closing a part of value w
-    from the previous N step, or None when no part of value w is allowed.
-    A gap class needs its :data:`~hooklab.classes.GAP_RULES` entry for the
-    parity of w; a congruence class needs 0 where w is allowed, so parts of
-    value w may repeat.  Gaps are counted up to ``cap``, the largest need."""
-    if class_id in GAP_RULES:
-        gaps = GAP_RULES[class_id]
-        return max(gaps), lambda w: gaps[w % 2]
-    return 1, lambda w: 0 if contains(class_id, (w,)) else None
-
-
 def _plus(a, b):
     """The sum of two components, each a list over sizes or None for zero."""
     if a is None:
@@ -256,23 +243,27 @@ def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
     2^T as for a window of the last T letters.  Hook lengths never exceed
     the size, so T = min(t_max, n_max).
 
-    Every rule is a least gap (:func:`_least_gap`) and the layers are
-    cumulative, so the words that may close a part of value w are one layer:
-    g = need(w), or g = 1 when need(w) = 0 and the N step may also follow
-    one that closed another part of value w.  Their N step
+    Every rule is a least gap, need(w) = :func:`~hooklab.classes.least_gap`,
+    the fewest E steps between the N step that closes a part of value w and
+    the previous N step, or None when no part of value w is allowed; ``cap``
+    is the largest need, and at least 1.  The layers are cumulative, so the
+    words that may close a part of value w are one layer: g = need(w), or
+    g = 1 when need(w) = 0 and the N step may also follow one that closed
+    another part of value w.  Their N step
     (:func:`_close`) gives the words that end in N, whose largest part is w:
     they are added to the totals, and, shifted by w, to layer 0.  At width w
     only the sizes up to n_max - w, which can still take a part, are kept.
     """
     span = min(t_max, n_max)
-    cap, need = _least_gap(class_id)
+    needs = [None] + [least_gap(class_id, w) for w in range(1, n_max + 1)]
+    cap = max(filter(None, needs), default=1)
     totals = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(span)]
     # the empty word, at g = cap since the smallest part has no gap rule
     layers = [[[1] + [0] * n_max] + [None] * (2 * span)] * (cap + 1)
     for w in range(1, n_max + 1):
         # the E step: a new mark M_0 on every word, the others one letter older
         layers[1:] = [v[: 1 + span] + v[:1] + v[1 + span : -1] for v in layers[:cap]]
-        gap = need(w)
+        gap = needs[w]
         layers[0] = layers[1]
         if gap is not None:
             ended = _close(layers[max(gap, 1)], w, gap == 0, span)

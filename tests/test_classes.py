@@ -5,7 +5,7 @@ import math
 import pytest
 
 from hooklab import classes
-from hooklab.classes import ClassId, all_partitions, contains, iter_class
+from hooklab.classes import ClassId, all_partitions, contains, iter_class, least_gap
 from hooklab.hooks import CENSUS_CEILING
 from hooklab.qseries import counting_series
 
@@ -47,6 +47,21 @@ def test_contains(class_id, parts, expected):
     assert contains(class_id, parts) is expected
 
 
+def test_least_gap_is_each_class_rule_as_written():
+    # r1: gap 2; g1: gap 2 below an even part and 3 below an odd one; r2 and
+    # g2: gap 0 on their allowed residues, so parts repeat, and no part of
+    # any other value
+    rules = {
+        ClassId.R1: lambda v: 2,
+        ClassId.G1: lambda v: 2 if v % 2 == 0 else 3,
+        ClassId.R2: lambda v: 0 if v % 5 in (1, 4) else None,
+        ClassId.G2: lambda v: 0 if v % 8 in (1, 5, 6) else None,
+    }
+    for cid, rule in rules.items():
+        for v in range(1, CENSUS_CEILING + 1):
+            assert least_gap(cid, v) == rule(v), (cid, v)
+
+
 def test_empty_partition_in_every_class():
     for cid in ClassId:
         assert contains(cid, ())
@@ -79,9 +94,9 @@ def test_enumerate_against_filtered_generator(class_id):
 
 
 def test_all_partitions_against_the_pentagonal_recurrence():
-    # all_partitions is the congruence enumerator's greedy fill and backtrack
-    # with every value allowed, so the filtered-generator test above rests on
-    # it; its completeness is checked against Euler's recurrence for p(n)
+    # all_partitions is the class walk's greedy fill and backtrack with gap 0
+    # at every value, so the filtered-generator test above rests on it; its
+    # completeness is checked against Euler's recurrence for p(n)
     p = [1]
     for n in range(1, 41):
         terms = ((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (-1) ** (k + 1)) for k in range(1, n + 1))
