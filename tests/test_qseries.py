@@ -411,6 +411,22 @@ def _window_edges(stream: str, top: int) -> set:
 
 
 @pytest.mark.parametrize("stream", sorted(qseries._STREAMS))
+def test_nahm_terms_at_every_small_order(stream):
+    # a stream run at a low order is its run at order 200, truncated term by
+    # term: the terms that still reach q^order, each of length order + 1.
+    # Every lowest exponent rises with n, so those terms are a prefix.
+    full = [term for _, term in qseries._nahm_terms(stream, 200)]
+    for order in range(81):
+        got = list(qseries._nahm_terms(stream, order))
+        expected = [t.truncated(order) for t in full]
+        expected = expected[: next(n for n, t in enumerate(expected) if t.is_zero())]
+        assert [n for n, _ in got] == list(range(len(expected))), order
+        for (n, term), want in zip(got, expected):
+            assert term.order == order and len(term.coeffs) == order + 1, (order, n)
+            assert term.coeffs == want.coeffs, (order, n)
+
+
+@pytest.mark.parametrize("stream", sorted(qseries._STREAMS))
 def test_nahm_sum_matches_its_terms(stream):
     # the Horner evaluation against the terms run one by one at full order;
     # a lower order of the oracle is its truncation
