@@ -3,8 +3,9 @@
 Everything runs in binary64, with one exception: :func:`eta_asym_residual`
 measures a quantity far below double resolution and evaluates its two sides
 in scratch arbitrary precision (returning the correctly rounded double).
-The probes evaluate the Nahm sums (term by term, from the streams of
-``qseries._STREAMS``) and the infinite products (over the residues of
+The probes evaluate the Nahm sums (term by term, each rational factor
+(numerator, periods) of a ``qseries._STREAMS`` stream taken by
+:func:`_factor_at`) and the infinite products (over the residues of
 ``classes.RESIDUE_CLASSES``) directly at q = e^(-z), z = eps(1 + iy), and
 compare against their leading-order models; expansion residuals (Zagier's
 q-Pochhammer expansion, the Dedekind-eta log expansion, Euler-Maclaurin
@@ -455,6 +456,18 @@ _SADDLE_TARGETS = {
 }
 
 
+def _factor_at(factor, epsilon: float) -> float:
+    """A rational factor (numerator, periods) of ``qseries._STREAMS`` at
+    q = e^(-eps): e^(-low eps) sum c e^((low - e) eps) over the monomials
+    (e, c), low the lowest e, divided by each 1 - q^d = -expm1(-d eps)."""
+    numerator, periods = factor
+    low = min(e for e, _ in numerator)
+    value = math.exp(-low * epsilon) * sum(c * math.exp((low - e) * epsilon) for e, c in numerator)
+    for d in periods:
+        value /= -math.expm1(-d * epsilon)
+    return value
+
+
 def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     """Termwise Nahm-sum value at q = e^(-eps) against the main term.
 
@@ -463,7 +476,8 @@ def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
              vs  (log(1+sqrt(2))/2^(5/4)) e^(pi^2/(16 eps))/eps.
 
     The terms are those of the sum's stream in ``qseries._STREAMS``, run in
-    binary64: term n = term (n-1) q^s (1 + q^p)/(1 - q^d).  Terms are added
+    binary64: term n = term (n-1) F_n, each rational factor F_n taken at
+    q = e^(-eps) by :func:`_factor_at`.  Terms are added
     until the next falls below 1e-18 of the running sum (only checked beyond
     the peak index, where terms decay), with a hard cap of 10x the peak index.
     """
@@ -474,20 +488,15 @@ def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     except KeyError:
         raise ValueError(f"unknown target {target!r} (expected 'S11' or 'H11')")
 
-    def binomial(shift, plus):  # q^shift (1 + q^plus), q^shift if plus is None
-        power = math.exp(-shift * epsilon)
-        return power if plus is None else power * (1.0 + math.exp(-plus * epsilon))
-
-    (shift, plus), step = _STREAMS[stream]
+    first, step = _STREAMS[stream]
     peak = peak_eps / epsilon
     cap = math.ceil(10 * peak)
-    term, total, n = binomial(shift, plus), 0.0, 0
+    term, total, n = _factor_at(first, epsilon), 0.0, 0
     while True:
         n += 1
         if n > cap:
             raise RuntimeError("saddle sum did not converge within the term cap")
-        shift, plus, period = step(n)
-        term *= binomial(shift, plus) / -math.expm1(-period * epsilon)
+        term *= _factor_at(step(n), epsilon)
         total += n * term
         if n > peak and n * term < 1e-18 * total:
             break

@@ -19,15 +19,18 @@ The eight univariate series:
 * ``series_H(2, 2)``  [1/(q,q^5,q^6;q^8)_inf]
                       ((q^5+q^6+q^9)/(1-q^8) + (q^2+q^10-q^11+q^12)/(1-q^16))
 
-Two tables define them.  ``_STREAMS`` holds each Nahm-sum term stream as
-one recurrence from n = 0, term n = term (n-1) q^s (1 + q^p)/(1 - q^d)
-with s, p, d depending on n.  ``_HOOK_SERIES`` holds each series as a sum
-side, a weighted sum over streams, or a product side, a class counting
-series times short rational terms.
+Every construction is written with one format, the rational factor
+(numerator, periods): N/prod(1 - q^d) over d in periods, with N given by
+its (e, c) monomials c q^e, e >= 0.  One primitive, :func:`_apply`, takes
+a series times a factor.  Two tables define the eight series.
+``_STREAMS`` holds each Nahm-sum term stream as a term 0 and a rational
+factor F_n, term n = term (n-1) F_n.  ``_HOOK_SERIES`` holds each series as
+a sum side, a weighted sum over streams, or a product side, a class
+counting series times a sum of rational factors.
 
 :func:`_nahm_sum` evaluates a weighted sum over a stream by Horner's rule,
 from the last term that reaches the order inward, so each level is one
-shift, (1 + q^p) and 1/(1 - q^d) applied to the level inside it.  A level
+:func:`_apply` of a stream's factor to the level inside it.  A level
 is kept only on the window that can still reach q^order, which shrinks as
 the lowest exponent of its term grows, so the sum costs about as much as
 the terms' nonzero windows, not (number of terms) x (order).
@@ -59,7 +62,7 @@ memoized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, mul
 
 from .classes import RESIDUE_CLASSES, ClassId
@@ -138,24 +141,6 @@ class TruncatedSeries:
         _running_sums(self.coeffs, period)
         return self
 
-    def imul_one_plus(self, exp: int) -> "TruncatedSeries":
-        """Multiply by (1 + q^exp) in place, exp >= 1."""
-        if exp < 1:
-            raise ValueError("exp must be >= 1")
-        c = self.coeffs
-        # the right-hand slices are copies, so every term reads an old value
-        c[exp:] = map(add, c[exp:], c[: max(self.order + 1 - exp, 0)])
-        return self
-
-    def shifted(self, exp: int) -> "TruncatedSeries":
-        """New series equal to q^exp times this one (exp >= 0)."""
-        if exp < 0:
-            raise ValueError("exp must be >= 0")
-        out = TruncatedSeries(self.order)
-        if exp <= self.order:
-            out.coeffs[exp:] = self.coeffs[: self.order + 1 - exp]
-        return out
-
     def iadd_scaled(self, other: "TruncatedSeries", k: int = 1) -> "TruncatedSeries":
         if other.order != self.order:
             raise OrderMismatchError(f"orders differ: {self.order} != {other.order}")
@@ -182,21 +167,29 @@ def _running_sums(c: list, period: int) -> None:
             c[lo : lo + period] = map(add, c[lo : lo + period], c[lo - period : lo])
 
 
-def _mul_sparse(series: TruncatedSeries, terms, out: TruncatedSeries) -> TruncatedSeries:
-    """Add series times sum(c q^exp), over (exp, c) pairs with integer c and
-    exponents >= 0, into ``out`` (of the same order) and return it."""
-    src, dst = series.coeffs, out.coeffs
-    for exp, c in terms:
-        if exp < 0:
-            raise ValueError("numerator exponents must be >= 0")
-        # map stops at the end of dst[exp:], so it reads src[: order + 1 - exp]
-        dst[exp:] = map(add, dst[exp:], src if c == 1 else map(mul, src, repeat(c)))
+def _apply(series: TruncatedSeries, factor, order: int | None = None) -> TruncatedSeries:
+    """New series: ``series`` times the rational factor (numerator, periods),
+    N/prod(1 - q^d) over d in periods, with N the sum of c q^e over the
+    (e, c) monomials of numerator, e >= 0.  The result is kept to ``order``
+    (default the series' own), which may exceed it by N's lowest exponent."""
+    numerator, periods = factor
+    if any(e < 0 for e, _ in numerator):
+        raise ValueError("numerator exponents must be >= 0")
+    out = TruncatedSeries(series.order if order is None else order)
+    src, dst, fresh = series.coeffs, out.coeffs, True
+    for e, c in numerator:
+        n = min(len(src), len(dst) - e)  # src[:n] lands on dst[e : e + n]
+        if n <= 0:
+            continue
+        if fresh:  # the first monomial in the window is copied into the zeros
+            part = src if n == len(src) else src[:n]
+            dst[e : e + n] = part if c == 1 else map(mul, part, repeat(c))
+            fresh = False
+        else:  # map stops at the end of dst[e : e + n]
+            dst[e : e + n] = map(add, dst[e : e + n], src if c == 1 else map(mul, src, repeat(c)))
+    for d in periods:
+        out.imul_geometric(d)
     return out
-
-
-def apply_rational(series: TruncatedSeries, terms, period: int) -> TruncatedSeries:
-    """series times (sum of signed monomials)/(1 - q^period)."""
-    return _mul_sparse(series, terms, TruncatedSeries(series.order)).imul_geometric(period)
 
 
 def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSeries:
@@ -263,27 +256,21 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
 # Nahm-sum term streams
 # --------------------------------------------------------------------------
 
-# stream -> ((shift, plus), n -> (shift, plus, period)): term 0 is
-# q^shift (1 + q^plus), and term n is term n-1 times
-# q^shift (1 + q^plus)/(1 - q^period); a plus of None drops (1 + q^plus).
+# stream -> (term 0, n -> F_n): term n is term n-1 times the rational factor
+# F_n, and term 0 and every F_n are (numerator, periods) as :func:`_apply`
+# takes them
 _STREAMS = {
     # q^(n^2)/(q;q)_n
-    "rr": ((0, None), lambda n: (2 * n - 1, None, n)),
+    "rr": (([(0, 1)], []), lambda n: ([(2 * n - 1, 1)], [n])),
     # q^((n+1)^2)/(q;q)_n
-    "rr_shifted": ((1, None), lambda n: (2 * n + 1, None, n)),
+    "rr_shifted": (([(1, 1)], []), lambda n: ([(2 * n + 1, 1)], [n])),
     # q^(n^2+n)/(q;q)_n
-    "rr_second": ((0, None), lambda n: (2 * n, None, n)),
-    # q^(n^2+n) (-1/q;q^2)_n/(q^2;q^2)_n, step numerator q^(2n) + q^(4n-3)
-    "lg": ((0, None), lambda n: (min(2 * n, 4 * n - 3), abs(2 * n - 3), 2 * n)),
+    "rr_second": (([(0, 1)], []), lambda n: ([(2 * n, 1)], [n])),
+    # q^(n^2+n) (-1/q;q^2)_n/(q^2;q^2)_n
+    "lg": (([(0, 1)], []), lambda n: ([(2 * n, 1), (4 * n - 3, 1)], [2 * n])),
     # q^(n^2+n) (-q;q^2)_(n+1)/(q^2;q^2)_n, whose term 0 is 1 + q
-    "lg12": ((0, 1), lambda n: (2 * n, 2 * n + 1, 2 * n)),
+    "lg12": (([(0, 1), (1, 1)], []), lambda n: ([(2 * n, 1), (4 * n + 1, 1)], [2 * n])),
 }
-
-
-def _times_binomial(series: TruncatedSeries, shift: int, plus) -> TruncatedSeries:
-    """New series q^shift (1 + q^plus) times ``series`` (q^shift if plus is None)."""
-    out = series.shifted(shift)
-    return out if plus is None else out.imul_one_plus(plus)
 
 
 def _nahm_terms(stream: str, order: int):
@@ -295,11 +282,10 @@ def _nahm_terms(stream: str, order: int):
     Every term is run at the full order.  This serves the bivariate
     gap-class rows, which need the terms one by one, and the test that holds
     :func:`_nahm_sum`, which never forms a term, to the plain sum of them."""
-    (shift, plus), step = _STREAMS[stream]
-    term, n = _times_binomial(TruncatedSeries.one(order), shift, plus), 0
+    first, step = _STREAMS[stream]
+    term, n = _apply(TruncatedSeries.one(order), first), 0
     while not term.is_zero():
-        shift, plus, period = step(n + 1)
-        after = _times_binomial(term, shift, plus).imul_geometric(period)
+        after = _apply(term, step(n + 1))
         yield n, term
         term, n = after, n + 1
 
@@ -315,35 +301,30 @@ def _nahm_sum(streams, order: int) -> TruncatedSeries:
     T_k enters the sum multiplied by F_0 ... F_k, which is term k, so it is
     needed only below q^(order + 1 - low_k), low_k being the lowest exponent
     of term k: each level is kept on that window, which shrinks as k grows,
-    and costs one shift, at most one (1 + q^p) and one 1/(1 - q^d) on it."""
+    and is one :func:`_apply` of F_k to the level inside it, on a window
+    longer by the lowest exponent of F_k's numerator."""
     if order < 0:
         raise ValueError("order must be >= 0")
     acc = TruncatedSeries.zero(order)
     for stream, a, b in streams:
-        (shift, plus), step = _STREAMS[stream]
-        # factors[n] = (s, p, d) of F_n, and room the window of the level
-        # T_k in hand, order + 1 - low_k; no window is empty
-        factors, room = [(shift, plus, None)], order + 1 - shift
-        if room < 1:
-            continue
-        while True:
-            factor = step(len(factors))
-            if factor[0] >= room:
+        first, step = _STREAMS[stream]
+        # factors[n] = (F_n, the lowest exponent of its numerator), and room
+        # the window of the level T_k in hand, order + 1 - low_k
+        factors, room = [], order + 1
+        for factor in chain([first], map(step, count(1))):
+            low = min(e for e, _ in factor[0])
+            if low >= room:
                 break
-            factors.append(factor)
-            room -= factor[0]
+            factors.append((factor, low))
+            room -= low
+        if not factors:
+            continue
         level = TruncatedSeries.zero(room - 1)
         for k in range(len(factors) - 1, -1, -1):
             level.coeffs[0] += a * k + b
-            s, p, d = factors[k]
-            # F_k T_k on the window of T_(k-1), which is s longer
-            outer = TruncatedSeries.zero(level.order + s)
-            outer.coeffs[s:] = level.coeffs
-            if p is not None:
-                outer.imul_one_plus(p)
-            if d is not None:
-                outer.imul_geometric(d)
-            level = outer
+            factor, low = factors[k]
+            # F_k T_k on the window of T_(k-1), which is low longer
+            level = _apply(level, factor, level.order + low)
         acc.iadd_scaled(level)
     return acc
 
@@ -354,18 +335,18 @@ def _nahm_sum(streams, order: int) -> TruncatedSeries:
 
 # ("S"|"H", j, t) -> the closed form of series_S(j, t) or series_H(j, t).
 # A sum side is a list of (stream, a, b) for :func:`_nahm_sum`.  A product
-# side is (class, [(numerator, period), ...]): the class's counting series
-# times the sum of numerator/(1 - q^period), each as in apply_rational.
+# side is (class, [factor, ...]): the class's counting series times the sum
+# of the rational factors, each (numerator, periods) as :func:`_apply` takes
 _HOOK_SERIES = {
     ("S", 1, 1): [("rr", 1, 0)],
     ("S", 1, 2): [("rr", 1, 0), ("rr_shifted", 0, -1)],
-    ("S", 2, 1): (ClassId.R2, [([(1, 1), (4, 1)], 5)]),
-    ("S", 2, 2): (ClassId.R2, [([(4, 1), (6, 1)], 5), ([(2, 1), (8, 1)], 10)]),
+    ("S", 2, 1): (ClassId.R2, [([(1, 1), (4, 1)], [5])]),
+    ("S", 2, 2): (ClassId.R2, [([(4, 1), (6, 1)], [5]), ([(2, 1), (8, 1)], [10])]),
     ("H", 1, 1): [("lg", 1, 0)],
     ("H", 1, 2): [("lg12", 1, 0)],
-    ("H", 2, 1): (ClassId.G2, [([(1, 1), (5, 1), (6, 1)], 8)]),
-    ("H", 2, 2): (ClassId.G2, [([(5, 1), (6, 1), (9, 1)], 8),
-                               ([(2, 1), (10, 1), (11, -1), (12, 1)], 16)]),
+    ("H", 2, 1): (ClassId.G2, [([(1, 1), (5, 1), (6, 1)], [8])]),
+    ("H", 2, 2): (ClassId.G2, [([(5, 1), (6, 1), (9, 1)], [8]),
+                               ([(2, 1), (10, 1), (11, -1), (12, 1)], [16])]),
 }
 
 
@@ -380,11 +361,11 @@ def _build_hook_series(key: tuple, order: int) -> TruncatedSeries:
     form = _HOOK_SERIES[key]
     if isinstance(form, list):
         return _nahm_sum(form, order)
-    class_id, terms = form
+    class_id, factors = form
     prod = counting_series(class_id, order)
     acc = TruncatedSeries.zero(order)
-    for numerator, period in terms:
-        acc.iadd_scaled(apply_rational(prod, numerator, period))
+    for factor in factors:
+        acc.iadd_scaled(_apply(prod, factor))
     return acc
 
 
@@ -464,10 +445,10 @@ class BivariateSeries:
         return acc
 
 
-# Product-side factors, one per part value, as (numerator, periods): the
-# factor N(x, q) / prod_{d in periods} (1 - q^d), with N given by its
-# (exp, coefficient) monomials in q, each coefficient a polynomial in x
-# evaluated at the given integer x.
+# Product-side factors, one per part value, as rational factors
+# (numerator, periods) for :func:`_apply`: N(x, q) / prod_{d in periods}
+# (1 - q^d), each monomial's coefficient a polynomial in x evaluated at the
+# given integer x.
 
 
 def _one_part_factor(e: int, x: int):
@@ -545,8 +526,8 @@ def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
 
     That product is taken at x = 2^b, b = :func:`_digit_width` (Kronecker
     substitution): the coefficient of x^k q^n lands in bits b*k .. b*k+b-1
-    of one series, so each factor costs one sparse product and its
-    1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
+    of one series, so each factor costs one :func:`_apply`, a sparse
+    product and its 1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
     every coefficient of x^k q^n is below 2^b, so column k is read back
     exactly as digit k."""
     if key in _GAP_ROWS:
@@ -554,10 +535,8 @@ def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
         return BivariateSeries.from_rows(order, rows)
     class_id, _ = _HOOK_SERIES[key]
     packed, width = TruncatedSeries.one(order), _digit_width(class_id, order)
-    for numerator, periods in _part_factors(class_id, key[2], order, 1 << width):
-        packed = _mul_sparse(packed, numerator, TruncatedSeries.zero(order))
-        for d in periods:
-            packed.imul_geometric(d)
+    for factor in _part_factors(class_id, key[2], order, 1 << width):
+        packed = _apply(packed, factor)
     mask, digits = (1 << width) - 1, -(-max(packed.coeffs).bit_length() // width)
     cols = [[c >> width * k & mask for c in packed.coeffs] for k in range(digits)]
     return BivariateSeries(order, [TruncatedSeries(order, col) for col in cols])

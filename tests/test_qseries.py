@@ -16,7 +16,7 @@ from hooklab.hooks import census, t_hook_count
 from hooklab.qseries import (
     OrderMismatchError,
     TruncatedSeries,
-    apply_rational,
+    _apply,
     bivariate_G,
     bivariate_R,
     counting_series,
@@ -54,11 +54,11 @@ def test_series_constructors():
 def test_scale_and_shift():
     s = TruncatedSeries(3, [1, 2, 0, 4])
     assert TruncatedSeries.zero(3).iadd_scaled(s, -2).coeffs == [-2, -4, 0, -8]
-    assert s.shifted(2).coeffs == [0, 0, 1, 2]
-    assert s.shifted(0) == s
-    # a shift past the order leaves nothing, and never lengthens the list
-    assert s.shifted(4) == TruncatedSeries.zero(3)
-    assert TruncatedSeries(3, [1, 2, 3, 4]).shifted(6) == TruncatedSeries.zero(3)
+    # a shift is one monomial over no periods; past the order it leaves
+    # nothing, and never lengthens the list
+    assert _apply(s, ([(2, 1)], [])).coeffs == [0, 0, 1, 2]
+    assert _apply(s, ([(0, 1)], [])) == s
+    assert _apply(s, ([(4, 1)], [])) == _apply(s, ([(6, 1)], [])) == TruncatedSeries.zero(3)
 
 
 # The slice kernels against the per-coefficient loops they replaced.
@@ -95,32 +95,32 @@ def test_imul_geometric_matches_the_loop(case):
     assert s.imul_geometric(period).coeffs == c
 
 
-@given(_series_and_exponent())
-@settings(max_examples=200, deadline=None)
-def test_imul_one_plus_matches_the_loop(case):
-    s, exp = case
-    c = list(s.coeffs)
-    for k in range(s.order, exp - 1, -1):
-        c[k] += c[k - exp]
-    assert s.imul_one_plus(exp).coeffs == c
-
-
 @given(
     _series_and_exponent(),
-    st.integers(0, 2**32),
     st.lists(st.tuples(st.integers(0, 302), st.sampled_from([1, -1, -2])), max_size=5),
+    st.lists(st.integers(1, 302), max_size=3),
+    st.integers(0, 302),
 )
 @settings(max_examples=200, deadline=None)
-def test_mul_sparse_matches_the_loop(case, seed, terms):
+def test_apply_matches_the_loop(case, numerator, periods, grow):
+    # exponents reach past the order, the first monomial's included, and the
+    # window grows by at most the numerator's lowest exponent
     src, _ = case
-    terms = [(min(e, src.order + 2), sign) for e, sign in terms]
-    out = TruncatedSeries(src.order, _coeffs(seed, src.order + 1))
-    c = list(out.coeffs)
-    for exp, sign in terms:
-        for k in range(exp, src.order + 1):
+    before = list(src.coeffs)
+    numerator = [(min(e, src.order + 2), c) for e, c in numerator]
+    periods = [min(d, src.order + 2) for d in periods]
+    order = src.order + min([grow, *(e for e, _ in numerator)])
+    c = [0] * (order + 1)
+    for exp, sign in numerator:
+        for k in range(exp, order + 1):
             c[k] += sign * src.coeffs[k - exp]
-    assert qseries._mul_sparse(src, terms, out) is out
-    assert out.coeffs == c
+    for d in periods:
+        for k in range(d, order + 1):
+            c[k] += c[k - d]
+    out = _apply(src, (numerator, periods), order)
+    assert out.order == order and out.coeffs == c
+    assert _apply(src, (numerator, periods)) == out.truncated(src.order)
+    assert src.coeffs == before
 
 
 @given(_series_and_exponent(), st.integers(0, 2**32), st.sampled_from([0, 1, -1, 7]))
@@ -174,19 +174,22 @@ def test_inv_pochhammer_examples():
 
 
 def test_rational_factor():
-    # apply_rational to 1 expands (sum sign q^exp) / (1 - q^period)
-    rf = apply_rational(TruncatedSeries.one(9), [(1, 1), (4, 1)], 5)
+    # _apply to 1 expands (sum c q^exp) / prod (1 - q^d)
+    rf = _apply(TruncatedSeries.one(9), ([(1, 1), (4, 1)], [5]))
     assert [n for n, c in enumerate(rf.coeffs) if c] == [1, 4, 6, 9]
     assert all(c in (0, 1) for c in rf.coeffs)
-    rf2 = apply_rational(TruncatedSeries.one(12), [(2, 1), (10, 1), (11, -1), (12, 1)], 16)
+    rf2 = _apply(TruncatedSeries.one(12), ([(2, 1), (10, 1), (11, -1), (12, 1)], [16]))
     assert rf2.coeffs[2] == rf2.coeffs[10] == rf2.coeffs[12] == 1
     assert rf2.coeffs[11] == -1
-    assert apply_rational(TruncatedSeries.one(6), [], 7).is_zero()
+    assert _apply(TruncatedSeries.one(6), ([], [7])).is_zero()
     # on a general series: (1 + q)(q + q^4)/(1 - q^5) to q^9
     s = TruncatedSeries(9, [1, 1] + [0] * 8)
-    assert apply_rational(s, [(1, 1), (4, 1)], 5).coeffs == [0, 1, 1, 0, 1, 1, 1, 1, 0, 1]
-    with pytest.raises(ValueError):
-        apply_rational(s, [(-1, 1)], 5)
+    assert _apply(s, ([(1, 1), (4, 1)], [5])).coeffs == [0, 1, 1, 0, 1, 1, 1, 1, 0, 1]
+    # a negative exponent is rejected in any position, before anything is built
+    for numerator in ([(-1, 1)], [(1, 1), (-1, 1)], [(-1, 1), (1, 1)]):
+        with pytest.raises(ValueError):
+            _apply(s, (numerator, [5]))
+    assert s.coeffs == [1, 1] + [0] * 8
 
 
 # --------------------------------------------------------------------------
