@@ -459,7 +459,9 @@ _SADDLE_TARGETS = {
 def _factor_at(factor, epsilon: float) -> float:
     """A rational factor (numerator, periods) of ``qseries._STREAMS`` at
     q = e^(-eps): e^(-low eps) sum c e^((low - e) eps) over the monomials
-    (e, c), low the lowest e, divided by each 1 - q^d = -expm1(-d eps)."""
+    (e, c), low the lowest e, divided by each 1 - q^d = -expm1(-d eps).
+    With q^low factored out, q^s (1 + q^p) rounds as it is written; the
+    plain sum of c e^(-e eps) moves the H11 probe by 1-2 ulps."""
     numerator, periods = factor
     low = min(e for e, _ in numerator)
     value = math.exp(-low * epsilon) * sum(c * math.exp((low - e) * epsilon) for e, c in numerator)

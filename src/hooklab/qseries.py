@@ -181,7 +181,9 @@ def _apply(series: TruncatedSeries, factor, order: int | None = None) -> Truncat
         n = min(len(src), len(dst) - e)  # src[:n] lands on dst[e : e + n]
         if n <= 0:
             continue
-        if fresh:  # the first monomial in the window is copied into the zeros
+        if fresh:
+            # the first monomial in the window is copied into the zeros; an
+            # add pass here doubles the cost of a Nahm sum's Horner levels
             part = src if n == len(src) else src[:n]
             dst[e : e + n] = part if c == 1 else map(mul, part, repeat(c))
             fresh = False
