@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hooklab
+from hooklab import asym
 from hooklab.classes import ClassId
 from hooklab.cli import (
     EXIT_CHECK_FAILED,
@@ -30,6 +31,7 @@ from hooklab.cli import (
     verify_report,
 )
 from hooklab.hooks import CENSUS_CEILING, census
+from hooklab.qseries import series_H, series_S
 
 
 # --------------------------------------------------------------------------
@@ -378,16 +380,25 @@ def test_crossover_example_point():
     assert 4 not in report.violations
 
 
-@pytest.mark.parametrize("pair", ["r-t1", "r-t2", "g-t1", "g-t2"])
+# pair -> (lhs series, rhs series, direction), each series (builder, j, t):
+# direction "gt" means lhs > rhs is required, "lt" lhs < rhs
+_CROSSOVER_SERIES = {
+    "r-t1": ((series_S, 1, 1), (series_S, 2, 1), "gt"),
+    "r-t2": ((series_S, 1, 2), (series_S, 2, 2), "lt"),
+    "g-t1": ((series_H, 1, 1), (series_H, 2, 1), "gt"),
+    "g-t2": ((series_H, 1, 2), (series_H, 2, 2), "lt"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_CROSSOVER_SERIES))
 def test_crossover_internal_consistency(pair):
     report = crossover_report(pair, 300)
     assert report.first_hold is not None
     assert all(v < report.first_hold for v in report.violations)
-    # independent honesty pass over the emitted data
-    from hooklab.cli import _CROSSOVER_PAIRS, _SERIES
-
-    lkey, rkey, direction = _CROSSOVER_PAIRS[pair]
-    lhs, rhs = _SERIES[lkey].build(300), _SERIES[rkey].build(300)
+    # independent honesty pass over the emitted data, from the series named
+    # by their indices, not through the table the report reads
+    (lbuild, lj, lt), (rbuild, rj, rt), direction = _CROSSOVER_SERIES[pair]
+    lhs, rhs = lbuild(lj, lt, 300), rbuild(rj, rt, 300)
     for n in range(report.first_hold, 301):
         if direction == "gt":
             assert lhs[n] > rhs[n]
@@ -476,6 +487,73 @@ def test_ratio_table_model():
     row = table["rows"][0]
     assert row["ratio"] > 0
     assert abs(row["coefficient"] / row["model"] - row["ratio"]) < 1e-12
+
+
+# pair -> the series it reads, each (builder, j, t), and its growth-model
+# key (a *-model pair) or its limit (a *-cross pair, numerator first)
+_RATIO_PAIRS = {
+    "r11-model": ([(series_S, 1, 1)], "r11"),
+    "r12-model": ([(series_S, 1, 2)], "r12"),
+    "r21-model": ([(series_S, 2, 1)], "r21"),
+    "r22-model": ([(series_S, 2, 2)], "r22"),
+    "g11-model": ([(series_H, 1, 1)], "g11"),
+    "g12-model": ([(series_H, 1, 2)], "g12"),
+    "g21-model": ([(series_H, 2, 1)], "g21"),
+    "g22-model": ([(series_H, 2, 2)], "g22"),
+    "r1-cross": ([(series_S, 1, 1), (series_S, 2, 1)], 2.5 * asym.LOG_PHI),
+    "r2-cross": ([(series_S, 2, 2), (series_S, 2, 1)], 1.5),
+    "g1-cross": ([(series_H, 1, 1), (series_H, 2, 1)], 4.0 / 3.0 * asym.LOG_SILVER),
+    "g2-cross": ([(series_H, 2, 1), (series_H, 2, 2)], 0.75),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_RATIO_PAIRS))
+def test_ratio_table_every_pair(pair):
+    # every row of every pair, rebuilt from the series named by their
+    # indices and from the growth model named by its key
+    checkpoints = [3000, 100]
+    series, model_or_limit = _RATIO_PAIRS[pair]
+    coeffs = [build(j, t, 3000) for build, j, t in series]
+    if pair.endswith("-model"):
+        model = asym.growth_model(model_or_limit)
+        rows = [{"n": n, "coefficient": float(coeffs[0][n]), "model": model.value(n),
+                 "ratio": coeffs[0][n] / model.value(n)} for n in (100, 3000)]
+        expected = {"pair": pair, "kind": "model", "limit": None, "rows": rows}
+    else:
+        (num, den), limit = coeffs, model_or_limit
+        rows = [{"n": n, "ratio": num[n] / den[n], "limit": limit,
+                 "abs_error": abs(num[n] / den[n] - limit)} for n in (100, 3000)]
+        expected = {"pair": pair, "kind": "cross", "limit": limit, "rows": rows}
+    assert ratio_table(pair, checkpoints) == expected
+
+
+def test_series_reach_the_traced_names_positionally(monkeypatch):
+    import hooklab.cli as cli
+
+    # the benchmark's tracer wraps series_S and series_H by name in cli and
+    # reads the key of each call from its first three positional arguments
+    calls = []
+
+    def recorded(family, real):
+        def wrapper(*args, **kwargs):
+            assert len(args) == 3 and not kwargs, (family, args, kwargs)
+            calls.append((family, *args[:2]))
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "series_S", recorded("S", series_S))
+    monkeypatch.setattr(cli, "series_H", recorded("H", series_H))
+    assert all(r.ok for r in verify_report(8))
+    assert sorted(calls) == sorted((f, j, t) for f in "SH" for j in (1, 2) for t in (1, 2))
+    for pair, (lhs, rhs, _) in _CROSSOVER_SERIES.items():
+        calls.clear()
+        crossover_report(pair, 30)
+        assert calls == [("S" if b is series_S else "H", j, t) for b, j, t in (lhs, rhs)], pair
+    for pair, (series, _) in _RATIO_PAIRS.items():
+        calls.clear()
+        ratio_table(pair, [40])
+        assert calls == [("S" if b is series_S else "H", j, t) for b, j, t in series], pair
 
 
 def test_ratio_table_guards():
