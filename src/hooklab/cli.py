@@ -8,7 +8,13 @@ default of ``run``.  A handler takes the parsed arguments and returns the
 JSON payload, the human-readable lines and the exit code; :func:`main`
 prints the payload under ``--json`` and the lines otherwise, and maps a
 ``ValueError`` or ``OSError`` to a usage error.  Exit codes are 0 success,
-1 check failure, 2 usage error."""
+1 check failure, 2 usage error.
+
+The t = 1, 2 subcommands (verify's series checks, crossovers and ratios)
+name the eight hook series S11 ... H22 as ``qseries._HOOK_SERIES`` does and
+read each one's class and t there; a ``*-model`` ratio pair is named by its
+class and t, as r11-model for S11.  Each series is built by this module's
+``series_S``/``series_H``, called with (j, t, order)."""
 
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import __version__, asym
 from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, all_partitions, iter_class
@@ -36,6 +42,7 @@ from .hooks import (
     t_hook_count,
 )
 from .qseries import (
+    _HOOK_SERIES,
     TruncatedSeries,
     counting_series,
     identity_check_sum_product,
@@ -50,27 +57,11 @@ ENGINE_CHECK_T = 4         # t_max of verify's engine-vs-enumeration check
 HOOK_PROPERTY_BOUND = 30   # unrestricted-partition property sweep bound
 
 
-class _Series(NamedTuple):
-    """One of the eight t = 1, 2 hook series: its exact builder (which looks
-    up ``series_S``/``series_H`` in this module when called), the class it
-    counts, t, and its growth-model key in :func:`asym.growth_model`."""
-
-    build: Callable[[int], TruncatedSeries]
-    class_id: ClassId
-    t: int
-    model: str
-
-
-_SERIES = {
-    "S11": _Series(lambda order: series_S(1, 1, order), ClassId.R1, 1, "r11"),
-    "S12": _Series(lambda order: series_S(1, 2, order), ClassId.R1, 2, "r12"),
-    "S21": _Series(lambda order: series_S(2, 1, order), ClassId.R2, 1, "r21"),
-    "S22": _Series(lambda order: series_S(2, 2, order), ClassId.R2, 2, "r22"),
-    "H11": _Series(lambda order: series_H(1, 1, order), ClassId.G1, 1, "g11"),
-    "H12": _Series(lambda order: series_H(1, 2, order), ClassId.G1, 2, "g12"),
-    "H21": _Series(lambda order: series_H(2, 1, order), ClassId.G2, 1, "g21"),
-    "H22": _Series(lambda order: series_H(2, 2, order), ClassId.G2, 2, "g22"),
-}
+def _series(name: str, order: int) -> TruncatedSeries:
+    """The hook series named S11 ... H22 in ``qseries._HOOK_SERIES``, built
+    by this module's ``series_S``/``series_H``, looked up when called."""
+    build = series_S if name[0] == "S" else series_H
+    return build(int(name[1]), int(name[2]), order)
 
 
 # --------------------------------------------------------------------------
@@ -279,15 +270,15 @@ def verify_report(
         raise ValueError(f"n_max must be <= {VERIFY_CEILING} (enumeration ceiling)")
     results: list = []
 
-    series = {key: entry.build(n_max) for key, entry in _SERIES.items()}
+    series = {name: _series(name, n_max) for name in _HOOK_SERIES}
     if _corrupt is not None:
         key, exponent, delta = _corrupt
         series[key].coeffs[exponent] += delta
     censuses = {cid: cached_census(cid, n_max, ENGINE_CHECK_T) for cid in ClassId}
-    for key, (_, cid, t, _) in sorted(_SERIES.items()):
+    for name, (cid, t, _, _) in sorted(_HOOK_SERIES.items()):
         results.append(_agreement(
-            f"series {key} == census {cid.value} (t={t}, n <= {n_max})", n_max,
-            ("series", series[key]), ("census", censuses[cid].series(t)), "first discrepancy at ",
+            f"series {name} == census {cid.value} (t={t}, n <= {n_max})", n_max,
+            ("series", series[name]), ("census", censuses[cid].series(t)), "first discrepancy at ",
         ))
     for cid in ClassId:
         results.append(_agreement(
@@ -349,7 +340,7 @@ class CrossoverReport:
 
 
 _CROSSOVER_PAIRS = {
-    # pair -> (lhs key, rhs key, direction): direction "gt" means lhs > rhs required
+    # pair -> (lhs series, rhs series, direction): direction "gt" means lhs > rhs required
     "r-t1": ("S11", "S21", "gt"),
     "r-t2": ("S12", "S22", "lt"),
     "g-t1": ("H11", "H21", "gt"),
@@ -373,8 +364,8 @@ def crossover_report(pair: str, n_max: int) -> CrossoverReport:
     if not 0 <= n_max <= 5000:
         raise ValueError("n_max must be in [0, 5000]")
     lkey, rkey, direction = _CROSSOVER_PAIRS[pair]
-    lhs = _SERIES[lkey].build(n_max)
-    rhs = _SERIES[rkey].build(n_max)
+    lhs = _series(lkey, n_max)
+    rhs = _series(rkey, n_max)
     first_hold, violations = _first_hold_and_violations(lhs, rhs, direction, n_max)
     return CrossoverReport(pair, n_max, first_hold, violations)
 
@@ -429,7 +420,7 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
 # --------------------------------------------------------------------------
 
 _CROSS_RATIOS = {
-    # pair -> (numerator, denominator, limit)
+    # pair -> (numerator series, denominator series, limit)
     "r1-cross": ("S11", "S21", 2.5 * asym.LOG_PHI),
     "r2-cross": ("S22", "S21", 1.5),
     "g1-cross": ("H11", "H21", 4.0 / 3.0 * asym.LOG_SILVER),
@@ -445,11 +436,11 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
     if any(not 1 <= n <= 5000 for n in checkpoints):
         raise ValueError("checkpoints must lie in [1, 5000]")
     order = max(checkpoints)
-    model_pairs = {f"{entry.model}-model": entry for entry in _SERIES.values()}
+    # a series' growth model is keyed by its class and t, as r11 for S11
+    model_pairs = {f"{cid.value}{t}-model": name for name, (cid, t, _, _) in _HOOK_SERIES.items()}
     if pair in model_pairs:
-        entry = model_pairs[pair]
-        coeffs = entry.build(order)
-        model = asym.growth_model(entry.model)
+        coeffs = _series(model_pairs[pair], order)
+        model = asym.growth_model(pair.removesuffix("-model"))
         rows = [
             {"n": n, "coefficient": float(coeffs[n]), "model": model.value(n),
              "ratio": coeffs[n] / model.value(n)}
@@ -458,8 +449,8 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         return {"pair": pair, "kind": "model", "limit": None, "rows": rows}
     if pair in _CROSS_RATIOS:
         num_key, den_key, limit = _CROSS_RATIOS[pair]
-        num = _SERIES[num_key].build(order)
-        den = _SERIES[den_key].build(order)
+        num = _series(num_key, order)
+        den = _series(den_key, order)
         zero = next((n for n in sorted(checkpoints) if den[n] == 0), None)
         if zero is not None:
             raise ValueError(

@@ -24,9 +24,10 @@ Every construction is written with one format, the rational factor
 its (e, c) monomials c q^e, e >= 0.  One primitive, :func:`_apply`, takes
 a series times a factor.  Two tables define the eight series.
 ``_STREAMS`` holds each Nahm-sum term stream as a term 0 and a rational
-factor F_n, term n = term (n-1) F_n.  ``_HOOK_SERIES`` holds each series as
-a sum side, a weighted sum over streams, or a product side, a class
-counting series times a sum of rational factors.
+factor F_n, term n = term (n-1) F_n.  ``_HOOK_SERIES`` holds each series,
+by its name S11 ... H22, with its class and t: a gap class's as a sum side,
+a weighted sum over streams, a congruence class's as a product side, a
+class counting series times a sum of rational factors.
 
 :func:`_nahm_sum` evaluates a weighted sum over a stream by Horner's rule,
 from the last term that reaches the order inward, so each level is one
@@ -50,13 +51,15 @@ identity; the product side, :func:`inv_pochhammer_product`, built largest
 part first, is its oracle and what :func:`identity_check_sum_product`
 compares it with.
 
-The eight series and the two class counting series are memoized per
-process, ten fixed keys whatever the input.  Each key holds the series
+The eight series, the two class counting series and the two class products
+that size the packed digits are memoized per process, twelve fixed keys
+whatever the input: the names, the identities RR1 and LG1, and each
+product's (residues, modulus).  Each key holds the series
 built at the highest order requested so far: a lower order is served by
 truncation, a higher one rebuilds the entry.  Every call returns a fresh
 :class:`TruncatedSeries`, which the caller may mutate without touching the
-memo.  :func:`inv_pochhammer_product` and the bivariate builders are not
-memoized.
+memo.  :func:`inv_pochhammer_product`, the bivariate builders and
+:func:`identity_check_sum_product` are not memoized.
 """
 
 from __future__ import annotations
@@ -219,7 +222,8 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
 
 
 # key -> the series built at the highest order requested so far; the keys are
-# the eight hook series and the two class products, ten in all
+# the eight hook series, the two counting series and the two class products,
+# twelve in all
 _MEMO: dict = {}
 
 
@@ -246,12 +250,10 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     The sum is evaluated by Horner's rule on shrinking windows
     (:func:`_nahm_sum`).  :func:`identity_check_sum_product` compares it with
     the product side.  Memoized per process, one entry per pair, keyed by
-    the product side's (residues, modulus); a fresh series is returned on
-    every call."""
-    stream, cong = _IDENTITIES["RR1" if class_id in (ClassId.R1, ClassId.R2) else "LG1"]
-    residues, modulus = RESIDUE_CLASSES[cong]
-    key = tuple(sorted(residues)), modulus
-    return _memoized(key, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
+    the identity's name; a fresh series is returned on every call."""
+    which = "RR1" if class_id in (ClassId.R1, ClassId.R2) else "LG1"
+    stream, _ = _IDENTITIES[which]
+    return _memoized(which, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
 
 
 # --------------------------------------------------------------------------
@@ -335,38 +337,40 @@ def _nahm_sum(streams, order: int) -> TruncatedSeries:
 # the eight hook generating functions
 # --------------------------------------------------------------------------
 
-# ("S"|"H", j, t) -> the closed form of series_S(j, t) or series_H(j, t).
-# A sum side is a list of (stream, a, b) for :func:`_nahm_sum`.  A product
-# side is (class, [factor, ...]): the class's counting series times the sum
-# of the rational factors, each (numerator, periods) as :func:`_apply` takes
+# name -> (class, t, closed form, gap rows) of S_jt = series_S(j, t) or
+# H_jt = series_H(j, t), the t-hook series of the class.  A gap class's
+# closed form is a sum side, a list of (stream, a, b) for :func:`_nahm_sum`,
+# and its gap rows the streams whose term n, in turn, is the row x^n of its
+# bivariate table.  A congruence class's is a product side, rational factors
+# (numerator, periods) whose sum multiplies the class's counting series, and
+# its gap rows None.
 _HOOK_SERIES = {
-    ("S", 1, 1): [("rr", 1, 0)],
-    ("S", 1, 2): [("rr", 1, 0), ("rr_shifted", 0, -1)],
-    ("S", 2, 1): (ClassId.R2, [([(1, 1), (4, 1)], [5])]),
-    ("S", 2, 2): (ClassId.R2, [([(4, 1), (6, 1)], [5]), ([(2, 1), (8, 1)], [10])]),
-    ("H", 1, 1): [("lg", 1, 0)],
-    ("H", 1, 2): [("lg12", 1, 0)],
-    ("H", 2, 1): (ClassId.G2, [([(1, 1), (5, 1), (6, 1)], [8])]),
-    ("H", 2, 2): (ClassId.G2, [([(5, 1), (6, 1), (9, 1)], [8]),
-                               ([(2, 1), (10, 1), (11, -1), (12, 1)], [16])]),
+    "S11": (ClassId.R1, 1, [("rr", 1, 0)], ["rr"]),
+    "S12": (ClassId.R1, 2, [("rr", 1, 0), ("rr_shifted", 0, -1)], ["rr_shifted", "rr_second"]),
+    "S21": (ClassId.R2, 1, [([(1, 1), (4, 1)], [5])], None),
+    "S22": (ClassId.R2, 2, [([(4, 1), (6, 1)], [5]), ([(2, 1), (8, 1)], [10])], None),
+    "H11": (ClassId.G1, 1, [("lg", 1, 0)], ["lg"]),
+    "H12": (ClassId.G1, 2, [("lg12", 1, 0)], ["lg12"]),
+    "H21": (ClassId.G2, 1, [([(1, 1), (5, 1), (6, 1)], [8])], None),
+    "H22": (ClassId.G2, 2, [([(5, 1), (6, 1), (9, 1)], [8]),
+                            ([(2, 1), (10, 1), (11, -1), (12, 1)], [16])], None),
 }
 
 
-def _checked_key(name: str, family: str, j: int, t: int) -> tuple:
-    """The hook-series key (family, j, t), or ValueError naming ``name``."""
-    if (family, j, t) not in _HOOK_SERIES:
-        raise ValueError(f"{name} undefined for (j, t) = ({j}, {t})")
-    return family, j, t
+def _checked_name(fn: str, family: str, j: int, t: int) -> str:
+    """The hook-series name family + j + t, or ValueError naming ``fn``."""
+    if j not in (1, 2) or t not in (1, 2):
+        raise ValueError(f"{fn} undefined for (j, t) = ({j}, {t})")
+    return f"{family}{int(j)}{int(t)}"
 
 
-def _build_hook_series(key: tuple, order: int) -> TruncatedSeries:
-    form = _HOOK_SERIES[key]
-    if isinstance(form, list):
+def _build_hook_series(name: str, order: int) -> TruncatedSeries:
+    class_id, _, form, gap_rows = _HOOK_SERIES[name]
+    if gap_rows is not None:
         return _nahm_sum(form, order)
-    class_id, factors = form
     prod = counting_series(class_id, order)
     acc = TruncatedSeries.zero(order)
-    for factor in factors:
+    for factor in form:
         acc.iadd_scaled(_apply(prod, factor))
     return acc
 
@@ -378,8 +382,8 @@ def series_S(j: int, t: int, order: int) -> TruncatedSeries:
     Memoized per process (see the module docstring): a request at or below
     the highest order built so far is served by truncation, and a fresh
     series is returned on every call."""
-    key = _checked_key("series_S", "S", j, t)
-    return _memoized(key, order, lambda n: _build_hook_series(key, n))
+    name = _checked_name("series_S", "S", j, t)
+    return _memoized(name, order, lambda n: _build_hook_series(name, n))
 
 
 def series_H(j: int, t: int, order: int) -> TruncatedSeries:
@@ -387,8 +391,8 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
     pair: j = 1 the gap class, j = 2 the mod-8 class; t in {1, 2}.
 
     Memoized per process like :func:`series_S`."""
-    key = _checked_key("series_H", "H", j, t)
-    return _memoized(key, order, lambda n: _build_hook_series(key, n))
+    name = _checked_name("series_H", "H", j, t)
+    return _memoized(name, order, lambda n: _build_hook_series(name, n))
 
 
 # --------------------------------------------------------------------------
@@ -503,27 +507,21 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
         e += 1
 
 
-# ("S"|"H", 1, t) -> the streams whose term n, in turn, is a row x^n of the
-# gap-class table
-_GAP_ROWS = {
-    ("S", 1, 1): ["rr"],
-    ("S", 1, 2): ["rr_shifted", "rr_second"],
-    ("H", 1, 1): ["lg"],
-    ("H", 1, 2): ["lg12"],
-}
-
-
 def _digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed product-side table: a coefficient of
     x^k q^n, n <= order, counts class members of size n, and those counts
     do not decrease with n (part 1 is allowed, so appending a 1 maps size
     n into size n + 1 one to one).  So every coefficient is at most the
-    class's count at ``order``, read off the literal product."""
-    return inv_pochhammer_product(*RESIDUE_CLASSES[class_id], order).coeffs[order].bit_length()
+    class's count at ``order``, read off the literal product, which the
+    memo keeps for the class's next table."""
+    residues, modulus = RESIDUE_CLASSES[class_id]
+    key = tuple(sorted(residues)), modulus
+    product = _memoized(key, order, lambda n: inv_pochhammer_product(residues, modulus, n))
+    return product.coeffs[order].bit_length()
 
 
-def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
-    """The table of a hook-series key: a gap class's rows from its term
+def _build_bivariate(name: str, order: int) -> BivariateSeries:
+    """The table of a hook series: a gap class's rows from its term
     streams, a congruence class's as the product of its part factors.
 
     That product is taken at x = 2^b, b = :func:`_digit_width` (Kronecker
@@ -532,12 +530,12 @@ def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
     product and its 1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
     every coefficient of x^k q^n is below 2^b, so column k is read back
     exactly as digit k."""
-    if key in _GAP_ROWS:
-        rows = chain.from_iterable(_nahm_terms(stream, order) for stream in _GAP_ROWS[key])
+    class_id, t, _, gap_rows = _HOOK_SERIES[name]
+    if gap_rows is not None:
+        rows = chain.from_iterable(_nahm_terms(stream, order) for stream in gap_rows)
         return BivariateSeries.from_rows(order, rows)
-    class_id, _ = _HOOK_SERIES[key]
     packed, width = TruncatedSeries.one(order), _digit_width(class_id, order)
-    for factor in _part_factors(class_id, key[2], order, 1 << width):
+    for factor in _part_factors(class_id, t, order, 1 << width):
         packed = _apply(packed, factor)
     mask, digits = (1 << width) - 1, -(-max(packed.coeffs).bit_length() // width)
     cols = [[c >> width * k & mask for c in packed.coeffs] for k in range(digits)]
@@ -547,7 +545,7 @@ def _build_bivariate(key: tuple, order: int) -> BivariateSeries:
 def bivariate_R(j: int, t: int, order: int) -> BivariateSeries:
     """Bivariate refinement sum_lambda x^(statistic) q^|lambda| over the
     Rogers-Ramanujan class pair; statistics as in :func:`series_S`."""
-    return _build_bivariate(_checked_key("bivariate_R", "S", j, t), order)
+    return _build_bivariate(_checked_name("bivariate_R", "S", j, t), order)
 
 
 def bivariate_G(j: int, t: int, order: int) -> BivariateSeries:
@@ -555,7 +553,7 @@ def bivariate_G(j: int, t: int, order: int) -> BivariateSeries:
     as in :func:`series_H`.  In the mod-8 class two adjacent values merge a
     pair of their 2-hooks when both occur, which :func:`_pair_factor`
     encodes."""
-    return _build_bivariate(_checked_key("bivariate_G", "H", j, t), order)
+    return _build_bivariate(_checked_name("bivariate_G", "H", j, t), order)
 
 
 # --------------------------------------------------------------------------

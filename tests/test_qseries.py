@@ -290,8 +290,9 @@ def test_truncation_stability(family, j, t, empty_memo):
 # the per-process memo
 # --------------------------------------------------------------------------
 
-MEMO_KEYS = {("S", j, t) for j in (1, 2) for t in (1, 2)} | {
-    ("H", j, t) for j in (1, 2) for t in (1, 2)} | {((1, 4), 5), ((1, 5, 6), 8)}
+MEMO_KEYS = {f"{family}{j}{t}" for family in "SH" for j in (1, 2) for t in (1, 2)} | {"RR1", "LG1"}
+# the congruence-class products that size the digits of a packed table
+PRODUCT_KEYS = {((1, 4), 5), ((1, 5, 6), 8)}
 
 MEMOIZED = [
     *((f"S{j}{t}", lambda n, j=j, t=t: series_S(j, t, n)) for j in (1, 2) for t in (1, 2)),
@@ -353,10 +354,37 @@ def test_memo_key_bound(empty_memo):
             counting_series(cid, order)
         identity_check_sum_product("RR1", order)
         identity_check_sum_product("LG1", order)
+        for build in (bivariate_R, bivariate_G):
+            build(2, 1, order)
+            build(2, 2, order)
         with pytest.raises(ValueError):
             series_S(3, 1, order)
-        assert set(qseries._MEMO) <= MEMO_KEYS
-    assert len(qseries._MEMO) == 10
+        assert set(qseries._MEMO) <= MEMO_KEYS | PRODUCT_KEYS
+    assert len(qseries._MEMO) == 12
+
+
+def test_product_side_tables_share_the_class_product(monkeypatch, empty_memo):
+    # the product that sizes a table's digits is built once per class and
+    # order: a second table of the class at the same or a lower order reads
+    # it from the memo, a higher order rebuilds it
+    built = []
+    real = qseries.inv_pochhammer_product
+
+    def counted(residues, modulus, order):
+        built.append((tuple(sorted(residues)), modulus, order))
+        return real(residues, modulus, order)
+
+    monkeypatch.setattr(qseries, "inv_pochhammer_product", counted)
+    for build in (bivariate_R, bivariate_G):
+        for order in (150, 150, 40, 0):
+            build(2, 1, order)
+            build(2, 2, order)
+        build(2, 1, 200)
+    assert built == [((1, 4), 5, 150), ((1, 4), 5, 200), ((1, 5, 6), 8, 150), ((1, 5, 6), 8, 200)]
+    assert set(qseries._MEMO) == PRODUCT_KEYS
+    # the identity check builds its product side afresh every time
+    identity_check_sum_product("RR1", 100)
+    assert built[-1] == ((1, 4), 5, 100) and len(built) == 5
 
 
 class _Unwalkable(dict):
@@ -394,8 +422,8 @@ def _sum_weights() -> dict:
     """stream -> the weights (a, b) to check: (1, 0) and (0, 1) for every
     stream, and each one that a hook series or an identity sums it with."""
     weights = {stream: {(1, 0), (0, 1)} for stream in qseries._STREAMS}
-    for form in qseries._HOOK_SERIES.values():
-        if isinstance(form, list):
+    for _, _, form, gap_rows in qseries._HOOK_SERIES.values():
+        if gap_rows is not None:  # a sum side
             for stream, a, b in form:
                 weights[stream].add((a, b))
     for stream, _ in qseries._IDENTITIES.values():
