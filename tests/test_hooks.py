@@ -98,6 +98,33 @@ def test_shortcut_stats_examples():
     assert t_hook_count((2, 2, 2), 2) == st2.gap_gt1 + st2.mult_gt1 == 2
 
 
+def _stats_by_definition(p):
+    """The six shortcut statistics of ``p``, read off a Counter of its parts."""
+    mult = Counter(p)
+    values = sorted(mult, reverse=True)
+    return (
+        sum(mult.values()),
+        len(mult),
+        sum(m for v, m in mult.items() if v > 1),
+        sum(1 for v in mult if v > 1),
+        sum(1 for m in mult.values() if m > 1),
+        # a gap is taken between different part values, the last against 0
+        sum(1 for a, b in zip(values, values[1:] + [0]) if a - b > 1),
+    )
+
+
+def test_shortcut_stats_against_its_definitions():
+    members = [p for n in range(26) for p in all_partitions(n)]
+    members += [p for cid in ClassId for n in range(41) for p in iter_class(cid, n)]
+    for p in members:
+        st = shortcut_stats(p)
+        assert (st.ell, st.distinct, st.ell_gt1, st.distinct_gt1, st.mult_gt1, st.gap_gt1) == (
+            _stats_by_definition(p)
+        ), p
+    with pytest.raises(AttributeError):  # frozen
+        st.ell = 0
+
+
 def test_hook_properties_exhaustive():
     # involution, conservation, and the 1-/2-hook shortcuts over all shapes
     for n in range(0, 26):
