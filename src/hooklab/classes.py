@@ -22,9 +22,10 @@ and :data:`RESIDUE_CLASSES` a congruence class's allowed residues and
 modulus.  Both kinds are one rule, read by :func:`least_gap` alone: each
 part value has a least gap to the next smaller part, or is not allowed; a
 congruence class has gap 0 on its allowed values, so their parts repeat.
-:func:`contains`, the enumerator (:func:`iter_class`, and
-:func:`all_partitions` with gap 0 everywhere) and the census scan in
-``hooks`` all take membership from it; the product sides in ``qseries`` and
+:func:`contains`, the enumerator (:func:`walk`, which yields each member
+with its boundary word, and :func:`iter_class` and :func:`all_partitions`,
+gap 0 everywhere, which yield its parts) and the census scan in ``hooks``
+all take membership from it; the product sides in ``qseries`` and
 ``asym`` read :data:`RESIDUE_CLASSES` directly.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from itertools import zip_longest
+from operator import itemgetter
 from typing import Iterator
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -79,10 +81,10 @@ def contains(class_id: ClassId, parts: Partition) -> bool:
     )
 
 
-def _walk(n: int, need) -> Iterator[Partition]:
+def _walk(n: int, need) -> Iterator[tuple]:
     """The partitions of ``n`` under the rule ``need`` (a least gap per part
     value, as :func:`least_gap`), descending lexicographic, by greedy fill
-    and backtrack.
+    and backtrack, each as ``(parts, north)`` with its boundary word.
 
     Three tables: ``top[c]`` the largest allowed value <= c, ``below[v]``
     the largest part that may follow a part v, and ``room[c]`` the largest
@@ -94,6 +96,16 @@ def _walk(n: int, need) -> Iterator[Partition]:
     then pops parts until the last one popped, v, can step down: room[v - 1]
     covers what is left to fill.  No part left of the step changes, so the
     order is kept, and the walk ends when nothing can step down.
+
+    ``north`` is the word read from the largest part down: part i (from 0)
+    puts its N step at bit ``parts[0] - parts[i] + i``, and the other bits
+    below ``parts[0] + len(parts)`` are E steps.  That is the conjugate's
+    word with E and N swapped, which has the same hooks, so the t-hooks
+    number ``(north & east >> t).bit_count()`` for ``east`` the complement.
+    It changes only where ``parts`` does: a fill of k copies sets one block
+    of k bits, and a backtrack cuts the word below the N step of the last
+    part popped, which also cuts any 1s it dropped, as a pop always follows
+    the drop.
 
     The walk is exact only when part 1 is allowed and ``room`` does not
     decrease; every class here meets both.  Otherwise it silently drops
@@ -110,14 +122,17 @@ def _walk(n: int, need) -> Iterator[Partition]:
         room[c] = n if below[v] == v else v + room[below[v]]
     parts: list = []
     rem = cap = n
+    head = top[n]  # the largest part, parts[0] once there is one
+    north = 0
     while True:
         while rem:
             v = top[rem if rem < cap else cap]
             k = rem // v if below[v] == v else 1
+            north |= ((1 << k) - 1) << head - v + len(parts)
             parts += [v] * k
             rem -= k * v
             cap = below[v]
-        yield tuple(parts)
+        yield tuple(parts), north
         if parts and parts[-1] == 1:
             first = parts.index(1)
             rem = len(parts) - first
@@ -129,20 +144,30 @@ def _walk(n: int, need) -> Iterator[Partition]:
                 break
         else:
             return
+        north &= (1 << head - v + len(parts)) - 1
         cap = v - 1
+        if not parts:
+            head = top[cap]
+
+
+def walk(class_id: ClassId | None, n: int) -> Iterator[tuple]:
+    """``(parts, north)`` for every partition of ``n`` in the class, or every
+    partition when ``class_id`` is None, in descending lexicographic order:
+    each member with its boundary word, as :func:`_walk` carries it."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if class_id is None:
+        return _walk(n, lambda v: 0)
+    return _walk(n, lambda v: least_gap(class_id, v))
 
 
 def iter_class(class_id: ClassId, n: int) -> Iterator[Partition]:
     """Generate every partition of ``n`` in the class exactly once,
     in descending lexicographic order of part tuples."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _walk(n, lambda v: least_gap(class_id, v))
+    return map(itemgetter(0), walk(class_id, n))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
     """All unrestricted partitions of ``n``, descending lexicographic: the
     walk with gap 0 at every value."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _walk(n, lambda v: 0)
+    return map(itemgetter(0), walk(None, n))

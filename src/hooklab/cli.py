@@ -24,22 +24,23 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from operator import eq, itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__, asym
-from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, all_partitions, iter_class
+from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, iter_class, walk
 from .hooks import (
     HookCensus,
-    _boundary_masks,
+    _hook_cells,
+    boundary_words,
     census_rows,
     check_shape,
     conjugate,
     enumerated_census,
-    hook_lengths,
     shortcut_stats,
     t_hook_count,
+    t_hooks,
 )
 from .qseries import (
     _HOOK_SERIES,
@@ -220,35 +221,51 @@ _PROPERTY_TITLES = {
 }
 
 
-def _hook_properties(p: tuple, n: int, kind: str) -> tuple:
-    """Whether the partition ``p`` of ``n`` keeps each hook property of
-    ``_PROPERTY_TITLES[kind]``, in that order: the unrestricted t = 1, 2
-    identities, or their specialisation to a gap or a congruence class."""
-    st = shortcut_stats(p)
+def _hook_properties(kind: str, cid: ClassId | None, n: int) -> Iterator[tuple]:
+    """``(p, oks)`` for every member p of size ``n``, in walk order: all
+    partitions, or the class ``cid`` of that kind, with ``oks`` whether p
+    keeps each hook property of ``_PROPERTY_TITLES[kind]``, in that order:
+    the unrestricted t = 1, 2 identities, or their specialisation to a gap
+    or a congruence class, whose hooks ``t_hook_count`` counts.
+
+    The unrestricted sweep takes one conjugate per partition.  Its
+    involution check looks each conjugate up in the map of all partitions
+    of n to theirs once the walk is done, so a conjugate that is not a
+    partition of n breaks it.  Its popcounts read the words the walk
+    carries, and its hook table is the cell formula, so each property
+    compares two constructions."""
     if kind == "unrestricted":
-        conj = conjugate(p)
-        north, east = _boundary_masks(p)
-        ones, twos = (east & north >> 1).bit_count(), (east & north >> 2).bit_count()
-        # every cell has one hook in [1, n]; the table reads the diagram's
-        # cells, the popcounts its boundary word
-        hooks = list(chain.from_iterable(hook_lengths(p, conj)))
-        return (
-            conjugate(conj) == p,
-            len(hooks) == n
-            and min(hooks, default=1) >= 1
-            and max(hooks, default=n) <= n
-            and hooks.count(1) == ones
-            and hooks.count(2) == twos,
-            ones == st.distinct,
-            n < 2 or twos == st.gap_gt1 + st.mult_gt1,
-        )
-    if kind == "gap":
-        return (t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,)
-    # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a corner
-    # when both occur
-    values = set(p)
-    pairs = sum(1 for v in values if v - 1 in values)
-    return (t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,)
+        pairs = list(walk(None, n))
+        members = list(map(itemgetter(0), pairs))
+        norths, easts = boundary_words(pairs)
+        conjs = list(map(conjugate, members))
+        back = dict(zip(members, conjs))
+        involution = map(eq, map(back.get, conjs), members)
+        ones, twos = t_hooks(norths, easts, 1), t_hooks(norths, easts, 2)
+        for p, conj, inv, one, two in zip(members, conjs, involution, ones, twos):
+            st = shortcut_stats(p)
+            # every cell has one hook in [1, n]
+            hooks = _hook_cells(p, conj)
+            yield p, (
+                inv,
+                len(hooks) == n
+                and (not n or min(hooks) >= 1 and max(hooks) <= n)
+                and hooks.count(1) == one
+                and hooks.count(2) == two,
+                one == st.distinct,
+                n < 2 or two == st.gap_gt1 + st.mult_gt1,
+            )
+        return
+    for p in iter_class(cid, n):
+        st = shortcut_stats(p)
+        if kind == "gap":
+            yield p, (t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,)
+        else:
+            # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a
+            # corner when both occur
+            values = set(p)
+            pairs = sum(1 for v in values if v - 1 in values)
+            yield p, (t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,)
 
 
 def verify_report(
@@ -300,14 +317,13 @@ def verify_report(
     bound = min(n_max, HOOK_PROPERTY_BOUND)
     # title -> the first partition breaking it, or None
     witness = dict.fromkeys(t for titles in _PROPERTY_TITLES.values() for t in titles)
+    sources = [("unrestricted", None)]
+    sources += [("gap", cid) for cid in GAP_RULES]
+    sources += [("congruence", cid) for cid in RESIDUE_CLASSES]
     for n in range(bound + 1):
-        sources = [("unrestricted", None, all_partitions(n))]
-        sources += [("gap", cid, iter_class(cid, n)) for cid in GAP_RULES]
-        sources += [("congruence", cid, iter_class(cid, n)) for cid in RESIDUE_CLASSES]
-        for kind, cid, parts in sources:
+        for kind, cid in sources:
             titles = _PROPERTY_TITLES[kind]
-            for p in parts:
-                oks = _hook_properties(p, n, kind)
+            for p, oks in _hook_properties(kind, cid, n):
                 if False in oks:
                     for title, ok in zip(titles, oks):
                         if not ok and witness[title] is None:

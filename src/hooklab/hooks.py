@@ -7,9 +7,16 @@ before it.  The cell in the column of an E step and the row of a later N
 step has hook length equal to their distance in the word, so a t-hook is
 an E step whose letter t places later is N.  For one partition that is
 one popcount of two bitmasks (:func:`_boundary_masks`); a census scans all
-the words of a class at once (:func:`census_rows`).  The cell formula
-``h(i, j) = parts[i] + conj[j] - i - j + 1`` of :func:`hook_lengths`
-(1-based, ``conj`` the conjugate) is the independent oracle for both.
+the words of a class at once (:func:`census_rows`).  Enumeration reads the
+word the other way, from the largest part down, as the class walk
+(``classes._walk``) carries it beside each member's parts, so a t-hook is
+an N step whose letter t places later is E; :func:`boundary_words` gives
+those words as N and E masks, and :func:`t_hooks` their popcounts, each a
+C pass over the words.  The cell formula
+``h(i, j) = parts[i] + conj[j] - i - j + 1`` (1-based, ``conj`` the
+conjugate) of :func:`_hook_cells`, whose flat list of cells
+:func:`hook_lengths` cuts into rows, is the independent oracle for all of
+them.
 
 The census scan is exact and size-major: it walks the part values w, and
 each of its components is one list over sizes, moved by whole-list slice
@@ -26,9 +33,11 @@ from ``classes.least_gap``.  Exhaustive enumeration
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, and_, rshift, sub
+from typing import Iterator, NamedTuple
 
-from .classes import ClassId, Partition, iter_class, least_gap
+from .classes import ClassId, Partition, least_gap, walk
 from .qseries import _running_sums
 
 #: largest n_max and t_max a census accepts
@@ -52,19 +61,33 @@ def conjugate(parts: Partition) -> Partition:
     return tuple(out)
 
 
+def _hook_cells(parts: Partition, conj: Partition) -> list:
+    """The hook length of every cell, row by row, as one flat list.
+
+    ``conj`` is the conjugate of ``parts``.  With 0-based row i and column
+    j, h = parts[i] + conj[j] - i - j - 1: conj[j] less j - parts[i] + i + 1,
+    so row i is conj[:parts[i]] less range(i + 1 - parts[i], i + 1), one
+    subtraction per cell, every pass in C."""
+    rows = map(
+        map,
+        repeat(sub),
+        map(islice, repeat(conj), parts),
+        map(range, map(sub, count(1), parts), count(1)),
+    )
+    return list(chain.from_iterable(rows))
+
+
 def hook_lengths(parts: Partition, conj: Partition | None = None) -> list:
-    """Table of hook lengths, one list per row of the Young diagram.
+    """Table of hook lengths, one list per row of the Young diagram: the
+    cells of :func:`_hook_cells`, cut at the ends of the rows.
 
     ``conj`` is the conjugate of ``parts``, computed here when not given.
     """
     if conj is None:
         conj = conjugate(parts)
-    # 0-based row i and column j: h = parts[i] + conj[j] - i - j - 1, that
-    # is conj[j] less j - parts[i] + i + 1, one subtraction per cell in C
-    return [
-        list(map(sub, conj[:part], range(i + 1 - part, i + 1)))
-        for i, part in enumerate(parts)
-    ]
+    cells = _hook_cells(parts, conj)
+    ends = list(accumulate(parts))
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _boundary_masks(parts: Partition) -> tuple:
@@ -86,8 +109,29 @@ def t_hook_count(parts: Partition, t: int) -> int:
     return (east & north >> t).bit_count()
 
 
-@dataclass(frozen=True)
-class ShortcutStats:
+def boundary_words(pairs) -> tuple:
+    """``(norths, easts)``: the words of the ``(parts, north)`` pairs that
+    the class walk yields (``classes.walk``), read from the largest part
+    down, as N and E bitmasks in walk order.  A member's t-hooks number
+    ``(north & east >> t).bit_count()``, its entry of :func:`t_hooks`.
+
+    The word of ``parts`` has ``parts[0] + len(parts)`` letters, and each
+    that is not N is E.  The members themselves are not kept."""
+    norths, easts = [], []
+    for parts, north in pairs:
+        norths.append(north)
+        easts.append(((1 << (parts[0] if parts else 0) + len(parts)) - 1) ^ north)
+    return norths, easts
+
+
+def t_hooks(norths: list, easts: list, t: int) -> Iterator[int]:
+    """The t-hooks of each word given by its masks, as :func:`boundary_words`
+    gives them: ``(north & east >> t).bit_count()``, each step one C pass
+    over the words."""
+    return map(int.bit_count, map(and_, norths, map(rshift, easts, repeat(t))))
+
+
+class ShortcutStats(NamedTuple):
     """Part-statistics that shortcut small-hook counts.
 
     For any partition the 1-hooks are the corner cells, so their number is
@@ -103,26 +147,19 @@ class ShortcutStats:
 
 
 def shortcut_stats(parts: Partition) -> ShortcutStats:
-    """Compute all shortcut statistics of a partition."""
+    """Compute all shortcut statistics of a partition, from the steps
+    ``parts[i] - parts[i+1]`` (the last part against 0): a zero step joins
+    two equal parts, a step of 1 two values with no gap."""
     ell = len(parts)
-    ell_gt1 = sum(1 for p in parts if p > 1)
-    distinct = distinct_gt1 = mult_gt1 = gap_gt1 = 0
-    i = 0
-    while i < ell:  # run-length over equal part values
-        j = i
-        while j < ell and parts[j] == parts[i]:
-            j += 1
-        distinct += 1
-        if parts[i] > 1:
-            distinct_gt1 += 1
-        if j - i > 1:
-            mult_gt1 += 1
-        i = j
-    for i in range(ell):
-        nxt = parts[i + 1] if i + 1 < ell else 0
-        if parts[i] - nxt > 1:
-            gap_gt1 += 1
-    return ShortcutStats(ell, distinct, ell_gt1, distinct_gt1, mult_gt1, gap_gt1)
+    steps = list(map(sub, parts, [*parts[1:], 0]))
+    distinct = ell - steps.count(0)
+    ones = parts.count(1)
+    # a run of equal parts starts after a nonzero step (or at the first
+    # part), and holds more than one part when its own step is zero
+    mult_gt1 = list(compress(steps, chain((1,), steps))).count(0)
+    return ShortcutStats(
+        ell, distinct, ell - ones, distinct - (ones > 0), mult_gt1, distinct - steps.count(1)
+    )
 
 
 @dataclass
@@ -312,22 +349,16 @@ def census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
 
 
 def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
-    """The same census by exhaustive enumeration: every class member from
-    :func:`iter_class`, its t-hooks one popcount of its own boundary word
-    (:func:`_boundary_masks`) for each t.  Serial and slow; it is the
-    oracle that the scan over all the class's words is checked against."""
+    """The same census by exhaustive enumeration: the word the walk carries
+    for every class member (:func:`boundary_words`), its t-hooks one
+    popcount of that word for each t, taken over all members of a size at
+    once (:func:`t_hooks`).  Serial and slow; it is the oracle that the
+    scan over all the class's words is checked against."""
     if n_max < 0 or t_max < 1:
         raise ValueError("need n_max >= 0 and t_max >= 1")
     table = HookCensus(class_id, n_max, t_max)
     for n in range(n_max + 1):
-        bins = [0] * t_max
-        card = 0
-        for p in iter_class(class_id, n):
-            card += 1
-            north, east = _boundary_masks(p)
-            for t in range(t_max):
-                north >>= 1
-                bins[t] += (east & north).bit_count()
-        table.counts.append(bins)
-        table.cardinality.append(card)
+        norths, easts = boundary_words(walk(class_id, n))
+        table.counts.append([sum(t_hooks(norths, easts, t)) for t in range(1, t_max + 1)])
+        table.cardinality.append(len(norths))
     return table

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from hooklab import classes
-from hooklab.classes import ClassId, all_partitions, contains, iter_class, least_gap
-from hooklab.hooks import CENSUS_CEILING
+from hooklab.classes import ClassId, all_partitions, contains, iter_class, least_gap, walk
+from hooklab.hooks import CENSUS_CEILING, boundary_words, t_hook_count, t_hooks
 from hooklab.qseries import counting_series
 
 
@@ -134,6 +134,17 @@ def _meets_walk_condition(need, n: int) -> bool:
     return all(a <= b for a, b in zip(room, room[1:]))
 
 
+# rules beyond the shipped four that meet the walk's condition, each as
+# (table, class it replaces, rule, the rule written out here)
+_WALK_RULES = [
+    (classes.GAP_RULES, ClassId.R1, gaps, _gap_rule(gaps))
+    for gaps in ((1, 1), (3, 2), (3, 4), (4, 4), (1, 3))
+] + [
+    (classes.RESIDUE_CLASSES, ClassId.R2, residues, _residue_rule(*residues))
+    for residues in ((frozenset({1, 3}), 4), (frozenset({1}), 3), (frozenset({1, 2}), 5), (frozenset({1, 4, 6}), 7))
+]
+
+
 def test_enumeration_is_exact_for_rules_that_meet_its_condition(monkeypatch):
     # the enumerator is exact only when part 1 is allowed and room does not
     # decrease: (2, 4) and (5, 1) break that, every shipped rule keeps it,
@@ -145,14 +156,7 @@ def test_enumeration_is_exact_for_rules_that_meet_its_condition(monkeypatch):
         assert _meets_walk_condition(_gap_rule(gaps), CENSUS_CEILING), cid
     for cid, residues in classes.RESIDUE_CLASSES.items():
         assert _meets_walk_condition(_residue_rule(*residues), CENSUS_CEILING), cid
-    cases = [
-        (classes.GAP_RULES, ClassId.R1, gaps, _gap_rule(gaps))
-        for gaps in ((1, 1), (3, 2), (3, 4), (4, 4), (1, 3))
-    ] + [
-        (classes.RESIDUE_CLASSES, ClassId.R2, residues, _residue_rule(*residues))
-        for residues in ((frozenset({1, 3}), 4), (frozenset({1}), 3), (frozenset({1, 2}), 5), (frozenset({1, 4, 6}), 7))
-    ]
-    for table, cid, rule, need in cases:
+    for table, cid, rule, need in _WALK_RULES:
         assert _meets_walk_condition(need, 30), rule
         monkeypatch.setitem(table, cid, rule)
         for n in range(31):
@@ -161,6 +165,34 @@ def test_enumeration_is_exact_for_rules_that_meet_its_condition(monkeypatch):
                 if all(need(v) is not None for v in p) and all(a - b >= need(a) for a, b in zip(p, p[1:]))
             ]
             assert list(iter_class(cid, n)) == brute, (rule, n)
+
+
+def _assert_words_count_hooks(cid, n):
+    """The words the walk carries for the members of size n give each
+    member's t_hook_count for every t <= n + 1."""
+    pairs = list(walk(cid, n))
+    norths, easts = boundary_words(pairs)
+    for t in range(1, n + 2):
+        assert list(t_hooks(norths, easts, t)) == [t_hook_count(p, t) for p, _ in pairs], (cid, n, t)
+
+
+def test_walk_carries_each_members_word(monkeypatch):
+    for n in range(31):
+        _assert_words_count_hooks(None, n)
+    for cid in ClassId:
+        for n in range(41):
+            _assert_words_count_hooks(cid, n)
+    for table, cid, rule, _ in _WALK_RULES:
+        monkeypatch.setitem(table, cid, rule)
+        for n in range(31):
+            _assert_words_count_hooks(cid, n)
+    assert boundary_words(walk(None, 0)) == ([0], [0])
+    # (3, 1) read from its largest part down is N E E N E
+    assert [p for p, _ in walk(None, 4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert boundary_words(walk(None, 4)) == (
+        [0b1, 0b1001, 0b11, 0b1101, 0b1111],
+        [0b11110, 0b10110, 0b1100, 0b10010, 0b10000],
+    )
 
 
 def test_equinumerous_pairs_to_60():

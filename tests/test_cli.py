@@ -282,15 +282,40 @@ def test_verify_reports_corruption():
 
 def test_verify_cross_checks_the_hook_table(monkeypatch):
     import hooklab.cli as cli
-    from hooklab.hooks import hook_lengths
+    from hooklab.hooks import _hook_cells
 
     # relabel 2-hooks as 3-hooks from n = 3 on: n cells, all in [1, n], the
     # 1-hooks intact, so only the count of 2s betrays the table
-    monkeypatch.setattr(cli, "hook_lengths", lambda p, conj: [
-        [3 if h == 2 and sum(p) >= 3 else h for h in row] for row in hook_lengths(p, conj)
+    monkeypatch.setattr(cli, "_hook_cells", lambda p, conj: [
+        3 if h == 2 and sum(p) >= 3 else h for h in _hook_cells(p, conj)
     ])
     bad = [r.name for r in verify_report(6) if not r.ok]
     assert bad == ["hook-sum conservation per partition (n <= 6)"]
+
+
+@pytest.mark.parametrize(
+    "planted, failures",
+    [
+        # a partition of another size: not in the map of the partitions of 3
+        ({(2, 1): (2, 2)}, {"conjugation involution": "(2, 1)", "hook-sum conservation per partition": "(2, 1)"}),
+        # non-partitions of the right size; the first leaves the hook table whole
+        ({(4,): (1, 1, 1, 1, 0)}, {"conjugation involution": "(4,)"}),
+        ({(3, 1): (1, 1, 2)}, {"conjugation involution": "(3, 1)", "hook-sum conservation per partition": "(3, 1)"}),
+        # (4,)'s conjugate (1, 1, 1, 1) now maps to (3, 1): the first break in
+        # walk order is at (4,), before either planted partition
+        (
+            {(2, 2): (2, 2, 1), (1, 1, 1, 1): (3, 1)},
+            {"conjugation involution": "(4,)", "hook-sum conservation per partition": "(1, 1, 1, 1)"},
+        ),
+    ],
+)
+def test_verify_reports_a_conjugate_outside_the_partitions(monkeypatch, planted, failures):
+    import hooklab.cli as cli
+
+    real = cli.conjugate
+    monkeypatch.setattr(cli, "conjugate", lambda p: planted.get(p, real(p)))
+    bad = {r.name: r.detail for r in verify_report(6) if not r.ok}
+    assert bad == {f"{title} (n <= 6)": witness for title, witness in failures.items()}
 
 
 def test_verify_calls_the_traced_geometry_names(monkeypatch):
@@ -875,22 +900,25 @@ def test_main_verify_failure_output_is_golden(monkeypatch, capsys):
     import hooklab.cli as cli
 
     # a 1-hook too many at (3, 1) and a 2-hook too many at (1, 1), in the
-    # unrestricted sweep's mask counts and in the classes' t_hook_count, and
+    # words of the unrestricted sweep and in the classes' t_hook_count, and
     # a conjugation that fixes (1, 1), break every property check once
-    real_masks, real_count, real_conjugate = cli._boundary_masks, cli.t_hook_count, cli.conjugate
+    real_words, real_count, real_conjugate = cli.boundary_words, cli.t_hook_count, cli.conjugate
     planted = {((3, 1), 1), ((1, 1), 2)}
 
-    def planted_masks(p):
-        # an E step past the end of the word and an N step t letters after
-        # it: one more t-hook, and the others it makes are longer than 2
-        north, east = real_masks(p)
-        far = north.bit_length() + 3
-        for t in range(1, 3):
-            if (p, t) in planted:
-                north, east = north | 1 << far + t, east | 1 << far
-        return north, east
+    def planted_words(pairs):
+        # the words are read from the largest part down, so a hook is an N
+        # step with an E step t letters after it: an N step past the end of
+        # the word and such an E step make one more t-hook, and the others
+        # they make are longer than 2
+        norths, easts = real_words(pairs)
+        for i, (p, _) in enumerate(pairs):
+            far = easts[i].bit_length() + 3
+            for t in range(1, 3):
+                if (p, t) in planted:
+                    norths[i], easts[i] = norths[i] | 1 << far, easts[i] | 1 << far + t
+        return norths, easts
 
-    monkeypatch.setattr(cli, "_boundary_masks", planted_masks)
+    monkeypatch.setattr(cli, "boundary_words", planted_words)
     monkeypatch.setattr(cli, "t_hook_count", lambda p, t: real_count(p, t) + ((p, t) in planted))
     monkeypatch.setattr(cli, "conjugate", lambda p: p if p == (1, 1) else real_conjugate(p))
     assert main(["verify", "--n-max", "6"]) == EXIT_CHECK_FAILED
