@@ -27,6 +27,12 @@ with its boundary word, and :func:`iter_class` and :func:`all_partitions`,
 gap 0 everywhere, which yield its parts) and the census scan in ``hooks``
 all take membership from it; the product sides in ``qseries`` and
 ``asym`` read :data:`RESIDUE_CLASSES` directly.
+
+A partition l_1 >= ... >= l_k is also its boundary word, read from the
+largest part down: N E^(l_1 - l_2) N ... N E^(l_k), an N step per part
+and then the E steps down to the next.  It is kept as two int bitmasks,
+bit j set when letter j (from 0) is N or is E, built from the parts by
+:func:`_boundary_masks` and carried step by step by the walk.
 """
 
 from __future__ import annotations
@@ -81,6 +87,21 @@ def contains(class_id: ClassId, parts: Partition) -> bool:
     )
 
 
+def _east(parts: Partition, north: int) -> int:
+    """The E mask of the boundary word of ``parts`` whose N mask is
+    ``north``: every letter below ``parts[0] + len(parts)`` that is not N."""
+    return ((1 << (parts[0] if parts else 0) + len(parts)) - 1) ^ north
+
+
+def _boundary_masks(parts: Partition) -> tuple:
+    """``(north, east)``: the boundary word of ``parts``, where part i (from
+    0) puts its N step at bit ``parts[0] - parts[i] + i``."""
+    north = 0
+    for i, part in enumerate(parts):
+        north |= 1 << parts[0] - part + i
+    return north, _east(parts, north)
+
+
 def _walk(n: int, need) -> Iterator[tuple]:
     """The partitions of ``n`` under the rule ``need`` (a least gap per part
     value, as :func:`least_gap`), descending lexicographic, by greedy fill
@@ -97,15 +118,10 @@ def _walk(n: int, need) -> Iterator[tuple]:
     covers what is left to fill.  No part left of the step changes, so the
     order is kept, and the walk ends when nothing can step down.
 
-    ``north`` is the word read from the largest part down: part i (from 0)
-    puts its N step at bit ``parts[0] - parts[i] + i``, and the other bits
-    below ``parts[0] + len(parts)`` are E steps.  That is the conjugate's
-    word with E and N swapped, which has the same hooks, so the t-hooks
-    number ``(north & east >> t).bit_count()`` for ``east`` the complement.
-    It changes only where ``parts`` does: a fill of k copies sets one block
-    of k bits, and a backtrack cuts the word below the N step of the last
-    part popped, which also cuts any 1s it dropped, as a pop always follows
-    the drop.
+    ``north``, the N mask of the word (:func:`_boundary_masks`), changes
+    only where ``parts`` does: a fill of k copies sets one block of k bits,
+    and a backtrack cuts the word below the N step of the last part popped,
+    which also cuts any 1s it dropped, as a pop always follows the drop.
 
     The walk is exact only when part 1 is allowed and ``room`` does not
     decrease; every class here meets both.  Otherwise it silently drops

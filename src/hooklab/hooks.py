@@ -1,33 +1,25 @@
 """Young-diagram geometry and t-hook censuses.
 
-Read from its smallest part up, a partition is the boundary word
-E^(l_k) N E^(l_(k-1) - l_k) N ... E^(l_1 - l_2) N of its Young diagram:
-each N step closes a part whose value is the width, the number of E steps
-before it.  The cell in the column of an E step and the row of a later N
-step has hook length equal to their distance in the word, so a t-hook is
-an E step whose letter t places later is N.  For one partition that is
-one popcount of two bitmasks (:func:`_boundary_masks`); a census scans all
-the words of a class at once (:func:`census_rows`).  Enumeration reads the
-word the other way, from the largest part down, as the class walk
-(``classes._walk``) carries it beside each member's parts, so a t-hook is
-an N step whose letter t places later is E; :func:`boundary_words` gives
-those words as N and E masks, and :func:`t_hooks` their popcounts, each a
-C pass over the words.  The cell formula
+Hooks are counted on the boundary word of ``classes``, read from the
+largest part down.  The cell in the row of an N step and the column of a
+later E step has hook length equal to their distance in the word, so a
+t-hook is an N step whose letter t places later is E: the t-hooks number
+``(north & east >> t).bit_count()``, for one partition in
+:func:`t_hook_count` and for the words the class walk carries in
+:func:`t_hooks`.  A census scans all the words of a class at once
+(:func:`census_rows`).  The cell formula
 ``h(i, j) = parts[i] + conj[j] - i - j + 1`` (1-based, ``conj`` the
 conjugate) of :func:`_hook_cells`, whose flat list of cells
 :func:`hook_lengths` cuts into rows, is the independent oracle for all of
 them.
 
-The census scan is exact and size-major: it walks the part values w, and
-each of its components is one list over sizes, moved by whole-list slice
-operations (``map``/``accumulate``), so the per-size loop runs in C.  An E
-step only renames components; closing parts of value w is a shift by w,
-and in a congruence class, where parts of value w may repeat, it is the
-closed form 1/(1 - q^w) taken by the stride-w running sums of
-``qseries._running_sums``.  Each class enters the scan as one least-gap
-rule, the fewest E steps before an N step that closes a part of value w,
-from ``classes.least_gap``.  Exhaustive enumeration
-(:func:`enumerated_census`) is kept as the scan's oracle.
+The census scan (:func:`_boundary_census`) is exact and size-major: each
+of its components is one list over sizes, moved by whole-list slice
+operations, so the per-size loop runs in C, and where parts of value w may
+repeat it takes 1/(1 - q^w) by the stride-w running sums of
+``qseries._running_sums``.  Each class enters it as its least-gap rule,
+``classes.least_gap``.  Exhaustive enumeration (:func:`enumerated_census`)
+is kept as the scan's oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +29,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, rshift, sub
 from typing import Iterator, NamedTuple
 
-from .classes import ClassId, Partition, least_gap, walk
+from .classes import ClassId, Partition, _boundary_masks, _east, least_gap, walk
 from .qseries import _running_sums
 
 #: largest n_max and t_max a census accepts
@@ -90,44 +82,28 @@ def hook_lengths(parts: Partition, conj: Partition | None = None) -> list:
     return [cells[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _boundary_masks(parts: Partition) -> tuple:
-    """``(north, east)``: the boundary word of ``parts`` as two int bitmasks,
-    bit k set when letter k (from 0) is N or is E, so the t-hooks number
-    ``(east & north >> t).bit_count()``.  The N step closing the k-th
-    smallest part follows its E steps and the k N steps before it."""
-    north = 0
-    for k, part in enumerate(reversed(parts)):
-        north |= 1 << part + k
-    return north, ((1 << north.bit_length()) - 1) ^ north
-
-
 def t_hook_count(parts: Partition, t: int) -> int:
     """Number of cells whose hook length is exactly ``t`` (t >= 1)."""
     if t < 1:
         raise ValueError("t must be >= 1")
     north, east = _boundary_masks(parts)
-    return (east & north >> t).bit_count()
+    return (north & east >> t).bit_count()
 
 
 def boundary_words(pairs) -> tuple:
-    """``(norths, easts)``: the words of the ``(parts, north)`` pairs that
-    the class walk yields (``classes.walk``), read from the largest part
-    down, as N and E bitmasks in walk order.  A member's t-hooks number
-    ``(north & east >> t).bit_count()``, its entry of :func:`t_hooks`.
-
-    The word of ``parts`` has ``parts[0] + len(parts)`` letters, and each
-    that is not N is E.  The members themselves are not kept."""
+    """``(norths, easts)``: the N and E masks of the words in the
+    ``(parts, north)`` pairs of ``classes.walk``, in walk order.  The
+    members themselves are not kept."""
     norths, easts = [], []
     for parts, north in pairs:
         norths.append(north)
-        easts.append(((1 << (parts[0] if parts else 0) + len(parts)) - 1) ^ north)
+        easts.append(_east(parts, north))
     return norths, easts
 
 
 def t_hooks(norths: list, easts: list, t: int) -> Iterator[int]:
     """The t-hooks of each word given by its masks, as :func:`boundary_words`
-    gives them: ``(north & east >> t).bit_count()``, each step one C pass
-    over the words."""
+    gives them, each step one C pass over the words."""
     return map(int.bit_count, map(and_, norths, map(rshift, easts, repeat(t))))
 
 
@@ -265,8 +241,9 @@ def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
     """``[cardinality, H_1, ..., H_t_max]`` for every size 0..n_max, where H_t
     is the number of t-hooks summed over the class members of that size.
 
-    By the hook rule of the module docstring, H_t counts the (word, marked
-    E step) pairs whose letter t places after the mark is N.
+    The scan builds each word from its smallest part up, the reverse of the
+    order in ``classes``, so H_t counts the (word, marked E step) pairs
+    whose letter t places after the mark is N.
 
     The scan runs over the width w, size-major.  Layer g holds the words
     with at least g E steps since their last N step (counted up to ``cap``)

@@ -240,6 +240,9 @@ def _memoized(key, order: int, build) -> TruncatedSeries:
 # parts its product side allows)
 _IDENTITIES = {"RR1": ("rr", ClassId.R2), "LG1": ("lg", ClassId.G2)}
 
+# class -> the identity whose sum side counts it
+_COUNTED_BY = {ClassId.R1: "RR1", ClassId.R2: "RR1", ClassId.G1: "LG1", ClassId.G2: "LG1"}
+
 
 def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     """Partition-count series of a class, built as the Nahm sum of its
@@ -250,8 +253,11 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     The sum is evaluated by Horner's rule on shrinking windows
     (:func:`_nahm_sum`).  :func:`identity_check_sum_product` compares it with
     the product side.  Memoized per process, one entry per pair, keyed by
-    the identity's name; a fresh series is returned on every call."""
-    which = "RR1" if class_id in (ClassId.R1, ClassId.R2) else "LG1"
+    the identity's name; a fresh series is returned on every call.  Anything
+    but a :class:`ClassId` raises ValueError before any memo entry is made."""
+    which = _COUNTED_BY.get(class_id)
+    if which is None:
+        raise ValueError(f"counting_series needs a ClassId; got {class_id!r}")
     stream, _ = _IDENTITIES[which]
     return _memoized(which, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
 

@@ -5,7 +5,15 @@ import math
 import pytest
 
 from hooklab import classes
-from hooklab.classes import ClassId, all_partitions, contains, iter_class, least_gap, walk
+from hooklab.classes import (
+    ClassId,
+    _boundary_masks,
+    all_partitions,
+    contains,
+    iter_class,
+    least_gap,
+    walk,
+)
 from hooklab.hooks import CENSUS_CEILING, boundary_words, t_hook_count, t_hooks
 from hooklab.qseries import counting_series
 
@@ -168,10 +176,12 @@ def test_enumeration_is_exact_for_rules_that_meet_its_condition(monkeypatch):
 
 
 def _assert_words_count_hooks(cid, n):
-    """The words the walk carries for the members of size n give each
-    member's t_hook_count for every t <= n + 1."""
+    """The words the walk carries for the members of size n are the words
+    _boundary_masks builds from their parts, and give each member's
+    t_hook_count for every t <= n + 1."""
     pairs = list(walk(cid, n))
     norths, easts = boundary_words(pairs)
+    assert list(zip(norths, easts)) == [_boundary_masks(p) for p, _ in pairs], (cid, n)
     for t in range(1, n + 2):
         assert list(t_hooks(norths, easts, t)) == [t_hook_count(p, t) for p, _ in pairs], (cid, n, t)
 

@@ -363,6 +363,18 @@ def test_memo_key_bound(empty_memo):
     assert len(qseries._MEMO) == 12
 
 
+def test_counting_series_looks_up_each_class(empty_memo):
+    # a ClassId's value string is not a class, and neither is None
+    for bad in ("r1", None):
+        with pytest.raises(ValueError):
+            counting_series(bad, 10)
+    assert qseries._MEMO == {}
+    rr1, lg1 = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6], [1, 1, 1, 1, 1, 2, 3, 3, 3, 4, 5]
+    for cid, coeffs in ((ClassId.R1, rr1), (ClassId.R2, rr1), (ClassId.G1, lg1), (ClassId.G2, lg1)):
+        assert counting_series(cid, 10).coeffs == coeffs, cid
+        assert coeffs == [len(list(iter_class(cid, n))) for n in range(11)], cid
+
+
 def test_product_side_tables_share_the_class_product(monkeypatch, empty_memo):
     # the product that sizes a table's digits is built once per class and
     # order: a second table of the class at the same or a lower order reads
