@@ -1,0 +1,103 @@
+"""Lemma checks that only the tests call: the Euler-Maclaurin residual of a
+sampled Gaussian and the leading-order probes of the class products.
+
+They use ``hooklab.asym``'s Bernoulli numbers and epsilon range, and mpmath
+(from the ``test`` extra) for erfc off the real line.
+"""
+
+import cmath
+import math
+
+import mpmath as mp
+
+from hooklab.asym import _BERNOULLI_MAX, _EPS_MAX, _EPS_MIN, _SERIES_CAP, PHI, bernoulli_number
+from hooklab.classes import RESIDUE_CLASSES, ClassId
+
+
+def _erfc(a: complex) -> complex | float:
+    """erfc of a complex argument: mpmath off the real line, at binary64
+    precision whatever mpmath's global precision, and math.erfc on it."""
+    if a.imag != 0.0:
+        with mp.workprec(53):
+            return complex(mp.erfc(a))
+    return math.erfc(a.real)
+
+
+def _hermite(m: int, x) -> complex | float:
+    # physicists' Hermite polynomial H_m
+    h0, h1 = 1.0, 2.0 * x
+    if m == 0:
+        return h0
+    for k in range(1, m):
+        h0, h1 = h1, 2.0 * x * h1 - 2.0 * k * h0
+    return h1
+
+
+def euler_maclaurin_gaussian_check(a, step, R: int) -> float:
+    """Euler-Maclaurin residual for f(x) = e^(-x^2) sampled at a + n step.
+
+    |sum_{n>=0} f(a + n step)
+      - [ (1/step) Int_a^inf f + f(a)/2
+          - sum_{r=1}^R B_2r step^(2r-1) f^(2r-1)(a) / (2r)! ]|
+
+    The bracket omits terms of order step^(2R); halving the step shrinks the
+    residual accordingly.  Requires |arg(step)| < pi/4 so the Gaussian decays
+    along the sampling ray (then the ray integral equals sqrt(pi)/2 erfc(a)).
+    """
+    if R < 1 or 2 * R > _BERNOULLI_MAX:
+        raise ValueError(f"R must be in [1, {_BERNOULLI_MAX // 2}]")
+    step_c = complex(step)
+    if step_c.real <= 0 or abs(step_c.imag) >= step_c.real:
+        raise ValueError("need |arg(step)| < pi/4 for convergence")
+    total = 0.0 + 0.0j
+    x = complex(a)
+    for n in range(_SERIES_CAP):
+        term = cmath.exp(-x * x)
+        total += term
+        if n > 2 and abs(term) < 1e-22 * abs(total) + 1e-300:
+            break
+        x += step_c
+    else:
+        raise RuntimeError("Gaussian sum did not converge")
+
+    bracket = (math.sqrt(math.pi) / 2.0) * _erfc(complex(a)) / step_c
+    bracket += cmath.exp(-complex(a) ** 2) / 2.0
+    for r in range(1, R + 1):
+        m = 2 * r - 1
+        deriv = (-1) ** m * _hermite(m, complex(a)) * cmath.exp(-complex(a) ** 2)
+        bracket -= bernoulli_number(2 * r) * step_c**m * deriv / math.factorial(2 * r)
+    return abs(total - bracket)
+
+
+_PRODUCT_MAINS = {
+    # (residues, modulus), log-amplitude, exponential rate coefficient c in e^(c/eps)
+    "RR14": (RESIDUE_CLASSES[ClassId.R2], 0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
+    "RR23": ((frozenset({2, 3}), 5), -0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
+    "LG": (RESIDUE_CLASSES[ClassId.G2], -0.25 * math.log(2.0), math.pi**2 / 16.0),
+}
+
+
+def product_asym_probe(which: str, epsilon: float) -> float:
+    """Ratio of a restricted inverse Pochhammer product at q = e^(-eps) to
+    its leading term.
+
+    ``RR14``: 1/(q,q^4;q^5)_inf   vs (phi^(1/2)/5^(1/4)) e^(pi^2/(15 eps)),
+    ``RR23``: 1/(q^2,q^3;q^5)_inf vs (phi^(-1/2) 5^(-1/4)) e^(pi^2/(15 eps)),
+    ``LG``:   1/(q,q^5,q^6;q^8)_inf vs 2^(-1/4) e^(pi^2/(16 eps)).
+
+    Factors with exponent*eps <= 50 enter the log-product; the omitted tail
+    is below 1e-20.
+    """
+    if not _EPS_MIN <= epsilon <= _EPS_MAX:
+        raise ValueError(f"epsilon must lie in [{_EPS_MIN}, {_EPS_MAX}]")
+    try:
+        (residues, modulus), log_amp, rate = _PRODUCT_MAINS[which]
+    except KeyError:
+        raise ValueError(f"unknown product {which!r}; expected one of {sorted(_PRODUCT_MAINS)}")
+    log_direct = 0.0
+    n_max = int(50.0 / epsilon)
+    for n in range(1, n_max + 1):
+        if n % modulus in residues:
+            log_direct -= math.log(-math.expm1(-n * epsilon))
+    log_main = log_amp + rate / epsilon
+    return math.exp(log_direct - log_main)

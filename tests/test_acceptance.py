@@ -31,6 +31,7 @@ from hooklab.qseries import (
     series_H,
     series_S,
 )
+from lemma_checks import euler_maclaurin_gaussian_check
 
 SERIES_TO_CLASS = [
     ("S", 1, 1, ClassId.R1), ("S", 1, 2, ClassId.R1),
@@ -160,8 +161,8 @@ def test_criterion_07_expansion_probes():
 
     # Euler-Maclaurin with the R = 1 correction: halving the step scales the
     # residual within a factor 2 of 2^(2R) = 4
-    em_big = asym.euler_maclaurin_gaussian_check(1.2, 0.4, 1)
-    em_half = asym.euler_maclaurin_gaussian_check(1.2, 0.2, 1)
+    em_big = euler_maclaurin_gaussian_check(1.2, 0.4, 1)
+    em_half = euler_maclaurin_gaussian_check(1.2, 0.2, 1)
     em_ratio = em_big / em_half
     assert 2.0 < em_ratio < 8.0, em_ratio
     _report(

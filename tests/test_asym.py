@@ -3,6 +3,7 @@ residuals, saddle functions and direct probes near q = 1."""
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -17,15 +18,14 @@ from hooklab.asym import (
     bernoulli_polynomial,
     dilog_gollnitz_identity_check,
     eta_asym_residual,
-    euler_maclaurin_gaussian_check,
     growth_model,
     log_pochhammer_shifted_exact,
     polylog,
-    product_asym_probe,
     saddle_functions,
     saddle_probe,
     zagier_expansion_residual,
 )
+from lemma_checks import euler_maclaurin_gaussian_check, product_asym_probe
 
 GOLDEN_INV = 1.0 / PHI
 
@@ -215,11 +215,16 @@ def test_eta_residual_epsilon_floor(monkeypatch):
     from hooklab import asym
 
     assert eta_asym_residual(ComplexParam(asym._EPS_MIN)) == 0
-    # rejected before any mpmath work: with mpmath gone only the bound can answer
-    monkeypatch.setattr(asym, "mp", None)
+    # rejected before any mpmath work: with the import blocked only the
+    # guards can answer, and an input they pass needs mpmath
+    monkeypatch.setitem(sys.modules, "mpmath", None)
     for eps in (1e-4, 0.0029):
         with pytest.raises(ValueError, match="epsilon"):
             eta_asym_residual(ComplexParam(eps))
+    with pytest.raises(ValueError, match="cone"):
+        eta_asym_residual(ComplexParam(0.05, 5.0))
+    with pytest.raises(ModuleNotFoundError, match="mpmath"):
+        eta_asym_residual(ComplexParam(0.05))
 
 
 def _lambert_eta_residual(eps, y):

@@ -946,12 +946,50 @@ def test_module_entry_point(tmp_path):
     assert "first_hold" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, hooklab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def test_cli_import_loads_only_the_standard_library():
+    # the modules the import adds, so that whatever the interpreter's site
+    # set-up loaded before it does not count
+    code = (
+        "import sys; before = set(sys.modules); import hooklab.cli; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.partition('.')[0] not in sys.stdlib_module_names | {'hooklab'}))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# every subcommand, each at a small size, with --json; {tmp} is the test's
+# temporary directory
+_WITHOUT_MPMATH = {
+    "version": ["--version"],
+    "census": ["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv"],
+    "verify": ["verify", "--n-max", "6"],
+    "crossover": ["crossover", "--pair", "r-t1", "--n-max", "300"],
+    "conjecture": ["conjecture", "--t", "3", "--n-max", "20"],
+    "ratios": ["ratios", "--pair", "r2-cross", "--checkpoints", "100,1000"],
+    "asym": ["asym", "--target", "S11", "--eps", "0.05,0.02"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITHOUT_MPMATH))
+def test_subcommands_run_without_mpmath(tmp_path, name):
+    # the same exit code, stdout and written files with mpmath's import
+    # blocked as with it open: the runtime needs the standard library alone
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _WITHOUT_MPMATH[name]]
+    argv += [] if name == "version" else ["--json"]
+    runs = []
+    for block in ("", "sys.modules['mpmath'] = None; "):
+        for f in tmp_path.iterdir():
+            f.unlink()
+        code = f"import sys; {block}from hooklab.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              env=_child_env())
+        files = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+        runs.append((proc.returncode, proc.stdout, files))
+    assert runs[0][0] == EXIT_OK, runs[0]
+    assert runs[1] == runs[0]
 
 
 def test_main_crossover_and_tables(capsys):
