@@ -960,16 +960,16 @@ def test_cli_import_loads_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
-# every subcommand, each at a small size, with --json; {tmp} is the test's
-# temporary directory
+# --version and every subcommand, each at a small size, with --json; {tmp}
+# is the test's temporary directory
 _WITHOUT_MPMATH = {
     "version": ["--version"],
-    "census": ["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv"],
-    "verify": ["verify", "--n-max", "6"],
-    "crossover": ["crossover", "--pair", "r-t1", "--n-max", "300"],
-    "conjecture": ["conjecture", "--t", "3", "--n-max", "20"],
-    "ratios": ["ratios", "--pair", "r2-cross", "--checkpoints", "100,1000"],
-    "asym": ["asym", "--target", "S11", "--eps", "0.05,0.02"],
+    "census": ["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv", "--json"],
+    "verify": ["verify", "--n-max", "6", "--json"],
+    "crossover": ["crossover", "--pair", "r-t1", "--n-max", "300", "--json"],
+    "conjecture": ["conjecture", "--t", "3", "--n-max", "20", "--json"],
+    "ratios": ["ratios", "--pair", "r2-cross", "--checkpoints", "100,1000", "--json"],
+    "asym": ["asym", "--target", "S11", "--eps", "0.05,0.02", "--json"],
 }
 
 
@@ -978,7 +978,6 @@ def test_subcommands_run_without_mpmath(tmp_path, name):
     # the same exit code, stdout and written files with mpmath's import
     # blocked as with it open: the runtime needs the standard library alone
     argv = [a.replace("{tmp}", str(tmp_path)) for a in _WITHOUT_MPMATH[name]]
-    argv += [] if name == "version" else ["--json"]
     runs = []
     for block in ("", "sys.modules['mpmath'] = None; "):
         for f in tmp_path.iterdir():
