@@ -14,23 +14,24 @@ conjugate) of :func:`_hook_cells`, whose flat list of cells
 them.
 
 The census scan (:func:`_boundary_census`) is exact and size-major: each
-of its components is one list over sizes, moved by whole-list slice
-operations, so the per-size loop runs in C, and where parts of value w may
-repeat it takes 1/(1 - q^w) by the stride-w running sums of
-``qseries._running_sums``.  Each class enters it as its least-gap rule,
+of its components is one int that packs a count per size in fixed-width
+digits, wide enough for any count of words up to n_max
+(:func:`_digit_width`), so a sum over all sizes is one int sum, a part of
+value w one shift, and where parts of value w may repeat 1/(1 - q^w) a
+few shifted sums by doubling.  Each class enters it as its least-gap rule,
 ``classes.least_gap``.  Exhaustive enumeration (:func:`enumerated_census`)
 is kept as the scan's oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, rshift, sub
 from typing import Iterator, NamedTuple
 
 from .classes import ClassId, Partition, _boundary_masks, _east, least_gap, walk
-from .qseries import _running_sums
 
 #: largest n_max and t_max a census accepts
 CENSUS_CEILING = 200
@@ -186,60 +187,51 @@ def check_shape(n_max: int, t_max: int) -> None:
         )
 
 
-def _plus(a, b):
-    """The sum of two components, each a list over sizes or None for zero."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return list(map(add, a, b))
+def _digit_width(n_max: int) -> int:
+    """The bits per size of the census scan's packed components: a multiple
+    of 8 above log2(2·(n_max + 1)·p(n_max)), where p(n) is the number of
+    all partitions of n, taken from p(n) < e^(π·sqrt(2n/3)).  Why every
+    digit fits is argued in :func:`_boundary_census`."""
+    bits = math.log2(2 * (n_max + 1)) + math.pi * math.sqrt(2 * n_max / 3) / math.log(2)
+    return 8 * (int(bits) // 8 + 1)
 
 
-def _plus_shifted(a, b, w: int):
-    """The component a + q^w b, over the sizes of a."""
-    if b is None or len(b) <= w:
-        return a
-    if a is None:
-        return [0] * w + b[:-w]
-    out = list(a)
-    out[w:] = map(add, out[w:], b)
-    return out
-
-
-def _geometric(a, w: int):
-    """The component a / (1 - q^w), as a fresh list."""
-    if a is None:
-        return None
-    out = list(a)
-    _running_sums(out, w)
-    return out
-
-
-def _close(src: list, w: int, loop: bool, span: int) -> list:
+def _close(src: list, shift: int, loop: bool, span: int, mask: int) -> list:
     """The layer y of words that end in an N step closing a part of value w,
     indexed by their size before that step: y = N(src), or, when ``loop``
     lets several parts of value w close in a row, y = N(src + q^w y).
+    ``shift`` is w times the digit width, and ``mask`` keeps the sizes
+    that can still take the part, cutting ``src`` first: a layer deeper
+    than 1 was last cut at an earlier width.
 
     N keeps the count, turns each mark of age a into an (a+1)-hook and ages
     the marks.  The loop is solved one component at a time: the aged marks
     m_(a+1) = M_a + q^w m_a by recursion over their age, then the count and
-    each H_(a+1) + m_(a+1) by one stride-w running sum."""
+    each H_(a+1) + m_(a+1) by one stride-w running sum, taken by doubling:
+    adding a copy shifted by w, 2w, 4w, ... sizes sums 1, 2, 4, 8, ...
+    terms of 1/(1 - q^w)."""
+    src = [c & mask for c in src]
     count, hooks, marks = src[0], src[1 : 1 + span], src[1 + span :]
     if loop:
-        count, aged, m = _geometric(count, w), [], None
+        aged, m = [], 0
         for mark in marks:
-            m = _plus_shifted(mark, m, w)
+            m = (mark + (m << shift)) & mask
             aged.append(m)
-        hooks = [_geometric(_plus(h, m), w) for h, m in zip(hooks, aged)]
-        marks = aged
+        sums = [count] + list(map(add, hooks, aged))
+        top = mask.bit_length()
+        while shift < top:
+            sums = [(a + (a << shift)) & mask for a in sums]
+            shift <<= 1
+        count, hooks, marks = sums[0], sums[1:], aged
     else:
-        hooks = list(map(_plus, hooks, marks))
-    return [count] + hooks + [None] + marks[:-1]
+        hooks = list(map(add, hooks, marks))
+    return [count] + hooks + [0] + marks[:-1]
 
 
-def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
+def _boundary_census(need, n_max: int, t_max: int) -> list:
     """``[cardinality, H_1, ..., H_t_max]`` for every size 0..n_max, where H_t
-    is the number of t-hooks summed over the class members of that size.
+    is the number of t-hooks summed over the words of size n that the rule
+    ``need`` admits (a least gap per part value, as in ``classes.walk``).
 
     The scan builds each word from its smallest part up, the reverse of the
     order in ``classes``, so H_t counts the (word, marked E step) pairs
@@ -247,53 +239,70 @@ def _boundary_census(class_id: ClassId, n_max: int, t_max: int) -> list:
 
     The scan runs over the width w, size-major.  Layer g holds the words
     with at least g E steps since their last N step (counted up to ``cap``)
-    as 1 + 2T components, each a list over sizes: the number of words, the
-    hooks H_1..H_T completed within them, and M_a the (word, marked E) pairs
-    with a letters after the mark.  A component that is zero at every size
-    is None.  An E step starts a mark on itself and ages the others, so it
-    only renames components: layer g - 1 becomes layer g, its count becomes
-    M_0 and each M_a becomes M_(a+1).  A mark older than T can complete no
-    hook that is counted and drops out, so a layer holds 2T + 1 lists, not
-    2^T as for a window of the last T letters.  Hook lengths never exceed
-    the size, so T = min(t_max, n_max).
+    as 1 + 2T components: the number of words, the hooks H_1..H_T
+    completed within them, and M_a the (word, marked E) pairs with a
+    letters after the mark.  Each component is one int that packs a count
+    per size: size s in bits [s·B, (s+1)·B), B = :func:`_digit_width`, so
+    a sum of components is one int sum, q^w times a component is a shift
+    by w·B, and ``& mask`` keeps the sizes 0..L - 1.  A component that is
+    zero at every size is 0.  An E step starts a mark on itself and ages
+    the others, so it only renames components: layer g - 1 becomes layer
+    g, its count becomes M_0 and each M_a becomes M_(a+1).  A mark older
+    than T can complete no hook that is counted and drops out, so a layer
+    holds 2T + 1 ints, not 2^T as for a window of the last T letters.
+    Hook lengths never exceed the size, so T = min(t_max, n_max).
 
-    Every rule is a least gap, need(w) = :func:`~hooklab.classes.least_gap`,
-    the fewest E steps between the N step that closes a part of value w and
-    the previous N step, or None when no part of value w is allowed; ``cap``
-    is the largest need, and at least 1.  The layers are cumulative, so the
-    words that may close a part of value w are one layer: g = need(w), or
-    g = 1 when need(w) = 0 and the N step may also follow one that closed
-    another part of value w.  Their N step
-    (:func:`_close`) gives the words that end in N, whose largest part is w:
-    they are added to the totals, and, shifted by w, to layer 0.  At width w
-    only the sizes up to n_max - w, which can still take a part, are kept.
+    A rule gives need(w), the fewest E steps between the N step that
+    closes a part of value w and the previous N step, or None when no part
+    of value w is allowed; ``cap`` is the largest need, and at least 1.
+    The layers are cumulative, so the words that may close a part of value
+    w are one layer: g = need(w), or g = 1 when need(w) = 0 and the N step
+    may also follow one that closed another part of value w.  Their N step
+    (:func:`_close`) gives the words that end in N, whose largest part is
+    w: they are added to the totals, and, shifted by w, to layer 0.  At
+    width w only the sizes up to n_max - w, which can still take a part,
+    are kept: layer 0 is cut to them at the width before, and the layer
+    that closes a part at that width.
+
+    The width B holds every digit.  A digit at a size s <= n_max counts
+    words of size s, at most p(s) <= p(n_max) of them, p(n) the number of
+    all partitions of n; or (word, marked E step) pairs of that size, at
+    most one per word for a mark M_a and at most one per N step, so at
+    most s per word, for a hook H_t; or, before a running sum, the sum of
+    two such counts, and each step of the doubling sums a subset of the
+    terms of the running sum it ends at.  So every digit is below
+    2·(n_max + 1)·p(n_max), whatever the rule, and no digit carries into
+    the next.  The totals are unpacked by ``int.to_bytes``, B being a
+    multiple of 8; it raises rather than drop a set bit past size n_max.
     """
     span = min(t_max, n_max)
-    needs = [None] + [least_gap(class_id, w) for w in range(1, n_max + 1)]
+    needs = [None] + [need(w) for w in range(1, n_max + 1)]
     cap = max(filter(None, needs), default=1)
-    totals = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(span)]
+    width = _digit_width(n_max)
+    masks = [(1 << size * width) - 1 for size in range(n_max + 1)]
+    totals = [1] + [0] * span
     # the empty word, at g = cap since the smallest part has no gap rule
-    layers = [[[1] + [0] * n_max] + [None] * (2 * span)] * (cap + 1)
+    layers = [[1] + [0] * (2 * span)] * (cap + 1)
     for w in range(1, n_max + 1):
         # the E step: a new mark M_0 on every word, the others one letter older
         layers[1:] = [v[: 1 + span] + v[:1] + v[1 + span : -1] for v in layers[:cap]]
         gap = needs[w]
         layers[0] = layers[1]
         if gap is not None:
-            ended = _close(layers[max(gap, 1)], w, gap == 0, span)
-            for total, comp in zip(totals, ended):
-                if comp is not None:
-                    total[w:] = map(add, total[w:], comp)
+            shift = w * width
+            ended = _close(layers[max(gap, 1)], shift, gap == 0, span, masks[n_max - w + 1])
+            totals = [total + (comp << shift) for total, comp in zip(totals, ended)]
             if 2 * w < n_max:  # some of them can still take a part w + 1
-                shifted = [c and [0] * w + c[: n_max - 2 * w] for c in ended]
-                layers[0] = list(map(_plus, layers[1], shifted))
-        # keep the sizes 0..n_max - w - 1, which can still take a part w + 1;
-        # once in a layer a list is written only here, so the lists that
-        # layers share are cut alike
-        for comp in layers[0]:
-            if comp is not None:
-                del comp[n_max - w :]
-    return [list(row) + [0] * (t_max - span) for row in zip(*totals)]
+                layers[0] = [a + (c << shift) for a, c in zip(layers[1], ended)]
+        # keep the sizes 0..n_max - w - 1, which can still take a part w + 1
+        layers[0] = [comp & masks[n_max - w] for comp in layers[0]]
+    step = width // 8
+    columns = []
+    for total in totals:
+        data = total.to_bytes((n_max + 1) * step, "little")
+        columns.append([int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)])
+    pad = [0] * (t_max - span)
+    return [list(row) + pad for row in zip(*columns)]
 
 
 def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None) -> dict:
@@ -314,7 +323,7 @@ def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None
         raise ValueError("sizes must be >= 0")
     if not ns:
         return {}
-    totals = _boundary_census(class_id, max(ns), t_max)
+    totals = _boundary_census(lambda v: least_gap(class_id, v), max(ns), t_max)
     return {n: (totals[n][1:], n * totals[n][0], totals[n][0]) for n in ns}
 
 

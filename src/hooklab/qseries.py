@@ -160,7 +160,8 @@ def _running_sums(c: list, period: int) -> None:
     The recurrence is a running sum along each residue class mod ``period``.
     A short period takes those sums slice by slice; a long one walks blocks
     of length ``period``, each adding the block before it, which is already
-    updated.  ``hooks`` runs its census scan on this kernel too."""
+    updated.  The census scan in ``hooks`` does not use it: its components
+    are packed ints, summed by doubling."""
     size = len(c)
     if period * period <= size:
         for r in range(period):

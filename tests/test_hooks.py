@@ -13,6 +13,8 @@ from hooklab import classes
 from hooklab.classes import ClassId, _boundary_masks, all_partitions, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
+    _boundary_census,
+    _digit_width,
     census,
     census_rows,
     conjugate,
@@ -236,7 +238,9 @@ def test_census_total_symmetry():
     assert g1.cardinality == g2.cardinality
 
 
-@pytest.mark.parametrize("n_max,t_max", [(40, 6), (20, 25)])  # the second has t > n
+# (0, 3) packs nothing, (1, 1) and (2, 5) have t > n and no width that
+# updates layer 0, (7, 2) runs a few widths that do
+@pytest.mark.parametrize("n_max,t_max", [(40, 6), (20, 25), (0, 3), (1, 1), (2, 5), (7, 2)])
 @pytest.mark.parametrize("cid", list(ClassId))
 def test_engine_matches_enumeration(cid, n_max, t_max):
     engine = census(cid, n_max, t_max)
@@ -326,3 +330,41 @@ def test_engine_oracles_at_the_ceiling(cid):
 def test_engine_at_t_equal_to_the_ceiling():
     c = census(ClassId.R1, CENSUS_CEILING, CENSUS_CEILING)
     assert _digest(c.counts) == "6d74ea914c516687"
+
+
+def _partition_counts(n_max):
+    """p(0..n_max), the number of all partitions, by Euler's pentagonal
+    recurrence."""
+    p = [1]
+    for n in range(1, n_max + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for a in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if a <= n:
+                    total += sign * p[n - a]
+            k += 1
+        p.append(total)
+    return p
+
+
+def test_scan_with_every_part_allowed_at_the_ceiling():
+    # over all partitions of n the t-hooks number t * sum_k p(n - k t); this
+    # rule has the largest digits of any, so the width is tested where it
+    # is tightest
+    n_max = CENSUS_CEILING
+    p = _partition_counts(n_max)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[200] == 3972999029388
+    rows = _boundary_census(lambda v: 0, n_max, n_max)
+    assert [row[0] for row in rows] == p
+    for n, row in enumerate(rows):
+        assert row[1:] == [t * sum(p[n - k * t] for k in range(1, n // t + 1)) for t in range(1, n_max + 1)], n
+
+
+def test_digit_width_holds_every_digit():
+    # every digit of the scan is below 2 (n + 1) p(n) (the _boundary_census
+    # docstring), with room to spare; a multiple of 8 for int.to_bytes
+    p = _partition_counts(CENSUS_CEILING)
+    for n in range(CENSUS_CEILING + 1):
+        width = _digit_width(n)
+        assert width > (2 * (n + 1) * p[n]).bit_length() and width % 8 == 0, n
