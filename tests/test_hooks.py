@@ -238,8 +238,8 @@ def test_census_total_symmetry():
     assert g1.cardinality == g2.cardinality
 
 
-# (0, 3) packs nothing, (1, 1) and (2, 5) have t > n and no width that
-# updates layer 0, (7, 2) runs a few widths that do
+# (0, 3) packs nothing and (2, 5) has t > n; (1, 1) and (2, 5) have no
+# width that updates layer 0, and (7, 2) runs a few widths that do
 @pytest.mark.parametrize("n_max,t_max", [(40, 6), (20, 25), (0, 3), (1, 1), (2, 5), (7, 2)])
 @pytest.mark.parametrize("cid", list(ClassId))
 def test_engine_matches_enumeration(cid, n_max, t_max):
