@@ -31,7 +31,7 @@ from hooklab.cli import (
     verify_report,
 )
 from hooklab.hooks import CENSUS_CEILING, census
-from hooklab.qseries import series_H, series_S
+from hooklab.qseries import _HOOK_SERIES, series_H, series_S
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +278,17 @@ def test_verify_reports_corruption():
     assert "S11" in bad[0].name
     assert "n=7" in bad[0].detail  # names the exponent and both values
     assert "6" in bad[0].detail and "5" in bad[0].detail
+
+
+@pytest.mark.parametrize("exponent, delta", [(1, -2), (16, 2)])
+@pytest.mark.parametrize("key", sorted(_HOOK_SERIES))
+def test_verify_corrupt_fails_only_its_series_check(key, exponent, delta):
+    # what the benchmark's verify-suite check requires of a planted error:
+    # exactly one failing check, the planted series' own, naming the exponent
+    bad = [r for r in verify_report(16, _corrupt=(key, exponent, delta)) if not r.ok]
+    assert len(bad) == 1, bad
+    assert bad[0].name.startswith(f"series {key} ")
+    assert f"n={exponent}:" in bad[0].detail
 
 
 def test_verify_cross_checks_the_hook_table(monkeypatch):
