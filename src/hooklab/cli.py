@@ -197,75 +197,113 @@ class CheckResult:
         )
 
 
-def _agreement(name: str, n_max: int, left: tuple, right: tuple, lead: str = "") -> CheckResult:
-    """Check that two (label, sequence) pairs agree at every n <= n_max; the
-    detail names the first n where they differ and both values there."""
+def _agreement(n_max: int, left: tuple, right: tuple, lead: str = "") -> str:
+    """"" when two (label, sequence) pairs agree at every n <= n_max, else
+    the first n where they differ and both values there."""
     (left_label, a), (right_label, b) = left, right
     bad = next((n for n in range(n_max + 1) if a[n] != b[n]), None)
-    if bad is None:
-        return CheckResult(name, True)
-    return CheckResult(name, False, f"{lead}n={bad}: {left_label} {a[bad]}, {right_label} {b[bad]}")
+    return "" if bad is None else f"{lead}n={bad}: {left_label} {a[bad]}, {right_label} {b[bad]}"
 
 
-#: the hook-property check titles, in report order, for the unrestricted
-#: partitions, the gap classes and the congruence classes
-_PROPERTY_TITLES = {
-    "unrestricted": (
-        "conjugation involution",
-        "hook-sum conservation per partition",
-        "1-hooks == distinct parts",
-        "2-hooks == gap_gt1 + mult_gt1",
-    ),
-    "gap": ("gap classes: 1-hooks == parts, 2-hooks == parts > 1",),
-    "congruence": ("congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs",),
-}
+def _unrestricted_sweep(n: int) -> Iterator[tuple]:
+    """``(p, oks)`` for every partition p of n, in walk order, with ``oks``
+    whether p keeps each unrestricted t = 1, 2 hook property.
 
-
-def _hook_properties(kind: str, cid: ClassId | None, n: int) -> Iterator[tuple]:
-    """``(p, oks)`` for every member p of size ``n``, in walk order: all
-    partitions, or the class ``cid`` of that kind, with ``oks`` whether p
-    keeps each hook property of ``_PROPERTY_TITLES[kind]``, in that order:
-    the unrestricted t = 1, 2 identities, or their specialisation to a gap
-    or a congruence class, whose hooks ``t_hook_count`` counts.
-
-    The unrestricted sweep takes one conjugate per partition.  Its
-    involution check looks each conjugate up in the map of all partitions
-    of n to theirs once the walk is done, so a conjugate that is not a
-    partition of n breaks it.  Its popcounts read the words the walk
-    carries, and its hook table is the cell formula, so each property
-    compares two constructions."""
-    if kind == "unrestricted":
-        pairs = list(walk(None, n))
-        members = list(map(itemgetter(0), pairs))
-        norths, easts = boundary_words(pairs)
-        conjs = list(map(conjugate, members))
-        back = dict(zip(members, conjs))
-        involution = map(eq, map(back.get, conjs), members)
-        ones, twos = t_hooks(norths, easts, 1), t_hooks(norths, easts, 2)
-        for p, conj, inv, one, two in zip(members, conjs, involution, ones, twos):
-            st = shortcut_stats(p)
-            # every cell has one hook in [1, n]
-            hooks = _hook_cells(p, conj)
-            yield p, (
-                inv,
-                len(hooks) == n
-                and (not n or min(hooks) >= 1 and max(hooks) <= n)
-                and hooks.count(1) == one
-                and hooks.count(2) == two,
-                one == st.distinct,
-                n < 2 or two == st.gap_gt1 + st.mult_gt1,
-            )
-        return
-    for p in iter_class(cid, n):
+    It takes one conjugate per partition.  Its involution check looks each
+    conjugate up in the map of all partitions of n to theirs once the walk
+    is done, so a conjugate that is not a partition of n breaks it.  Its
+    popcounts read the words the walk carries, and its hook table is the
+    cell formula, so each property compares two constructions."""
+    pairs = list(walk(None, n))
+    members = list(map(itemgetter(0), pairs))
+    norths, easts = boundary_words(pairs)
+    conjs = list(map(conjugate, members))
+    back = dict(zip(members, conjs))
+    involution = map(eq, map(back.get, conjs), members)
+    ones, twos = t_hooks(norths, easts, 1), t_hooks(norths, easts, 2)
+    for p, conj, inv, one, two in zip(members, conjs, involution, ones, twos):
         st = shortcut_stats(p)
-        if kind == "gap":
-            yield p, (t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,)
-        else:
-            # adjacent part values (8m+5, 8m+6 in g2; none in r2) share a
-            # corner when both occur
+        # every cell has one hook in [1, n]
+        hooks = _hook_cells(p, conj)
+        yield p, (
+            inv,
+            len(hooks) == n
+            and (not n or min(hooks) >= 1 and max(hooks) <= n)
+            and hooks.count(1) == one
+            and hooks.count(2) == two,
+            one == st.distinct,
+            n < 2 or two == st.gap_gt1 + st.mult_gt1,
+        )
+
+
+def _gap_sweep(n: int) -> Iterator[tuple]:
+    """``((class, p), oks)`` for every member p of size n of each gap class:
+    its 1-hooks are its parts and its 2-hooks its parts > 1."""
+    for cid in GAP_RULES:
+        name = cid.value
+        for p in iter_class(cid, n):
+            st = shortcut_stats(p)
+            yield (name, p), (t_hook_count(p, 1) == st.ell and t_hook_count(p, 2) == st.ell_gt1,)
+
+
+def _congruence_sweep(n: int) -> Iterator[tuple]:
+    """``((class, p), oks)`` for every member p of size n of each congruence
+    class: the unrestricted 2-hook count, less one per pair of adjacent part
+    values (8m+5, 8m+6 in g2; none in r2), which share a corner."""
+    for cid in RESIDUE_CLASSES:
+        name = cid.value
+        for p in iter_class(cid, n):
+            st = shortcut_stats(p)
             values = set(p)
             pairs = sum(1 for v in values if v - 1 in values)
-            yield p, (t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,)
+            yield (name, p), (t_hook_count(p, 2) == st.distinct_gt1 + st.mult_gt1 - pairs,)
+
+
+#: verify's hook-property sweeps, in report order: each row's check titles,
+#: and its sweep, which yields (witness, oks) for every member of size n,
+#: with oks whether the member keeps each property, in title order
+_PROPERTY_SWEEPS = (
+    (("conjugation involution", "hook-sum conservation per partition", "1-hooks == distinct parts",
+      "2-hooks == gap_gt1 + mult_gt1"), _unrestricted_sweep),
+    (("gap classes: 1-hooks == parts, 2-hooks == parts > 1",), _gap_sweep),
+    (("congruence classes: 2-hooks == distinct_gt1 + mult_gt1 - adjacent pairs",), _congruence_sweep),
+)
+
+
+def _checks(n_max: int, series: dict) -> Iterator[tuple]:
+    """``(title, detail)`` of every verify check, in report order, with
+    ``detail`` empty exactly when the check holds.  ``series`` maps S11 ...
+    H22 to their series at order n_max; the census of each class is shared
+    by its checks."""
+    censuses = {cid: cached_census(cid, n_max, ENGINE_CHECK_T) for cid in ClassId}
+    for name, (cid, t, _, _) in sorted(_HOOK_SERIES.items()):
+        yield f"series {name} == census {cid.value} (t={t}, n <= {n_max})", _agreement(
+            n_max, ("series", series[name]), ("census", censuses[cid].series(t)), "first discrepancy at ",
+        )
+    for cid in ClassId:
+        yield f"census cardinality == counting series for {cid.value}", _agreement(
+            n_max, ("census", censuses[cid].cardinality), ("counting series", counting_series(cid, n_max)),
+        )
+    for cid in ClassId:
+        c, oracle = censuses[cid], enumerated_census(cid, n_max, ENGINE_CHECK_T)
+        yield f"census engine == enumeration for {cid.value} (t <= {ENGINE_CHECK_T}, n <= {n_max})", _agreement(
+            n_max, ("engine", list(zip(c.counts, c.cardinality))),
+            ("enumeration", list(zip(oracle.counts, oracle.cardinality))),
+        )
+    for which in ("RR1", "LG1"):
+        chk = identity_check_sum_product(which, n_max)
+        yield f"sum-product identity {which} (n <= {n_max})", "" if chk.ok else str(chk)
+
+    bound = min(n_max, HOOK_PROPERTY_BOUND)
+    for titles, sweep in _PROPERTY_SWEEPS:
+        # per title, the first member breaking it, or None
+        witness = [None] * len(titles)
+        for n in range(bound + 1):
+            for w, oks in sweep(n):
+                if False in oks:
+                    witness = [w if old is None and not ok else old for old, ok in zip(witness, oks)]
+        for title, w in zip(titles, witness):
+            yield f"{title} (n <= {bound})", "" if w is None else str(w)
 
 
 def verify_report(
@@ -285,54 +323,11 @@ def verify_report(
         raise ValueError("n_max must be >= 0")
     if n_max > VERIFY_CEILING:
         raise ValueError(f"n_max must be <= {VERIFY_CEILING} (enumeration ceiling)")
-    results: list = []
-
     series = {name: _series(name, n_max) for name in _HOOK_SERIES}
     if _corrupt is not None:
         key, exponent, delta = _corrupt
         series[key].coeffs[exponent] += delta
-    censuses = {cid: cached_census(cid, n_max, ENGINE_CHECK_T) for cid in ClassId}
-    for name, (cid, t, _, _) in sorted(_HOOK_SERIES.items()):
-        results.append(_agreement(
-            f"series {name} == census {cid.value} (t={t}, n <= {n_max})", n_max,
-            ("series", series[name]), ("census", censuses[cid].series(t)), "first discrepancy at ",
-        ))
-    for cid in ClassId:
-        results.append(_agreement(
-            f"census cardinality == counting series for {cid.value}", n_max,
-            ("census", censuses[cid].cardinality), ("counting series", counting_series(cid, n_max)),
-        ))
-    for cid in ClassId:
-        c, oracle = censuses[cid], enumerated_census(cid, n_max, ENGINE_CHECK_T)
-        results.append(_agreement(
-            f"census engine == enumeration for {cid.value} (t <= {ENGINE_CHECK_T}, n <= {n_max})", n_max,
-            ("engine", list(zip(c.counts, c.cardinality))),
-            ("enumeration", list(zip(oracle.counts, oracle.cardinality))),
-        ))
-
-    for which in ("RR1", "LG1"):
-        chk = identity_check_sum_product(which, n_max)
-        results.append(CheckResult(f"sum-product identity {which} (n <= {n_max})", chk.ok, str(chk) if not chk.ok else ""))
-
-    bound = min(n_max, HOOK_PROPERTY_BOUND)
-    # title -> the first partition breaking it, or None
-    witness = dict.fromkeys(t for titles in _PROPERTY_TITLES.values() for t in titles)
-    sources = [("unrestricted", None)]
-    sources += [("gap", cid) for cid in GAP_RULES]
-    sources += [("congruence", cid) for cid in RESIDUE_CLASSES]
-    for n in range(bound + 1):
-        for kind, cid in sources:
-            titles = _PROPERTY_TITLES[kind]
-            for p, oks in _hook_properties(kind, cid, n):
-                if False in oks:
-                    for title, ok in zip(titles, oks):
-                        if not ok and witness[title] is None:
-                            witness[title] = p if cid is None else (cid.value, p)
-    results += [
-        CheckResult(f"{title} (n <= {bound})", w is None, "" if w is None else str(w))
-        for title, w in witness.items()
-    ]
-    return results
+    return [CheckResult(title, not detail, detail) for title, detail in _checks(n_max, series)]
 
 
 # --------------------------------------------------------------------------
