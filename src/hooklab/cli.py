@@ -441,12 +441,14 @@ _CROSS_RATIOS = {
 
 def ratio_table(pair: str, checkpoints: list) -> dict:
     """Coefficient/model ratios (``*-model``) or coefficient cross-ratios
-    with constant limits (``*-cross``) at the given checkpoints."""
+    with constant limits (``*-cross``) at the given checkpoints, one row
+    for each distinct checkpoint, in increasing order."""
     if not checkpoints:
         raise ValueError("checkpoints must be nonempty")
     if any(not 1 <= n <= 5000 for n in checkpoints):
         raise ValueError("checkpoints must lie in [1, 5000]")
-    order = max(checkpoints)
+    checkpoints = sorted(set(checkpoints))
+    order = checkpoints[-1]
     # a series' growth model is keyed by its class and t, as r11 for S11
     model_pairs = {f"{cid.value}{t}-model": name for name, (cid, t, _, _) in _HOOK_SERIES.items()}
     if pair in model_pairs:
@@ -455,14 +457,14 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         rows = [
             {"n": n, "coefficient": float(coeffs[n]), "model": model.value(n),
              "ratio": coeffs[n] / model.value(n)}
-            for n in sorted(checkpoints)
+            for n in checkpoints
         ]
         return {"pair": pair, "kind": "model", "limit": None, "rows": rows}
     if pair in _CROSS_RATIOS:
         num_key, den_key, limit = _CROSS_RATIOS[pair]
         num = _series(num_key, order)
         den = _series(den_key, order)
-        zero = next((n for n in sorted(checkpoints) if den[n] == 0), None)
+        zero = next((n for n in checkpoints if den[n] == 0), None)
         if zero is not None:
             raise ValueError(
                 f"{pair} is undefined at checkpoint n={zero}: {den_key} has coefficient 0 there"
@@ -470,7 +472,7 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         rows = [
             {"n": n, "ratio": num[n] / den[n], "limit": limit,
              "abs_error": abs(num[n] / den[n] - limit)}
-            for n in sorted(checkpoints)
+            for n in checkpoints
         ]
         return {"pair": pair, "kind": "cross", "limit": limit, "rows": rows}
     raise ValueError(

@@ -812,6 +812,18 @@ def test_main_ratios_with_a_zero_denominator(capsys):
     assert "checkpoint n=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", ["r2-cross", "g11-model"])
+def test_main_ratios_prints_a_repeated_checkpoint_once(capsys, pair):
+    # as conjecture's t list and asym's eps list, the checkpoints are a set
+    argv = ["ratios", "--pair", pair, "--checkpoints"]
+    assert main([*argv, "100,10,100", "--json"]) == EXIT_OK
+    assert [row["n"] for row in json.loads(capsys.readouterr().out)["rows"]] == [10, 100]
+    assert main([*argv, "100,10,100"]) == EXIT_OK
+    repeated = capsys.readouterr().out
+    assert main([*argv, "10,100"]) == EXIT_OK
+    assert repeated == capsys.readouterr().out and repeated.count("\n") == 2
+
+
 _VERIFY_6 = [
     "series H11 == census g1 (t=1, n <= 6)",
     "series H12 == census g1 (t=2, n <= 6)",
