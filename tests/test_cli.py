@@ -4,6 +4,8 @@ conjecture scans, ratio/saddle tables, exit codes."""
 import builtins
 import errno
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -1028,3 +1030,130 @@ def test_main_crossover_and_tables(capsys):
     assert main(["conjecture", "--t", "3", "--n-max", "25", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert {s["pair"] for s in payload["scans"]} == {"r", "g"}
+
+
+# --------------------------------------------------------------------------
+# reachability
+# --------------------------------------------------------------------------
+
+# every subcommand at a small size, and a usage error each for verify and
+# ratios; {tmp} is the test's temporary directory
+_SUBCOMMAND_SCAN = [
+    ["--version"],
+    ["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv",
+     "--cache", "{tmp}", "--workers", "1"],
+    ["verify", "--n-max", "6", "--workers", "1", "--json"],
+    ["verify", "--n-max", "81"],
+    ["crossover", "--pair", "r-t1", "--n-max", "30"],
+    ["conjecture", "--t", "3", "--n-max", "10", "--cache", "{tmp}"],
+    ["ratios", "--pair", "r11-model", "--checkpoints", "10,20"],
+    ["ratios", "--pair", "g2-cross", "--checkpoints", "1,50"],
+    ["ratios", "--pair", "r2-cross", "--checkpoints", "10"],
+    ["asym", "--target", "S11", "--eps", "0.05,0.02"],
+]
+
+# module.qualname of each src/hooklab function that no subcommand enters ->
+# why it stays: api (its top-level name is in hooklab.__all__), oracle (a
+# test compares against it, or against what it alone reaches) or bench
+# (bench/ calls or wraps it, or it is reached only from what bench/ calls)
+_UNREACHED = {
+    "classes.contains": "api",
+    "hooks.census": "api",
+    "hooks.hook_lengths": "api",
+    "qseries.TruncatedSeries.__eq__": "api",
+    "qseries.TruncatedSeries.__repr__": "api",
+    "qseries.TruncatedSeries.copy": "api",
+    "qseries.TruncatedSeries.is_zero": "api",
+    "qseries.BivariateSeries.__init__": "api",
+    "qseries.BivariateSeries.from_rows": "api",
+    "qseries.BivariateSeries.order_x": "api",
+    "qseries.BivariateSeries.coefficient": "api",
+    "qseries.BivariateSeries.at_x_one": "api",
+    "qseries.BivariateSeries.x_derivative_at_one": "api",
+    # verify's failure detail for a sum-product identity
+    "qseries.IdentityCheck.__str__": "oracle",
+    "classes.all_partitions": "oracle",
+    "asym.polylog": "oracle",
+    "asym._neg_polylog_numerator": "oracle",
+    "asym._cexpm1": "oracle",
+    "asym.dilog_gollnitz_identity_check": "oracle",
+    "asym._bernoulli_fraction": "oracle",
+    "asym.bernoulli_number": "oracle",
+    "asym.bernoulli_polynomial": "oracle",
+    "asym.log_pochhammer_shifted_exact": "oracle",
+    "asym.zagier_expansion_residual": "oracle",
+    "asym.ComplexParam.__post_init__": "bench",
+    "asym.ComplexParam.z": "bench",
+    "asym.ComplexParam.q": "bench",
+    "asym.eta_asym_residual": "bench",
+    "asym.saddle_functions": "bench",
+    "qseries.bivariate_R": "bench",
+    "qseries.bivariate_G": "bench",
+    "qseries._build_bivariate": "bench",
+    "qseries._nahm_terms": "bench",
+    "qseries._digit_width": "bench",
+    "qseries._part_factors": "bench",
+    "qseries._one_part_factor": "bench",
+    "qseries._part_one_factor": "bench",
+    "qseries._two_part_factor": "bench",
+    "qseries._pair_factor": "bench",
+}
+
+
+def _package_functions() -> dict:
+    """(file, first line, name) of each named function defined in a
+    src/hooklab module -> its module.qualname.  Class bodies and module code,
+    which run only at import, are left out, and so are lambdas and
+    comprehensions."""
+    found = {}
+
+    def visit(code, module, qualname):
+        for const in code.co_consts:
+            if not inspect.iscode(const):
+                continue
+            inner = f"{qualname}.{const.co_name}".lstrip(".")
+            function = const.co_flags & inspect.CO_OPTIMIZED
+            if function and not const.co_name.startswith("<"):
+                found[const.co_filename, const.co_firstlineno, const.co_name] = f"{module}.{inner}"
+            visit(const, module, f"{inner}.<locals>" if function else inner)
+
+    for path in sorted(Path(hooklab.__file__).parent.glob("*.py")):
+        if path.stem != "__main__":
+            module = importlib.import_module(f"hooklab.{path.stem}")
+            visit(compile(path.read_text(), module.__file__, "exec"), path.stem, "")
+    return found
+
+
+def test_every_function_runs_in_a_subcommand_or_is_listed(tmp_path, capsys, monkeypatch):
+    from hooklab import qseries
+
+    # the series memo and the lru caches would let a call skip a builder
+    # that an earlier test ran
+    monkeypatch.setattr(qseries, "_MEMO", {})
+    for module in (asym, qseries):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    codes = []
+    sys.setprofile(record)
+    try:
+        for argv in _SUBCOMMAND_SCAN:
+            codes.append(main([a.replace("{tmp}", str(tmp_path)) for a in argv]))
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE,
+                     EXIT_OK, EXIT_OK]
+    functions = _package_functions()
+    unreached = {name for key, name in functions.items() if key not in entered}
+    assert sorted(unreached) == sorted(_UNREACHED)
+    assert set(_UNREACHED.values()) == {"api", "oracle", "bench"}
+    api = {name for name, why in _UNREACHED.items() if why == "api"}
+    assert all(name.split(".")[1] in hooklab.__all__ for name in api)
