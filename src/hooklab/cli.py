@@ -198,8 +198,8 @@ class CheckResult:
 
 
 def _agreement(n_max: int, left: tuple, right: tuple, lead: str = "") -> str:
-    """"" when two (label, sequence) pairs agree at every n <= n_max, else
-    the first n where they differ and both values there."""
+    """The empty string when two (label, sequence) pairs agree at every
+    n <= n_max, else the first n where they differ and both values there."""
     (left_label, a), (right_label, b) = left, right
     bad = next((n for n in range(n_max + 1) if a[n] != b[n]), None)
     return "" if bad is None else f"{lead}n={bad}: {left_label} {a[bad]}, {right_label} {b[bad]}"

@@ -1154,6 +1154,6 @@ def test_every_function_runs_in_a_subcommand_or_is_listed(tmp_path, capsys, monk
     functions = _package_functions()
     unreached = {name for key, name in functions.items() if key not in entered}
     assert sorted(unreached) == sorted(_UNREACHED)
-    assert set(_UNREACHED.values()) == {"api", "oracle", "bench"}
+    assert set(_UNREACHED.values()) <= {"api", "oracle", "bench"}
     api = {name for name, why in _UNREACHED.items() if why == "api"}
     assert all(name.split(".")[1] in hooklab.__all__ for name in api)
