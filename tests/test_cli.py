@@ -1036,20 +1036,20 @@ def test_main_crossover_and_tables(capsys):
 # reachability
 # --------------------------------------------------------------------------
 
-# every subcommand at a small size, and a usage error each for verify and
-# ratios; {tmp} is the test's temporary directory
+# (argv, exit code): every subcommand at a small size, and a usage error each
+# for verify and ratios; {tmp} is the test's temporary directory
 _SUBCOMMAND_SCAN = [
-    ["--version"],
-    ["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv",
-     "--cache", "{tmp}", "--workers", "1"],
-    ["verify", "--n-max", "6", "--workers", "1", "--json"],
-    ["verify", "--n-max", "81"],
-    ["crossover", "--pair", "r-t1", "--n-max", "30"],
-    ["conjecture", "--t", "3", "--n-max", "10", "--cache", "{tmp}"],
-    ["ratios", "--pair", "r11-model", "--checkpoints", "10,20"],
-    ["ratios", "--pair", "g2-cross", "--checkpoints", "1,50"],
-    ["ratios", "--pair", "r2-cross", "--checkpoints", "10"],
-    ["asym", "--target", "S11", "--eps", "0.05,0.02"],
+    (["--version"], EXIT_OK),
+    (["census", "--class", "g2", "--n-max", "6", "--t-max", "2", "--out", "{tmp}/g2.csv",
+      "--cache", "{tmp}", "--workers", "1"], EXIT_OK),
+    (["verify", "--n-max", "6", "--workers", "1", "--json"], EXIT_OK),
+    (["verify", "--n-max", "81"], EXIT_USAGE),
+    (["crossover", "--pair", "r-t1", "--n-max", "30"], EXIT_OK),
+    (["conjecture", "--t", "3", "--n-max", "10", "--cache", "{tmp}"], EXIT_OK),
+    (["ratios", "--pair", "r11-model", "--checkpoints", "10,20"], EXIT_OK),
+    (["ratios", "--pair", "g2-cross", "--checkpoints", "1,50"], EXIT_USAGE),
+    (["ratios", "--pair", "r2-cross", "--checkpoints", "10"], EXIT_OK),
+    (["asym", "--target", "S11", "--eps", "0.05,0.02"], EXIT_OK),
 ]
 
 # module.qualname of each src/hooklab function that no subcommand enters ->
@@ -1144,13 +1144,12 @@ def test_every_function_runs_in_a_subcommand_or_is_listed(tmp_path, capsys, monk
     codes = []
     sys.setprofile(record)
     try:
-        for argv in _SUBCOMMAND_SCAN:
+        for argv, _ in _SUBCOMMAND_SCAN:
             codes.append(main([a.replace("{tmp}", str(tmp_path)) for a in argv]))
     finally:
         sys.setprofile(None)
     capsys.readouterr()
-    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE,
-                     EXIT_OK, EXIT_OK]
+    assert codes == [code for _, code in _SUBCOMMAND_SCAN]
     functions = _package_functions()
     unreached = {name for key, name in functions.items() if key not in entered}
     assert sorted(unreached) == sorted(_UNREACHED)
