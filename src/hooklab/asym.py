@@ -9,9 +9,8 @@ this module (and the ``hooklab`` command) needs the standard library alone.
 The probes evaluate the Nahm sums (term by term, each rational factor
 (numerator, periods) of a ``qseries._STREAMS`` stream taken by
 :func:`_factor_at`) directly at q = e^(-z), z = eps(1 + iy), and compare
-against their leading-order models; expansion residuals (Zagier's
-q-Pochhammer expansion, the Dedekind-eta log expansion) are measured
-against exact double-series evaluations.
+against their leading-order models; the Dedekind-eta log expansion residual
+is measured against Euler's pentagonal series.
 
 Growth models: each hook-count sequence grows like A n^(-1/4) e^(B sqrt(n))
 with B = 2 pi / sqrt(15) for the Rogers-Ramanujan pair and B = pi / 2 for
@@ -22,8 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .qseries import _STREAMS
@@ -37,20 +35,25 @@ _SERIES_CAP = 10**6
 _ETA_GUARD_DPS = 20  # digits beyond the cancellation in eta_asym_residual's sum
 
 
-@dataclass(frozen=True)
-class ComplexParam:
+class ComplexParam(namedtuple("ComplexParam", "epsilon y")):
     """Point q = e^(-z) near 1, parameterized by z = epsilon (1 + i y)."""
 
-    epsilon: float
-    y: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, epsilon: float, y: float = 0.0):
         # NaN fails every comparison, so each test is written to pass only
         # for a finite value
-        if not 0 < self.epsilon < math.inf:
+        if not 0 < epsilon < math.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if not math.isfinite(self.y):
+        if not math.isfinite(y):
             raise ValueError("y must be finite")
+        return super().__new__(cls, epsilon, y)
+
+    @classmethod
+    def _make(cls, iterable) -> ComplexParam:
+        # namedtuple's own _make, which _replace calls, builds the tuple
+        # directly and would skip the checks in __new__
+        return cls(*iterable)
 
     @property
     def z(self) -> complex:
@@ -61,44 +64,27 @@ class ComplexParam:
         return cmath.exp(-self.z)
 
 
-@dataclass(frozen=True)
-class AsymModel:
+class AsymModel(namedtuple("AsymModel", "amplitude growth label")):
     """Growth model A n^(-1/4) e^(B sqrt(n)) for a coefficient sequence."""
 
-    amplitude: float
-    growth: float
-    label: str
+    __slots__ = ()
 
     def value(self, n: float) -> float:
         return self.amplitude * n ** -0.25 * math.exp(self.growth * math.sqrt(n))
 
 
-@dataclass(frozen=True)
-class SaddleProbe:
+class SaddleProbe(namedtuple("SaddleProbe", "target epsilon direct_value main_term")):
     """Direct Nahm-sum value at q = e^(-eps) against its main term."""
 
-    target: str
-    epsilon: float
-    direct_value: float
-    main_term: float
+    __slots__ = ()
 
     @property
     def ratio(self) -> float:
         return self.direct_value / self.main_term
 
 
-def _cexpm1(u: complex) -> complex:
-    """exp(u) - 1 without cancellation for small complex |u|."""
-    a, b = u.real, u.imag
-    # e^(a+ib) - 1 = (expm1(a) cos b - 2 sin^2(b/2)) + i e^a sin b
-    return complex(
-        math.expm1(a) * math.cos(b) - 2.0 * math.sin(b / 2.0) ** 2,
-        math.exp(a) * math.sin(b),
-    )
-
-
 # --------------------------------------------------------------------------
-# polylogarithms and Bernoulli polynomials
+# polylogarithms
 # --------------------------------------------------------------------------
 
 
@@ -153,101 +139,9 @@ def polylog(s: int, w: complex) -> complex:
     return acc
 
 
-def dilog_gollnitz_identity_check() -> float:
-    """Residual of Li_2(sqrt(2)-1) - Li_2(1-sqrt(2)) = pi^2/8 - log^2(1+sqrt(2))/2."""
-    w = SQRT2 - 1.0
-    lhs = polylog(2, w) - polylog(2, -w)
-    rhs = math.pi**2 / 8.0 - LOG_SILVER**2 / 2.0
-    return abs(lhs - rhs)
-
-
-_BERNOULLI_MAX = 20
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_fraction(r: int) -> Fraction:
-    # B_0 = 1; sum_{k<m} C(m+1,k) B_k = -C(m+1,m) B_m  (B_1 = -1/2 convention)
-    if r == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(r):
-        acc += math.comb(r + 1, k) * _bernoulli_fraction(k)
-    return -acc / (r + 1)
-
-
-def bernoulli_number(r: int) -> float:
-    """Bernoulli number B_r (B_1 = -1/2), table-backed for r <= 20."""
-    if not 0 <= r <= _BERNOULLI_MAX:
-        raise ValueError(f"r must be in [0, {_BERNOULLI_MAX}]")
-    return float(_bernoulli_fraction(r))
-
-
-def bernoulli_polynomial(r: int, x) -> complex | float:
-    """Bernoulli polynomial B_r(x) = sum C(r,k) B_k x^(r-k), r <= 20."""
-    if not 0 <= r <= _BERNOULLI_MAX:
-        raise ValueError(f"r must be in [0, {_BERNOULLI_MAX}]")
-    acc = 0.0
-    for k in range(r + 1):
-        acc = acc + math.comb(r, k) * float(_bernoulli_fraction(k)) * x ** (r - k)
-    return acc
-
-
 # --------------------------------------------------------------------------
-# expansion residuals
+# the Dedekind-eta expansion residual
 # --------------------------------------------------------------------------
-
-
-def log_pochhammer_shifted_exact(w: complex, nu: complex, param: ComplexParam) -> complex:
-    """Log((w e^(-nu z) q; q)_inf) by the exact double series.
-
-    Log prod_{m>=1} (1 - a q^m) = -sum_{k>=1} a^k q^k / (k (1 - q^k)) with
-    a = w e^(-nu z); requires |a q| < 1.
-    """
-    z = param.z
-    a = w * cmath.exp(-nu * z)
-    if abs(a * param.q) >= 1.0:
-        raise ValueError("|w e^(-nu z) q| >= 1: series diverges")
-    if a == 0:
-        return 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    ak = 1.0 + 0.0j
-    for k in range(1, _SERIES_CAP + 1):
-        ak *= a
-        denom = -_cexpm1(-k * z)  # 1 - q^k, cancellation-free
-        term = ak * cmath.exp(-k * z) / (k * denom)
-        acc -= term
-        if abs(term) < 1e-18 * abs(acc) + 1e-300:
-            break
-    else:
-        raise RuntimeError("log-Pochhammer series did not converge")
-    return acc
-
-
-def zagier_expansion_residual(w: complex, nu: complex, param: ComplexParam, R: int) -> complex:
-    """Exact Log((w e^(-nu z) q; q)_inf) minus its truncated expansion
-
-        -Li_2(w)/z - (nu + 1/2) Log(1-w) - nu^2 z w / (2(1-w)) + psi,
-        psi = -sum_{r=2}^{R-1} (B_r(-nu) - [r=2] nu^2) Li_(2-r)(w) z^(r-1)/r!
-
-    The residual shrinks like z^(R-1) as z -> 0.
-    """
-    if not 2 <= R <= 8:
-        raise ValueError("R must be in [2, 8]")
-    z = param.z
-    exact = log_pochhammer_shifted_exact(w, nu, param)
-    if w == 0:
-        return exact
-    expansion = (
-        -polylog(2, w) / z
-        - (nu + 0.5) * cmath.log(1.0 - w)
-        - nu * nu * z / 2.0 * w / (1.0 - w)
-    )
-    for r in range(2, R):
-        coef = bernoulli_polynomial(r, -nu)
-        if r == 2:
-            coef -= nu * nu
-        expansion -= coef * polylog(2 - r, w) * z ** (r - 1) / math.factorial(r)
-    return exact - expansion
 
 
 def eta_asym_residual(param: ComplexParam) -> complex:

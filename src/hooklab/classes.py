@@ -38,9 +38,9 @@ bit j set when letter j (from 0) is N or is E, built from the parts by
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from itertools import zip_longest
 from operator import itemgetter
-from typing import Iterator
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 

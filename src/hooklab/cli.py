@@ -23,10 +23,10 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from operator import eq, itemgetter
 from pathlib import Path
-from typing import Callable, Iterator
 
 from . import __version__, asym
 from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, iter_class, walk
@@ -185,11 +185,8 @@ def run_census(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"[{'ok' if self.ok else 'FAIL'}] {self.name}" + (
@@ -335,8 +332,7 @@ def verify_report(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
+class CrossoverReport(namedtuple("CrossoverReport", "pair n_max first_hold violations")):
     """Where a strict coefficient inequality settles in.
 
     ``first_hold`` is the least N0 such that the inequality holds for every
@@ -344,10 +340,7 @@ class CrossoverReport:
     itself.
     """
 
-    pair: str
-    n_max: int
-    first_hold: int | None
-    violations: list = field(default_factory=list)
+    __slots__ = ()
 
 
 _CROSSOVER_PAIRS = {
@@ -381,8 +374,7 @@ def crossover_report(pair: str, n_max: int) -> CrossoverReport:
     return CrossoverReport(pair, n_max, first_hold, violations)
 
 
-@dataclass(frozen=True)
-class ConjectureScan:
+class ConjectureScan(namedtuple("ConjectureScan", "t pair n_max holds_from counterexamples_above")):
     """Scan of the strict inequality 'congruence class has more t-hooks'
     for one t >= 3 and one class pair ('r' or 'g').
 
@@ -390,11 +382,7 @@ class ConjectureScan:
     it: ``counterexamples_above`` is always empty, kept for readers of the
     payload."""
 
-    t: int
-    pair: str
-    n_max: int
-    holds_from: int | None
-    counterexamples_above: list = field(default_factory=list)
+    __slots__ = ()
 
 
 def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> list:
@@ -422,7 +410,7 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
             lhs = tables[gap_cid].series(t)
             rhs = tables[cong_cid].series(t)
             holds_from, _ = _first_hold_and_violations(lhs, rhs, "lt", n_max)
-            scans.append(ConjectureScan(t, pair, n_max, holds_from))
+            scans.append(ConjectureScan(t, pair, n_max, holds_from, []))
     return scans
 
 
@@ -541,7 +529,7 @@ def _census_command(args) -> tuple:
 def _verify_command(args) -> tuple:
     results = verify_report(args.n_max)
     ok = all(r.ok for r in results)
-    payload = {"n_max": args.n_max, "ok": ok, "checks": [asdict(r) for r in results]}
+    payload = {"n_max": args.n_max, "ok": ok, "checks": [r._asdict() for r in results]}
     lines = [r.line() for r in results] + [f"verify: {'PASS' if ok else 'FAIL'}"]
     return payload, lines, EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -550,7 +538,7 @@ def _crossover_command(args) -> tuple:
     report = crossover_report(args.pair, args.n_max)
     first = "absent" if report.first_hold is None else report.first_hold
     line = f"pair {report.pair}: first_hold={first} (n_max={report.n_max}, {len(report.violations)} violations below)"
-    return asdict(report), [line], EXIT_OK
+    return report._asdict(), [line], EXIT_OK
 
 
 def _conjecture_command(args) -> tuple:
@@ -560,7 +548,7 @@ def _conjecture_command(args) -> tuple:
         f"counterexamples_above={s.counterexamples_above}"
         for s in scans
     ]
-    return {"scans": [asdict(s) for s in scans]}, lines, EXIT_OK
+    return {"scans": [s._asdict() for s in scans]}, lines, EXIT_OK
 
 
 def _ratios_command(args) -> tuple:

@@ -26,10 +26,10 @@ is kept as the scan's oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, rshift, sub
-from typing import Iterator, NamedTuple
 
 from .classes import ClassId, Partition, _boundary_masks, _east, least_gap, walk
 
@@ -108,19 +108,21 @@ def t_hooks(norths: list, easts: list, t: int) -> Iterator[int]:
     return map(int.bit_count, map(and_, norths, map(rshift, easts, repeat(t))))
 
 
-class ShortcutStats(NamedTuple):
-    """Part-statistics that shortcut small-hook counts.
+class ShortcutStats(namedtuple("ShortcutStats", "ell distinct ell_gt1 distinct_gt1 mult_gt1 gap_gt1")):
+    """Part-statistics that shortcut small-hook counts:
+
+    - ``ell``: number of parts;
+    - ``distinct``: number of different parts;
+    - ``ell_gt1``: parts greater than 1;
+    - ``distinct_gt1``: different parts greater than 1;
+    - ``mult_gt1``: part values occurring more than once;
+    - ``gap_gt1``: indices i with parts[i] - parts[i+1] > 1, last part vs 0.
 
     For any partition the 1-hooks are the corner cells, so their number is
     ``distinct``; the 2-hooks number ``gap_gt1 + mult_gt1``.
     """
 
-    ell: int           # number of parts
-    distinct: int      # number of different parts
-    ell_gt1: int       # parts greater than 1
-    distinct_gt1: int  # different parts greater than 1
-    mult_gt1: int      # part values occurring more than once
-    gap_gt1: int       # indices i with parts[i] - parts[i+1] > 1, last part vs 0
+    __slots__ = ()
 
 
 def shortcut_stats(parts: Partition) -> ShortcutStats:
@@ -139,8 +141,7 @@ def shortcut_stats(parts: Partition) -> ShortcutStats:
     )
 
 
-@dataclass
-class HookCensus:
+class HookCensus(namedtuple("HookCensus", "class_id n_max t_max counts cardinality")):
     """Exact t-hook counts over one class for all sizes up to ``n_max``.
 
     ``counts[n][t-1]`` is the total number of t-hooks over the class members
@@ -148,11 +149,7 @@ class HookCensus:
     count.
     """
 
-    class_id: ClassId
-    n_max: int
-    t_max: int
-    counts: list = field(default_factory=list)
-    cardinality: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def total_hooks(self) -> list:
@@ -169,12 +166,12 @@ class HookCensus:
     @classmethod
     def from_rows(cls, class_id: ClassId, n_max: int, t_max: int, rows: dict) -> "HookCensus":
         """The table for sizes 0..n_max from ``{n: (bins, total_hooks, cardinality)}``."""
-        table = cls(class_id, n_max, t_max)
+        counts, cardinality = [], []
         for n in range(n_max + 1):
             bins, _, card = rows[n]
-            table.counts.append(bins)
-            table.cardinality.append(card)
-        return table
+            counts.append(bins)
+            cardinality.append(card)
+        return cls(class_id, n_max, t_max, counts, cardinality)
 
 
 def check_shape(n_max: int, t_max: int) -> None:
@@ -342,9 +339,9 @@ def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
     scan over all the class's words is checked against."""
     if n_max < 0 or t_max < 1:
         raise ValueError("need n_max >= 0 and t_max >= 1")
-    table = HookCensus(class_id, n_max, t_max)
+    counts, cardinality = [], []
     for n in range(n_max + 1):
         norths, easts = boundary_words(walk(class_id, n))
-        table.counts.append([sum(t_hooks(norths, easts, t)) for t in range(1, t_max + 1)])
-        table.cardinality.append(len(norths))
-    return table
+        counts.append([sum(t_hooks(norths, easts, t)) for t in range(1, t_max + 1)])
+        cardinality.append(len(norths))
+    return HookCensus(class_id, n_max, t_max, counts, cardinality)

@@ -64,7 +64,7 @@ memo.  :func:`inv_pochhammer_product`, the bivariate builders and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain, count, repeat
 from operator import add, mul
 
@@ -568,16 +568,11 @@ def bivariate_G(j: int, t: int, order: int) -> BivariateSeries:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "which order ok first_mismatch sum_value product_value",
+                               defaults=(None, None, None))):
     """Outcome of a coefficientwise sum-side vs product-side comparison."""
 
-    which: str
-    order: int
-    ok: bool
-    first_mismatch: int | None = None
-    sum_value: int | None = None
-    product_value: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.ok:

@@ -1,17 +1,133 @@
-"""Lemma checks that only the tests call: the Euler-Maclaurin residual of a
-sampled Gaussian and the leading-order probes of the class products.
+"""Lemma checks that only the tests call: the little Gollnitz dilogarithm
+identity, the Bernoulli numbers and polynomials, the Zagier q-Pochhammer
+expansion residual against its exact log-Pochhammer series, the
+Euler-Maclaurin residual of a sampled Gaussian and the leading-order probes
+of the class products.
 
-They use ``hooklab.asym``'s Bernoulli numbers and epsilon range, and mpmath
-(from the ``test`` extra) for erfc off the real line.
+They use ``hooklab.asym``'s polylogarithm, constants and epsilon range, and
+mpmath (from the ``test`` extra) for erfc off the real line.
 """
 
 import cmath
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
-from hooklab.asym import _BERNOULLI_MAX, _EPS_MAX, _EPS_MIN, _SERIES_CAP, PHI, bernoulli_number
+from hooklab.asym import (
+    _EPS_MAX,
+    _EPS_MIN,
+    _SERIES_CAP,
+    LOG_SILVER,
+    PHI,
+    SQRT2,
+    ComplexParam,
+    polylog,
+)
 from hooklab.classes import RESIDUE_CLASSES, ClassId
+
+
+def _cexpm1(u: complex) -> complex:
+    """exp(u) - 1 without cancellation for small complex |u|."""
+    a, b = u.real, u.imag
+    # e^(a+ib) - 1 = (expm1(a) cos b - 2 sin^2(b/2)) + i e^a sin b
+    return complex(
+        math.expm1(a) * math.cos(b) - 2.0 * math.sin(b / 2.0) ** 2,
+        math.exp(a) * math.sin(b),
+    )
+
+
+def dilog_gollnitz_identity_check() -> float:
+    """Residual of Li_2(sqrt(2)-1) - Li_2(1-sqrt(2)) = pi^2/8 - log^2(1+sqrt(2))/2."""
+    w = SQRT2 - 1.0
+    lhs = polylog(2, w) - polylog(2, -w)
+    rhs = math.pi**2 / 8.0 - LOG_SILVER**2 / 2.0
+    return abs(lhs - rhs)
+
+
+_BERNOULLI_MAX = 20
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_fraction(r: int) -> Fraction:
+    # B_0 = 1; sum_{k<m} C(m+1,k) B_k = -C(m+1,m) B_m  (B_1 = -1/2 convention)
+    if r == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for k in range(r):
+        acc += math.comb(r + 1, k) * _bernoulli_fraction(k)
+    return -acc / (r + 1)
+
+
+def bernoulli_number(r: int) -> float:
+    """Bernoulli number B_r (B_1 = -1/2), table-backed for r <= 20."""
+    if not 0 <= r <= _BERNOULLI_MAX:
+        raise ValueError(f"r must be in [0, {_BERNOULLI_MAX}]")
+    return float(_bernoulli_fraction(r))
+
+
+def bernoulli_polynomial(r: int, x) -> complex | float:
+    """Bernoulli polynomial B_r(x) = sum C(r,k) B_k x^(r-k), r <= 20."""
+    if not 0 <= r <= _BERNOULLI_MAX:
+        raise ValueError(f"r must be in [0, {_BERNOULLI_MAX}]")
+    acc = 0.0
+    for k in range(r + 1):
+        acc = acc + math.comb(r, k) * float(_bernoulli_fraction(k)) * x ** (r - k)
+    return acc
+
+
+def log_pochhammer_shifted_exact(w: complex, nu: complex, param: ComplexParam) -> complex:
+    """Log((w e^(-nu z) q; q)_inf) by the exact double series.
+
+    Log prod_{m>=1} (1 - a q^m) = -sum_{k>=1} a^k q^k / (k (1 - q^k)) with
+    a = w e^(-nu z); requires |a q| < 1.
+    """
+    z = param.z
+    a = w * cmath.exp(-nu * z)
+    if abs(a * param.q) >= 1.0:
+        raise ValueError("|w e^(-nu z) q| >= 1: series diverges")
+    if a == 0:
+        return 0.0 + 0.0j
+    acc = 0.0 + 0.0j
+    ak = 1.0 + 0.0j
+    for k in range(1, _SERIES_CAP + 1):
+        ak *= a
+        denom = -_cexpm1(-k * z)  # 1 - q^k, cancellation-free
+        term = ak * cmath.exp(-k * z) / (k * denom)
+        acc -= term
+        if abs(term) < 1e-18 * abs(acc) + 1e-300:
+            break
+    else:
+        raise RuntimeError("log-Pochhammer series did not converge")
+    return acc
+
+
+def zagier_expansion_residual(w: complex, nu: complex, param: ComplexParam, R: int) -> complex:
+    """Exact Log((w e^(-nu z) q; q)_inf) minus its truncated expansion
+
+        -Li_2(w)/z - (nu + 1/2) Log(1-w) - nu^2 z w / (2(1-w)) + psi,
+        psi = -sum_{r=2}^{R-1} (B_r(-nu) - [r=2] nu^2) Li_(2-r)(w) z^(r-1)/r!
+
+    The residual shrinks like z^(R-1) as z -> 0.
+    """
+    if not 2 <= R <= 8:
+        raise ValueError("R must be in [2, 8]")
+    z = param.z
+    exact = log_pochhammer_shifted_exact(w, nu, param)
+    if w == 0:
+        return exact
+    expansion = (
+        -polylog(2, w) / z
+        - (nu + 0.5) * cmath.log(1.0 - w)
+        - nu * nu * z / 2.0 * w / (1.0 - w)
+    )
+    for r in range(2, R):
+        coef = bernoulli_polynomial(r, -nu)
+        if r == 2:
+            coef -= nu * nu
+        expansion -= coef * polylog(2 - r, w) * z ** (r - 1) / math.factorial(r)
+    return exact - expansion
 
 
 def _erfc(a: complex) -> complex | float:

@@ -31,7 +31,11 @@ from hooklab.qseries import (
     series_H,
     series_S,
 )
-from lemma_checks import euler_maclaurin_gaussian_check
+from lemma_checks import (
+    dilog_gollnitz_identity_check,
+    euler_maclaurin_gaussian_check,
+    zagier_expansion_residual,
+)
 
 SERIES_TO_CLASS = [
     ("S", 1, 1, ClassId.R1), ("S", 1, 2, ClassId.R1),
@@ -112,7 +116,7 @@ def test_criterion_05_dilog_identities():
         - math.pi**2 / 15 - asym.LOG_PHI**2
     )
     assert golden < 1e-12
-    gollnitz = asym.dilog_gollnitz_identity_check()
+    gollnitz = dilog_gollnitz_identity_check()
     assert gollnitz < 1e-12
     _report(
         f"[criterion 5] PASS: dilogarithm identities (residuals {golden:.2e}, {gollnitz:.2e})"
@@ -146,8 +150,8 @@ def test_criterion_07_expansion_probes():
     # Zagier q-Pochhammer expansion: residual ~ z^(R-1), so halving epsilon
     # scales it by ~2^(R-1) = 4 at R = 3
     w = 1 / asym.PHI
-    r_big = abs(asym.zagier_expansion_residual(w, 0.3, asym.ComplexParam(0.02), 3))
-    r_small = abs(asym.zagier_expansion_residual(w, 0.3, asym.ComplexParam(0.01), 3))
+    r_big = abs(zagier_expansion_residual(w, 0.3, asym.ComplexParam(0.02), 3))
+    r_small = abs(zagier_expansion_residual(w, 0.3, asym.ComplexParam(0.01), 3))
     zagier_ratio = r_big / r_small
     assert 2.0 < zagier_ratio < 8.0, zagier_ratio
 

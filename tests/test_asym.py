@@ -14,18 +14,21 @@ from hooklab.asym import (
     PHI,
     AsymModel,
     ComplexParam,
-    bernoulli_number,
-    bernoulli_polynomial,
-    dilog_gollnitz_identity_check,
     eta_asym_residual,
     growth_model,
-    log_pochhammer_shifted_exact,
     polylog,
     saddle_functions,
     saddle_probe,
+)
+from lemma_checks import (
+    bernoulli_number,
+    bernoulli_polynomial,
+    dilog_gollnitz_identity_check,
+    euler_maclaurin_gaussian_check,
+    log_pochhammer_shifted_exact,
+    product_asym_probe,
     zagier_expansion_residual,
 )
-from lemma_checks import euler_maclaurin_gaussian_check, product_asym_probe
 
 GOLDEN_INV = 1.0 / PHI
 
@@ -209,6 +212,17 @@ def test_complex_param_rejects_non_finite_values(bad):
         ComplexParam(bad)
     with pytest.raises(ValueError, match="y must be finite"):
         ComplexParam(0.05, bad)
+    # and on the paths that namedtuple builds without calling the class
+    param = ComplexParam(0.05)
+    for eps in (bad, 0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            param._replace(epsilon=eps)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            ComplexParam._make([eps, 0.0])
+    with pytest.raises(ValueError, match="y must be finite"):
+        param._replace(y=bad)
+    with pytest.raises(ValueError, match="y must be finite"):
+        ComplexParam._make([0.05, bad])
 
 
 def test_eta_residual_epsilon_floor(monkeypatch):
