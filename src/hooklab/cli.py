@@ -8,7 +8,9 @@ default of ``run``.  A handler takes the parsed arguments and returns the
 JSON payload, the human-readable lines and the exit code; :func:`main`
 prints the payload under ``--json`` and the lines otherwise, and maps a
 ``ValueError`` or ``OSError`` to a usage error.  Exit codes are 0 success,
-1 check failure, 2 usage error.
+1 check failure, 2 usage error.  :func:`main` may be called repeatedly in
+one process: it builds its parser on the first call, not at import, and
+reuses it, and each call gives the same output as a fresh process.
 
 The t = 1, 2 subcommands (verify's series checks, crossovers and ratios)
 name the eight hook series S11 ... H22 as ``qseries._HOOK_SERIES`` does and
@@ -25,6 +27,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from functools import cache
 from operator import eq, itemgetter
 from pathlib import Path
 
@@ -572,9 +575,17 @@ def _asym_command(args) -> tuple:
     return table, lines, EXIT_OK if table["monotone"] else EXIT_CHECK_FAILED
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``hooklab`` parser: each subparser names its handler as the
-    default of ``run``, and each shared option is declared once."""
+    default of ``run``, and each shared option is declared once.
+
+    Built once per process, on the first :func:`main` call, and never
+    changed after: parsing makes a new namespace each call.  The handlers
+    are bound here, but every name they call (``census_rows``,
+    ``cached_census``, ``conjugate``, ``_hook_cells``, ``series_S``, ...) is
+    looked up in this module's globals when they run, so patching one
+    takes effect on the next call."""
     parser = argparse.ArgumentParser(
         prog="hooklab",
         description="t-hook censuses, generating-function verification and "
@@ -627,7 +638,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list | None = None) -> int:
     """Parse ``argv``, run the subcommand's handler, and print its JSON
-    payload (``--json``) or its lines; returns the exit code."""
+    payload (``--json``) or its lines; returns the exit code.  The parser
+    is built on the first call and shared by every later one
+    (:func:`_build_parser`)."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, rshift, sub
 
 from .classes import ClassId, Partition, _boundary_masks, _east, least_gap, walk
@@ -58,16 +58,11 @@ def _hook_cells(parts: Partition, conj: Partition) -> list:
     """The hook length of every cell, row by row, as one flat list.
 
     ``conj`` is the conjugate of ``parts``.  With 0-based row i and column
-    j, h = parts[i] + conj[j] - i - j - 1: conj[j] less j - parts[i] + i + 1,
-    so row i is conj[:parts[i]] less range(i + 1 - parts[i], i + 1), one
-    subtraction per cell, every pass in C."""
-    rows = map(
-        map,
-        repeat(sub),
-        map(islice, repeat(conj), parts),
-        map(range, map(sub, count(1), parts), count(1)),
-    )
-    return list(chain.from_iterable(rows))
+    j, h = parts[i] + conj[j] - i - j - 1 = (parts[i] - i - 1) + cols[j],
+    where cols[j] = conj[j] - j is taken once per partition, so row i is
+    cols[:parts[i]] shifted by parts[i] - i - 1, one addition per cell."""
+    cols = [c - j for j, c in enumerate(conj)]
+    return [r - i - 1 + c for i, r in enumerate(parts) for c in cols[:r]]
 
 
 def hook_lengths(parts: Partition, conj: Partition | None = None) -> list:

@@ -1,6 +1,7 @@
 """CLI layer: census and cache files, the verify suite, crossovers,
 conjecture scans, ratio/saddle tables, exit codes."""
 
+import argparse
 import builtins
 import errno
 import hashlib
@@ -971,6 +972,62 @@ def test_module_entry_point(tmp_path):
     assert "first_hold" in proc.stdout
 
 
+# one process's mixed sequence: a census that writes files, a usage error
+# from a choice and one from a type check, --version, and a --json call
+# before a human-readable one of another subcommand, so that a default one
+# call left on the shared parser would show in a later one; {tmp} is the
+# test's temporary directory
+_REPLAY = [
+    ["census", "--class", "r2", "--n-max", "12", "--t-max", "3", "--out", "{tmp}/r2.csv"],
+    ["crossover", "--pair", "r-t3", "--n-max", "30"],
+    ["conjecture", "--t", "3", "--n-max", "20", "--json"],
+    ["verify", "--n-max", "6", "--workers", "0"],
+    ["--version"],
+    ["verify", "--n-max", "6"],
+]
+
+
+def test_main_called_repeatedly_matches_fresh_processes_and_builds_one_parser(
+    tmp_path, capsys, monkeypatch
+):
+    import hooklab.cli as cli
+
+    # usage lines wrap at the terminal width, which a pipe and pytest's own
+    # terminal need not share
+    monkeypatch.setenv("COLUMNS", "80")
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+
+    def taken() -> dict:
+        """The files a run wrote, by name; they are removed for the next run."""
+        files = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+        for f in files:
+            (tmp_path / f).unlink()
+        return files
+
+    cli._build_parser.cache_clear()
+    for argv in _REPLAY:
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        in_process = (main(argv), *capsys.readouterr(), taken())
+        proc = subprocess.run([sys.executable, "-m", "hooklab", *argv], capture_output=True,
+                              text=True, env=_child_env())
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr, taken()), argv
+    assert built.count("hooklab") == 1
+
+
+def test_cli_import_builds_no_parser():
+    code = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(k) or init(self, *a, **k)\n"
+        "import hooklab.cli; print(len(built))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_cli_import_loads_only_the_standard_library():
     # the modules the import adds, so that whatever the interpreter's site
     # set-up loaded before it does not count
@@ -1131,12 +1188,12 @@ def _package_functions() -> dict:
 
 
 def test_every_function_runs_in_a_subcommand_or_is_listed(tmp_path, capsys, monkeypatch):
-    from hooklab import qseries
+    from hooklab import cli, qseries
 
-    # the series memo and the lru caches would let a call skip a builder
-    # that an earlier test ran
+    # the series memo, the lru caches and the parser cache would let a call
+    # skip a builder that an earlier test ran
     monkeypatch.setattr(qseries, "_MEMO", {})
-    for module in (asym, qseries):
+    for module in (asym, qseries, cli):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
