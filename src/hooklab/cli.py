@@ -347,17 +347,18 @@ class CrossoverReport(namedtuple("CrossoverReport", "pair n_max first_hold viola
 
 
 _CROSSOVER_PAIRS = {
-    # pair -> (lhs series, rhs series, direction): direction "gt" means lhs > rhs required
-    "r-t1": ("S11", "S21", "gt"),
-    "r-t2": ("S12", "S22", "lt"),
-    "g-t1": ("H11", "H21", "gt"),
-    "g-t2": ("H12", "H22", "lt"),
+    # pair -> (smaller series, larger series) of its strict inequality
+    "r-t1": ("S21", "S11"),
+    "r-t2": ("S12", "S22"),
+    "g-t1": ("H21", "H11"),
+    "g-t2": ("H12", "H22"),
 }
 
 
-def _first_hold_and_violations(lhs, rhs, direction: str, n_max: int):
-    holds = (lambda a, b: a > b) if direction == "gt" else (lambda a, b: a < b)
-    violations = [n for n in range(n_max + 1) if not holds(lhs[n], rhs[n])]
+def _first_hold_and_violations(lhs, rhs, n_max: int):
+    """(first hold, violations) of lhs[n] < rhs[n] over n <= n_max, as
+    :class:`CrossoverReport` holds them."""
+    violations = [n for n in range(n_max + 1) if not lhs[n] < rhs[n]]
     if violations and violations[-1] == n_max:
         return None, violations
     return (violations[-1] + 1 if violations else 0), violations
@@ -370,10 +371,10 @@ def crossover_report(pair: str, n_max: int) -> CrossoverReport:
         raise ValueError(f"unknown pair {pair!r}; expected one of {sorted(_CROSSOVER_PAIRS)}")
     if not 0 <= n_max <= 5000:
         raise ValueError("n_max must be in [0, 5000]")
-    lkey, rkey, direction = _CROSSOVER_PAIRS[pair]
+    lkey, rkey = _CROSSOVER_PAIRS[pair]
     lhs = _series(lkey, n_max)
     rhs = _series(rkey, n_max)
-    first_hold, violations = _first_hold_and_violations(lhs, rhs, direction, n_max)
+    first_hold, violations = _first_hold_and_violations(lhs, rhs, n_max)
     return CrossoverReport(pair, n_max, first_hold, violations)
 
 
@@ -412,7 +413,7 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
         ):
             lhs = tables[gap_cid].series(t)
             rhs = tables[cong_cid].series(t)
-            holds_from, _ = _first_hold_and_violations(lhs, rhs, "lt", n_max)
+            holds_from, _ = _first_hold_and_violations(lhs, rhs, n_max)
             scans.append(ConjectureScan(t, pair, n_max, holds_from, []))
     return scans
 

@@ -34,17 +34,18 @@ from the last term that reaches the order inward, so each level is one
 :func:`_apply` of a stream's factor to the level inside it.  A level
 is kept only on the window that can still reach q^order, which shrinks as
 the lowest exponent of its term grows, so the sum costs about as much as
-the terms' nonzero windows, not (number of terms) x (order).
-:func:`_nahm_terms` runs a stream term by term at full order; it gives the
-gap-class bivariate rows, and the sums are tested against it.
+the terms' nonzero windows, not (number of terms) x (order).  Term n may
+also carry a weight x^n at an integer x.
 
 One builder, :func:`_build_bivariate`, makes the eight bivariate
-refinements sum_lambda x^(statistic) q^|lambda|.  A gap-class table takes
-its rows from the same streams.  A congruence-class table is a product of
-one factor per part value that ``classes.RESIDUE_CLASSES`` allows, as is
-the product side of :func:`identity_check_sum_product`, so each congruence
-class is defined there alone; it is taken at x = 2^b as one series whose
-b-bit digits are the table's columns (Kronecker substitution).
+refinements sum_lambda x^(statistic) q^|lambda|, each taken at x = 2^b as
+one series whose b-bit digits are the table's columns (Kronecker
+substitution) and read back by one unpacking.  A gap-class table is the
+Horner sum of x^n times term n over its streams.  A congruence-class table
+is a product of one factor per part value that ``classes.RESIDUE_CLASSES``
+allows, as is the product side of :func:`identity_check_sum_product`, so
+each congruence class is defined there alone.  Both classes of a pair take
+the digit width b from the congruence class's product.
 
 :func:`counting_series` is the Nahm (sum) side of each pair's first
 identity; the product side, :func:`inv_pochhammer_product`, built largest
@@ -284,36 +285,24 @@ _STREAMS = {
 }
 
 
-def _nahm_terms(stream: str, order: int):
-    """(n, term n) for n = 0, 1, ... over a stream of :data:`_STREAMS`, up to
-    its first zero term (the lowest exponent rises with n, and each later
-    term is a multiple of it).  Each term is a fresh series and the next is
-    built before it is handed out, so the caller may mutate it.
-
-    Every term is run at the full order.  This serves the bivariate
-    gap-class rows, which need the terms one by one, and the test that holds
-    :func:`_nahm_sum`, which never forms a term, to the plain sum of them."""
-    first, step = _STREAMS[stream]
-    term, n = _apply(TruncatedSeries.one(order), first), 0
-    while not term.is_zero():
-        after = _apply(term, step(n + 1))
-        yield n, term
-        term, n = after, n + 1
-
-
-def _nahm_sum(streams, order: int) -> TruncatedSeries:
-    """Sum over (stream, a, b) in ``streams`` of (a*n + b) times term n of
-    that stream, to the given order.
+def _nahm_sum(streams, order: int, x: int = 1) -> TruncatedSeries:
+    """Sum over (stream, a, b) in ``streams`` of (a*n + b) x^n times term n
+    of that stream, to the given order, at the integer ``x``.
 
     Each weighted sum is evaluated by Horner's rule, from the innermost term
-    outward.  With F_n the factor taking term n-1 to term n (F_0 = term 0)
-    and K the last term whose lowest exponent is at most ``order``, the sum
-    is F_0 T_0, where T_K = a*K + b and T_k = (a*k + b) + F_(k+1) T_(k+1).
-    T_k enters the sum multiplied by F_0 ... F_k, which is term k, so it is
-    needed only below q^(order + 1 - low_k), low_k being the lowest exponent
-    of term k: each level is kept on that window, which shrinks as k grows,
-    and is one :func:`_apply` of F_k to the level inside it, on a window
-    longer by the lowest exponent of F_k's numerator."""
+    outward.  With F_n the factor taking term n-1 to term n (F_0 = term 0),
+    w_k = (a*k + b) x^k and K the last term whose lowest exponent is at most
+    ``order``, the sum is F_0 T_0, where T_K = w_K and
+    T_k = w_k + F_(k+1) T_(k+1).  T_k enters the sum multiplied by
+    F_0 ... F_k, which is term k, so it is needed only below
+    q^(order + 1 - low_k), low_k being the lowest exponent of term k: each
+    level is kept on that window, which shrinks as k grows, and is one
+    :func:`_apply` of F_k to the level inside it, on a window longer by the
+    lowest exponent of F_k's numerator.
+
+    The hook series and the counting series take x = 1.  A gap-class
+    bivariate table takes x = 2^b, its packed digits (see
+    :func:`_build_bivariate`)."""
     if order < 0:
         raise ValueError("order must be >= 0")
     acc = TruncatedSeries.zero(order)
@@ -332,7 +321,7 @@ def _nahm_sum(streams, order: int) -> TruncatedSeries:
             continue
         level = TruncatedSeries.zero(room - 1)
         for k in range(len(factors) - 1, -1, -1):
-            level.coeffs[0] += a * k + b
+            level.coeffs[0] += (a * k + b) * x**k
             factor, low = factors[k]
             # F_k T_k on the window of T_(k-1), which is low longer
             level = _apply(level, factor, level.order + low)
@@ -422,15 +411,6 @@ class BivariateSeries:
             cols.pop()
         self.order_q, self.cols = order_q, cols
 
-    @classmethod
-    def from_rows(cls, order_q: int, rows) -> "BivariateSeries":
-        """Table of the sum of x^k s(q) over the (k, s) pairs in ``rows``."""
-        cols = [TruncatedSeries.zero(order_q)]
-        for k, s in rows:
-            cols.extend(TruncatedSeries.zero(order_q) for _ in range(len(cols), k + 1))
-            cols[k].iadd_scaled(s)
-        return cls(order_q, cols)
-
     @property
     def order_x(self) -> int:
         """Highest x-degree stored."""
@@ -515,35 +495,42 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
 
 
 def _digit_width(class_id: ClassId, order: int) -> int:
-    """Bits per x-degree in a packed product-side table: a coefficient of
-    x^k q^n, n <= order, counts class members of size n, and those counts
-    do not decrease with n (part 1 is allowed, so appending a 1 maps size
-    n into size n + 1 one to one).  So every coefficient is at most the
-    class's count at ``order``, read off the literal product, which the
-    memo keeps for the class's next table."""
-    residues, modulus = RESIDUE_CLASSES[class_id]
+    """Bits per x-degree in a packed bivariate table: the bit length of the
+    class's count at ``order``, read off the product side of its own
+    identity, the congruence class's literal product, which the memo keeps
+    for the pair's next table.
+
+    A coefficient of x^k q^n, n <= order, counts class members of size n.
+    The two classes of a pair are equinumerous (RR1, LG1), and the
+    congruence class's counts do not decrease with n (part 1 is allowed,
+    so appending a 1 maps size n into size n + 1 one to one), so every
+    coefficient is at most the count at ``order``.  So is every digit of a
+    gap-class table's Horner levels: every term is non-negative with lowest
+    coefficient 1, and level k is kept on term k's window, so each digit of
+    it is at most a final coefficient at some n <= order."""
+    _, cong = _IDENTITIES[_COUNTED_BY[class_id]]
+    residues, modulus = RESIDUE_CLASSES[cong]
     key = tuple(sorted(residues)), modulus
     product = _memoized(key, order, lambda n: inv_pochhammer_product(residues, modulus, n))
     return product.coeffs[order].bit_length()
 
 
 def _build_bivariate(name: str, order: int) -> BivariateSeries:
-    """The table of a hook series: a gap class's rows from its term
-    streams, a congruence class's as the product of its part factors.
-
-    That product is taken at x = 2^b, b = :func:`_digit_width` (Kronecker
-    substitution): the coefficient of x^k q^n lands in bits b*k .. b*k+b-1
-    of one series, so each factor costs one :func:`_apply`, a sparse
-    product and its 1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
-    every coefficient of x^k q^n is below 2^b, so column k is read back
-    exactly as digit k."""
+    """The table of a hook series, taken at x = 2^b, b = :func:`_digit_width`
+    (Kronecker substitution): the coefficient of x^k q^n lands in bits
+    b*k .. b*k+b-1 of one series.  A gap class's table is the sum of x^n
+    times term n over its gap-row streams, one :func:`_nahm_sum`.  A
+    congruence class's is the product of its part factors, each one
+    :func:`_apply`, a sparse product and its 1/(1 - q^d) passes, whatever
+    the x-degree.  Every step is Z-linear and every coefficient of x^k q^n
+    is below 2^b, so column k is read back exactly as digit k."""
     class_id, t, _, gap_rows = _HOOK_SERIES[name]
-    if gap_rows is not None:
-        rows = chain.from_iterable(_nahm_terms(stream, order) for stream in gap_rows)
-        return BivariateSeries.from_rows(order, rows)
     packed, width = TruncatedSeries.one(order), _digit_width(class_id, order)
-    for factor in _part_factors(class_id, t, order, 1 << width):
-        packed = _apply(packed, factor)
+    if gap_rows is not None:
+        packed = _nahm_sum([(stream, 0, 1) for stream in gap_rows], order, 1 << width)
+    else:
+        for factor in _part_factors(class_id, t, order, 1 << width):
+            packed = _apply(packed, factor)
     mask, digits = (1 << width) - 1, -(-max(packed.coeffs).bit_length() // width)
     cols = [[c >> width * k & mask for c in packed.coeffs] for k in range(digits)]
     return BivariateSeries(order, [TruncatedSeries(order, col) for col in cols])

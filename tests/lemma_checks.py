@@ -1,11 +1,12 @@
 """Lemma checks that only the tests call: the little Gollnitz dilogarithm
 identity, the Bernoulli numbers and polynomials, the Zagier q-Pochhammer
 expansion residual against its exact log-Pochhammer series, the
-Euler-Maclaurin residual of a sampled Gaussian and the leading-order probes
-of the class products.
+Euler-Maclaurin residual of a sampled Gaussian, the leading-order probes
+of the class products and the term-by-term run of a Nahm-sum stream.
 
-They use ``hooklab.asym``'s polylogarithm, constants and epsilon range, and
-mpmath (from the ``test`` extra) for erfc off the real line.
+They use ``hooklab.asym``'s polylogarithm, constants and epsilon range,
+``hooklab.qseries``'s term streams and :func:`_apply`, and mpmath (from the
+``test`` extra) for erfc off the real line.
 """
 
 import cmath
@@ -26,6 +27,7 @@ from hooklab.asym import (
     polylog,
 )
 from hooklab.classes import RESIDUE_CLASSES, ClassId
+from hooklab.qseries import _STREAMS, TruncatedSeries, _apply
 
 
 def _cexpm1(u: complex) -> complex:
@@ -217,3 +219,20 @@ def product_asym_probe(which: str, epsilon: float) -> float:
             log_direct -= math.log(-math.expm1(-n * epsilon))
     log_main = log_amp + rate / epsilon
     return math.exp(log_direct - log_main)
+
+
+def _nahm_terms(stream: str, order: int):
+    """(n, term n) for n = 0, 1, ... over a stream of ``qseries._STREAMS``,
+    up to its first zero term (the lowest exponent rises with n, and each
+    later term is a multiple of it).  Each term is a fresh series and the
+    next is built before it is handed out, so the caller may mutate it.
+
+    Every term is run at the full order: the plain sum of the terms, which
+    ``qseries._nahm_sum`` never forms, is what its Horner evaluation and
+    the gap-class bivariate tables are tested against."""
+    first, step = _STREAMS[stream]
+    term, n = _apply(TruncatedSeries.one(order), first), 0
+    while not term.is_zero():
+        after = _apply(term, step(n + 1))
+        yield n, term
+        term, n = after, n + 1

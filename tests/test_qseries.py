@@ -25,6 +25,7 @@ from hooklab.qseries import (
     series_H,
     series_S,
 )
+from lemma_checks import _nahm_terms
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +448,7 @@ def _window_edges(stream: str, top: int) -> set:
     """The lowest exponent of each term of ``stream`` up to q^top, and the
     orders one either side of it: where a term enters the sum."""
     edges = set()
-    for _, term in qseries._nahm_terms(stream, top):
+    for _, term in _nahm_terms(stream, top):
         low = next(e for e, c in enumerate(term.coeffs) if c)
         edges |= {low - 1, low, low + 1}
     return {e for e in edges if 0 <= e <= top}
@@ -458,9 +459,9 @@ def test_nahm_terms_at_every_small_order(stream):
     # a stream run at a low order is its run at order 200, truncated term by
     # term: the terms that still reach q^order, each of length order + 1.
     # Every lowest exponent rises with n, so those terms are a prefix.
-    full = [term for _, term in qseries._nahm_terms(stream, 200)]
+    full = [term for _, term in _nahm_terms(stream, 200)]
     for order in range(81):
-        got = list(qseries._nahm_terms(stream, order))
+        got = list(_nahm_terms(stream, order))
         expected = [t.truncated(order) for t in full]
         expected = expected[: next(n for n, t in enumerate(expected) if t.is_zero())]
         assert [n for n, _ in got] == list(range(len(expected))), order
@@ -474,7 +475,7 @@ def test_nahm_sum_matches_its_terms(stream):
     # the Horner evaluation against the terms run one by one at full order;
     # a lower order of the oracle is its truncation
     top = 2000
-    terms = list(qseries._nahm_terms(stream, top))
+    terms = list(_nahm_terms(stream, top))
     for a, b in _sum_weights()[stream]:
         expected = TruncatedSeries.zero(top)
         for n, term in terms:
@@ -614,34 +615,49 @@ def test_bivariate_marginal_and_derivative(build, j, t, class_id):
         _check_marginal_and_derivative(build, j, t, class_id, order)
 
 
-PRODUCT_SIDE_BUILDERS = [case for case in BIVARIATE_BUILDERS if case[1] == 2]
-
-
 def test_digit_width_exceeds_the_partition_numbers(monkeypatch):
     # a coefficient of x^k q^n counts class members of size n, so the width
     # must hold the class's count at every size up to the order, here from
     # the sum side, and every entry of a table packed with digits too wide
     # to carry
     real = qseries._digit_width
-    for class_id in (ClassId.R2, ClassId.G2):
+    for class_id in ClassId:
         for order in (0, 1, 2, 40, 150, 1000):
             counts = counting_series(class_id, order).coeffs
             assert max(counts).bit_length() <= real(class_id, order), (class_id, order)
     monkeypatch.setattr(qseries, "_digit_width", lambda class_id, order: 2 * real(class_id, order) + 8)
-    for build, j, t, class_id in PRODUCT_SIDE_BUILDERS:
+    for build, j, t, class_id in BIVARIATE_BUILDERS:
         for order in (0, 40, 150, 400):
             entries = [c for col in build(j, t, order).cols for c in col.coeffs]
-            assert max(entries).bit_length() <= real(class_id, order), (build.__name__, t, order)
+            assert max(entries).bit_length() <= real(class_id, order), (build.__name__, j, t, order)
 
 
-@pytest.mark.parametrize("build,j,t,class_id", PRODUCT_SIDE_BUILDERS)
+@pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
 def test_narrow_digits_break_the_product_side_tables(monkeypatch, build, j, t, class_id):
-    # the largest coefficients of these tables at order 150 take 19 or 20
-    # bits, so 18-bit digits carry into the next x-degree and the checks
+    # the largest coefficients of all eight tables at order 150 take 19 or
+    # 20 bits, so 18-bit digits carry into the next x-degree and the checks
     # that pass at the real width must fail
     monkeypatch.setattr(qseries, "_digit_width", lambda class_id, order: 18)
     with pytest.raises(AssertionError):
         _check_marginal_and_derivative(build, j, t, class_id, 150)
+
+
+@pytest.mark.parametrize("build,j,t,class_id", [case for case in BIVARIATE_BUILDERS if case[1] == 1])
+def test_gap_tables_match_their_term_rows(build, j, t, class_id):
+    # a gap-class table is the sum of x^n times term n over its gap-row
+    # streams: here each term is run one by one at full order and added into
+    # its column, the oracle for the packed Horner sum above order 16, where
+    # the enumeration test stops
+    name = f"{'S' if build is bivariate_R else 'H'}{j}{t}"
+    gap_rows = qseries._HOOK_SERIES[name][3]
+    for order in [*range(61), 150, 400]:
+        cols = []
+        for stream in gap_rows:
+            for n, term in _nahm_terms(stream, order):
+                cols.extend(TruncatedSeries.zero(order) for _ in range(len(cols), n + 1))
+                cols[n].iadd_scaled(term)
+        table = build(j, t, order)
+        assert [col.coeffs for col in table.cols] == [col.coeffs for col in cols], (name, order)
 
 
 def test_bivariate_examples():
