@@ -11,7 +11,7 @@ The package has four layers:
 * ``qseries``  -- exact truncated power series for every generating
   function attached to the classes, with oracle-style identity checks;
 * ``asym``     -- floating-point probes of the saddle-point asymptotics
-  (polylogarithms, the eta residual, Nahm-sum evaluation near q=1).
+  (the dilogarithm, the eta residual, Nahm-sum evaluation near q=1).
 
 ``cli`` wires these into the ``hooklab`` command.
 """

@@ -10,7 +10,10 @@ The probes evaluate the Nahm sums (term by term, each rational factor
 (numerator, periods) of a ``qseries._STREAMS`` stream taken by
 :func:`_factor_at`) directly at q = e^(-z), z = eps(1 + iy), and compare
 against their leading-order models; the Dedekind-eta log expansion residual
-is measured against Euler's pentagonal series.
+is measured against Euler's pentagonal series.  The one special function is
+the dilogarithm, :func:`dilog`, which :func:`saddle_functions` takes along
+its arcs; the other polylogarithms, which only the lemma checks use, live
+with them in ``tests/lemma_checks.py``.
 
 Growth models: each hook-count sequence grows like A n^(-1/4) e^(B sqrt(n))
 with B = 2 pi / sqrt(15) for the Rogers-Ramanujan pair and B = pi / 2 for
@@ -22,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .qseries import _STREAMS
 
@@ -55,14 +57,6 @@ class ComplexParam(namedtuple("ComplexParam", "epsilon y")):
         # directly and would skip the checks in __new__
         return cls(*iterable)
 
-    @property
-    def z(self) -> complex:
-        return complex(self.epsilon, self.epsilon * self.y)
-
-    @property
-    def q(self) -> complex:
-        return cmath.exp(-self.z)
-
 
 class AsymModel(namedtuple("AsymModel", "amplitude growth label")):
     """Growth model A n^(-1/4) e^(B sqrt(n)) for a coefficient sequence."""
@@ -84,58 +78,24 @@ class SaddleProbe(namedtuple("SaddleProbe", "target epsilon direct_value main_te
 
 
 # --------------------------------------------------------------------------
-# polylogarithms
+# the dilogarithm
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _neg_polylog_numerator(k: int) -> tuple:
-    """Integer coefficients of P_k with Li_(-k)(w) = P_k(w)/(1-w)^(k+1),
-    from P_0 = w and P_(k+1) = w [(1-w) P_k' + (k+1) P_k]."""
-    if k == 0:
-        return (0, 1)
-    prev = _neg_polylog_numerator(k - 1)
-    deriv = [i * c for i, c in enumerate(prev)][1:] or [0]
-    # (1-w) * deriv
-    a = deriv + [0]
-    for i in range(len(deriv)):
-        a[i + 1] -= deriv[i]
-    # + k * prev
-    for i, c in enumerate(prev):
-        a[i] += k * c
-    # * w
-    return tuple([0] + a)
-
-
-def polylog(s: int, w: complex) -> complex:
-    """Li_s(w) for integer s <= 2 and |w| < 1.
-
-    For s >= 1 the defining series sum(w^n / n^s); for s <= 0 the closed
-    rational form generated by Li_(s-1)(w) = w d/dw Li_s(w) from
-    Li_0(w) = w/(1-w).
-    """
-    if not isinstance(s, int):
-        raise TypeError("s must be an integer")
-    if s > 2:
-        raise ValueError("only s <= 2 is supported")
+def dilog(w: complex) -> complex:
+    """Li_2(w) for |w| < 1, by the defining series sum(w^n / n^2)."""
     if abs(w) >= 1.0:
         raise ValueError(f"|w| = {abs(w)} is outside the open unit disk")
-    if s <= 0:
-        coeffs = _neg_polylog_numerator(-s)
-        num = 0.0 + 0.0j
-        for c in reversed(coeffs):
-            num = num * w + c
-        return num / (1.0 - w) ** (1 - s)
     acc = 0.0 + 0.0j
     term_w = 1.0 + 0.0j
     for n in range(1, _SERIES_CAP + 1):
         term_w *= w
-        term = term_w / n**s
+        term = term_w / n**2
         acc += term
         if abs(term) < 1e-17 * abs(acc) + 1e-300:
             break
     else:
-        raise RuntimeError("polylog series did not converge")
+        raise RuntimeError("dilog series did not converge")
     return acc
 
 
@@ -247,12 +207,12 @@ def saddle_functions(y: float, variant: str) -> tuple:
     u = 1.0 + 1j * y
     if variant == "RR":
         w = cmath.exp(-u * LOG_PHI)
-        lam = math.pi**2 / 6.0 - LOG_PHI**2 * u * u - polylog(2, w)
+        lam = math.pi**2 / 6.0 - LOG_PHI**2 * u * u - dilog(w)
         s = (lam / u - math.pi**2 / 15.0).real
         return lam, s
     if variant == "LG":
         w = cmath.exp(-u * LOG_SILVER)
-        lam = math.pi**2 / 4.0 - polylog(2, w) + polylog(2, -w) - 0.5 * u * u * LOG_SILVER**2
+        lam = math.pi**2 / 4.0 - dilog(w) + dilog(-w) - 0.5 * u * u * LOG_SILVER**2
         s = (lam / (2.0 * u) - math.pi**2 / 16.0).real
         return lam, s
     raise ValueError(f"unknown variant {variant!r} (expected 'RR' or 'LG')")

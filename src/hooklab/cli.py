@@ -171,14 +171,9 @@ def run_census(
     _prepare_file(side)
     c = cached_census(class_id, n_max, t_max, cache_dir)
     _replace_file(out, census_csv_text(c))
-    sidecar = {
-        "class": class_id.value,
-        "n_max": n_max,
-        "t_max": t_max,
-        "cardinality": c.cardinality,
-        "total_hooks": c.total_hooks,
-        "generated_by": f"hooklab {__version__}",
-    }
+    sidecar = _census_payload(c)
+    del sidecar["counts"]
+    sidecar["generated_by"] = f"hooklab {__version__}"
     _replace_file(side, json.dumps(sidecar, indent=2) + "\n")
     return {"csv": str(out), "sidecar": str(side), **sidecar}
 

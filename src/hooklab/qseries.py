@@ -407,6 +407,7 @@ class BivariateSeries:
     __slots__ = ("order_q", "cols")
 
     def __init__(self, order_q: int, cols: list):
+        cols = list(cols)  # the trim below must not shorten the caller's list
         while len(cols) > 1 and cols[-1].is_zero():
             cols.pop()
         self.order_q, self.cols = order_q, cols
@@ -444,26 +445,21 @@ class BivariateSeries:
 # given integer x.
 
 
-def _one_part_factor(e: int, x: int):
-    """1 + x q^e/(1 - q^e): a part e, at any multiplicity, is one 1-hook."""
-    return [(0, 1), (e, x - 1)], [e]
-
-
-def _part_one_factor(x: int):
-    """1 + q + x q^2/(1 - q): parts 1 give a 2-hook only when repeated."""
-    return [(0, 1), (2, x - 1)], [1]
-
-
-def _two_part_factor(e: int, x: int):
-    """1 + x q^e + x^2 q^(2e)/(1 - q^e): a part e > 1 gives one 2-hook, and
-    a second one when repeated."""
-    return [(0, 1), (e, x - 1), (2 * e, x * (x - 1))], [e]
+def _part_factor(e: int, lone: int, repeated: int, x: int):
+    """A part e that makes ``lone`` t-hooks when it occurs once and
+    ``repeated`` when it is repeated: 1 + x^lone q^e + x^repeated
+    q^(2e)/(1 - q^e), that is (1 + (x^lone - 1) q^e + (x^repeated - x^lone)
+    q^(2e))/(1 - q^e).  Zero monomials are left out, so that :func:`_apply`
+    runs no pass on them."""
+    once, twice = x**lone, x**repeated
+    numerator = [(0, 1), (e, once - 1), (2 * e, twice - once)]
+    return [(k, c) for k, c in numerator if c], [e]
 
 
 def _pair_factor(a: int, x: int):
     """Adjacent parts a > 1 and b = a + 1 together: each absent or alone as
-    in the two-part factor, or both present, which merges one pair of their
-    2-hooks into the cross term x q^s (1 - (1-x) q^a)/(1 - q^a)
+    in :func:`_part_factor` at t = 2, or both present, which merges one pair
+    of their 2-hooks into the cross term x q^s (1 - (1-x) q^a)/(1 - q^a)
     (1 - (1-x) q^b)/(1 - q^b), s = a + b.  Over (1 - q^a)(1 - q^b) that is
     1 + (x-1)(q^a + q^b - q^s) + x(x-1)(q^(2a) + q^(2b)) + x(x-1)^2 q^(2s)."""
     b, s = a + 1, 2 * a + 1
@@ -474,22 +470,19 @@ def _pair_factor(a: int, x: int):
 def _part_factors(class_id: ClassId, t: int, order: int, x: int):
     """The factors of a congruence class's product-side table at ``x``: one
     for each part value up to ``order`` that :data:`RESIDUE_CLASSES`
-    allows.  For t = 2, part 1 and each pair e, e + 1 of adjacent allowed
-    values take their own factors; residue 1 is allowed in both classes, 2
-    in neither, and no three allowed values are consecutive."""
+    allows.  A part e makes one 1-hook at any multiplicity; for t = 2 it
+    makes one 2-hook alone when e > 1 and one more when repeated, so part 1
+    makes one only when repeated.  Each pair e, e + 1 of adjacent allowed
+    values takes its own factor at t = 2; residue 1 is allowed in both
+    classes, 2 in neither, and no three allowed values are consecutive."""
     residues, modulus = RESIDUE_CLASSES[class_id]
     allowed = [e % modulus in residues for e in range(order + 2)]
-    if t == 1:
-        for e in range(1, order + 1):
-            if allowed[e]:
-                yield _one_part_factor(e, x)
-        return
-    yield _part_one_factor(x)
-    e = 2
+    e = 1
     while e <= order:
         if allowed[e]:
-            paired = allowed[e + 1]
-            yield _pair_factor(e, x) if paired else _two_part_factor(e, x)
+            paired = t == 2 and e > 1 and allowed[e + 1]
+            lone = e >= t  # (lone, repeated) is (1, 1) at t = 1, (e > 1, (e > 1) + 1) at t = 2
+            yield _pair_factor(e, x) if paired else _part_factor(e, lone, lone + t - 1, x)
             e += paired
         e += 1
 

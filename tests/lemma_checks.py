@@ -1,10 +1,11 @@
-"""Lemma checks that only the tests call: the little Gollnitz dilogarithm
-identity, the Bernoulli numbers and polynomials, the Zagier q-Pochhammer
-expansion residual against its exact log-Pochhammer series, the
-Euler-Maclaurin residual of a sampled Gaussian, the leading-order probes
-of the class products and the term-by-term run of a Nahm-sum stream.
+"""Lemma checks that only the tests call: the integer-order
+polylogarithms, the little Gollnitz dilogarithm identity, the Bernoulli
+numbers and polynomials, the Zagier q-Pochhammer expansion residual against
+its exact log-Pochhammer series, the Euler-Maclaurin residual of a sampled
+Gaussian, the leading-order probes of the class products and the
+term-by-term run of a Nahm-sum stream.
 
-They use ``hooklab.asym``'s polylogarithm, constants and epsilon range,
+They use ``hooklab.asym``'s dilogarithm, constants and epsilon range,
 ``hooklab.qseries``'s term streams and :func:`_apply`, and mpmath (from the
 ``test`` extra) for erfc off the real line.
 """
@@ -24,10 +25,58 @@ from hooklab.asym import (
     PHI,
     SQRT2,
     ComplexParam,
-    polylog,
+    dilog,
 )
 from hooklab.classes import RESIDUE_CLASSES, ClassId
 from hooklab.qseries import _STREAMS, TruncatedSeries, _apply
+
+
+def param_z(param: ComplexParam) -> complex:
+    """The point z = epsilon (1 + i y) of a :class:`ComplexParam`."""
+    return complex(param.epsilon, param.epsilon * param.y)
+
+
+@lru_cache(maxsize=None)
+def _neg_polylog_numerator(k: int) -> tuple:
+    """Integer coefficients of P_k with Li_(-k)(w) = P_k(w)/(1-w)^(k+1),
+    from P_0 = w and P_(k+1) = w [(1-w) P_k' + (k+1) P_k]."""
+    if k == 0:
+        return (0, 1)
+    prev = _neg_polylog_numerator(k - 1)
+    deriv = [i * c for i, c in enumerate(prev)][1:] or [0]
+    # (1-w) * deriv
+    a = deriv + [0]
+    for i in range(len(deriv)):
+        a[i + 1] -= deriv[i]
+    # + k * prev
+    for i, c in enumerate(prev):
+        a[i] += k * c
+    # * w
+    return tuple([0] + a)
+
+
+def polylog(s: int, w: complex) -> complex:
+    """Li_s(w) for integer s <= 2 and |w| < 1.
+
+    For s = 2 ``hooklab.asym.dilog``; for s = 1 -Log(1 - w); for s <= 0 the
+    closed rational form generated by Li_(s-1)(w) = w d/dw Li_s(w) from
+    Li_0(w) = w/(1-w).
+    """
+    if not isinstance(s, int):
+        raise TypeError("s must be an integer")
+    if s > 2:
+        raise ValueError("only s <= 2 is supported")
+    if s == 2:
+        return dilog(w)
+    if abs(w) >= 1.0:
+        raise ValueError(f"|w| = {abs(w)} is outside the open unit disk")
+    if s == 1:
+        return -cmath.log(1.0 - w)
+    coeffs = _neg_polylog_numerator(-s)
+    num = 0.0 + 0.0j
+    for c in reversed(coeffs):
+        num = num * w + c
+    return num / (1.0 - w) ** (1 - s)
 
 
 def _cexpm1(u: complex) -> complex:
@@ -85,9 +134,9 @@ def log_pochhammer_shifted_exact(w: complex, nu: complex, param: ComplexParam) -
     Log prod_{m>=1} (1 - a q^m) = -sum_{k>=1} a^k q^k / (k (1 - q^k)) with
     a = w e^(-nu z); requires |a q| < 1.
     """
-    z = param.z
+    z = param_z(param)
     a = w * cmath.exp(-nu * z)
-    if abs(a * param.q) >= 1.0:
+    if abs(a * cmath.exp(-z)) >= 1.0:
         raise ValueError("|w e^(-nu z) q| >= 1: series diverges")
     if a == 0:
         return 0.0 + 0.0j
@@ -115,7 +164,7 @@ def zagier_expansion_residual(w: complex, nu: complex, param: ComplexParam, R: i
     """
     if not 2 <= R <= 8:
         raise ValueError("R must be in [2, 8]")
-    z = param.z
+    z = param_z(param)
     exact = log_pochhammer_shifted_exact(w, nu, param)
     if w == 0:
         return exact

@@ -112,7 +112,7 @@ def test_criterion_04_bivariate_consistency():
 
 def test_criterion_05_dilog_identities():
     golden = abs(
-        math.pi**2 / 6 - asym.polylog(2, 1 / asym.PHI).real
+        math.pi**2 / 6 - asym.dilog(1 / asym.PHI).real
         - math.pi**2 / 15 - asym.LOG_PHI**2
     )
     assert golden < 1e-12

@@ -1141,11 +1141,7 @@ _UNREACHED = {
     # verify's failure detail for a sum-product identity
     "qseries.IdentityCheck.__str__": "oracle",
     "classes.all_partitions": "oracle",
-    "asym.polylog": "oracle",
-    "asym._neg_polylog_numerator": "oracle",
-    # read by tests/lemma_checks.py's log-Pochhammer series alone
-    "asym.ComplexParam.z": "oracle",
-    "asym.ComplexParam.q": "oracle",
+    "asym.dilog": "bench",
     "asym.ComplexParam.__new__": "bench",
     # the record's own _make, so that _replace checks as __new__ does
     "asym.ComplexParam._make": "bench",
@@ -1156,9 +1152,7 @@ _UNREACHED = {
     "qseries._build_bivariate": "bench",
     "qseries._digit_width": "bench",
     "qseries._part_factors": "bench",
-    "qseries._one_part_factor": "bench",
-    "qseries._part_one_factor": "bench",
-    "qseries._two_part_factor": "bench",
+    "qseries._part_factor": "bench",
     "qseries._pair_factor": "bench",
 }
 

@@ -14,9 +14,11 @@ from hooklab import classes, qseries
 from hooklab.classes import ClassId, iter_class
 from hooklab.hooks import census, t_hook_count
 from hooklab.qseries import (
+    BivariateSeries,
     OrderMismatchError,
     TruncatedSeries,
     _apply,
+    _part_factor,
     bivariate_G,
     bivariate_R,
     counting_series,
@@ -668,6 +670,35 @@ def test_bivariate_examples():
     gtable = bivariate_G(1, 1, 10)
     assert gtable.coefficient(4, 1) == 1  # only (4)
     assert sum(gtable.coefficient(4, k) for k in range(gtable.order_x + 1)) == 1
+
+
+@pytest.mark.parametrize("lone,repeated", [(1, 1), (0, 1), (1, 2)])
+def test_part_factor_is_its_definition(lone, repeated):
+    # a part e at multiplicity m contributes x^(h_m) q^(e m), with h_0 = 0,
+    # h_1 = lone and h_m = repeated for m >= 2; the numerator keeps only
+    # nonzero monomials, so at x = 1 it is the constant 1 alone
+    order = 40
+    for e in range(1, 7):
+        for x in (1, 2, 3, 2**20):
+            numerator, periods = factor = _part_factor(e, lone, repeated, x)
+            assert all(c for _, c in numerator), (e, x, numerator)
+            assert periods == [e]
+            expected = [0] * (order + 1)
+            for m in range(order // e + 1):
+                expected[e * m] = x ** (0 if m == 0 else lone if m == 1 else repeated)
+            assert _apply(TruncatedSeries.one(order), factor).coeffs == expected, (e, lone, repeated, x)
+
+
+def test_bivariate_series_keeps_its_own_column_list():
+    # trimming the zero top columns must not shorten the caller's list, and
+    # a later change to that list must not reach the table
+    cols = [TruncatedSeries.one(3), TruncatedSeries.zero(3), TruncatedSeries.zero(3)]
+    table = BivariateSeries(3, cols)
+    assert len(cols) == 3
+    assert table.cols is not cols
+    assert table.order_x == 0
+    cols.append(TruncatedSeries.one(3))
+    assert table.order_x == 0
 
 
 def test_bivariate_rejects_unknown_indices():
