@@ -84,7 +84,7 @@ class SaddleProbe(namedtuple("SaddleProbe", "target epsilon direct_value main_te
 
 def dilog(w: complex) -> complex:
     """Li_2(w) for |w| < 1, by the defining series sum(w^n / n^2)."""
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:  # NaN fails every comparison, so it is refused here
         raise ValueError(f"|w| = {abs(w)} is outside the open unit disk")
     acc = 0.0 + 0.0j
     term_w = 1.0 + 0.0j
@@ -204,6 +204,8 @@ def saddle_functions(y: float, variant: str) -> tuple:
 
         deficit(y) ~ (-pi^2/16 + log^2(1+sqrt(2))/2) y^2   (~ -0.22844 y^2).
     """
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite; got {y}")
     u = 1.0 + 1j * y
     if variant == "RR":
         w = cmath.exp(-u * LOG_PHI)

@@ -57,6 +57,7 @@ from .qseries import (
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
 
 VERIFY_CEILING = 80        # largest n_max cmd_verify will enumerate
+SERIES_CEILING = 5000      # largest order crossover and ratios will build
 ENGINE_CHECK_T = 4         # t_max of verify's engine-vs-enumeration check
 HOOK_PROPERTY_BOUND = 30   # unrestricted-partition property sweep bound
 
@@ -361,11 +362,12 @@ def _first_hold_and_violations(lhs, rhs, n_max: int):
 
 def crossover_report(pair: str, n_max: int) -> CrossoverReport:
     """Locate the crossover of one of the four t in {1, 2} inequalities,
-    entirely from the exact series (fast; n_max up to 5000)."""
+    entirely from the exact series (fast; n_max up to
+    :data:`SERIES_CEILING`)."""
     if pair not in _CROSSOVER_PAIRS:
         raise ValueError(f"unknown pair {pair!r}; expected one of {sorted(_CROSSOVER_PAIRS)}")
-    if not 0 <= n_max <= 5000:
-        raise ValueError("n_max must be in [0, 5000]")
+    if not 0 <= n_max <= SERIES_CEILING:
+        raise ValueError(f"n_max must be in [0, {SERIES_CEILING}]")
     lkey, rkey = _CROSSOVER_PAIRS[pair]
     lhs = _series(lkey, n_max)
     rhs = _series(rkey, n_max)
@@ -432,8 +434,8 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
     for each distinct checkpoint, in increasing order."""
     if not checkpoints:
         raise ValueError("checkpoints must be nonempty")
-    if any(not 1 <= n <= 5000 for n in checkpoints):
-        raise ValueError("checkpoints must lie in [1, 5000]")
+    if any(not 1 <= n <= SERIES_CEILING for n in checkpoints):
+        raise ValueError(f"checkpoints must lie in [1, {SERIES_CEILING}]")
     checkpoints = sorted(set(checkpoints))
     order = checkpoints[-1]
     # a series' growth model is keyed by its class and t, as r11 for S11

@@ -16,11 +16,11 @@ them.
 The census scan (:func:`_boundary_census`) is exact and size-major: each
 of its components is one int that packs a count per size in fixed-width
 digits, wide enough for any count of words up to n_max
-(:func:`_digit_width`), so a sum over all sizes is one int sum, a part of
-value w one shift, and where parts of value w may repeat 1/(1 - q^w) a
-few shifted sums by doubling.  Each class enters it as its least-gap rule,
-``classes.least_gap``.  Exhaustive enumeration (:func:`enumerated_census`)
-is kept as the scan's oracle.
+(:func:`_size_digit_width`), so a sum over all sizes is one int sum, a
+part of value w one shift, and where parts of value w may repeat
+1/(1 - q^w) a few shifted sums by doubling.  Each class enters it as its
+least-gap rule, ``classes.least_gap``.  Exhaustive enumeration
+(:func:`enumerated_census`) is kept as the scan's oracle.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def check_shape(n_max: int, t_max: int) -> None:
         )
 
 
-def _digit_width(n_max: int) -> int:
+def _size_digit_width(n_max: int) -> int:
     """The bits per size of the census scan's packed components: a multiple
     of 8 above log2(2·(n_max + 1)·p(n_max)), where p(n) is the number of
     all partitions of n, taken from p(n) < e^(π·sqrt(2n/3)).  Why every
@@ -234,8 +234,8 @@ def _boundary_census(need, n_max: int, t_max: int) -> list:
     as 1 + 2T components: the number of words, the hooks H_1..H_T
     completed within them, and M_a the (word, marked E) pairs with a
     letters after the mark.  Each component is one int that packs a count
-    per size: size s in bits [s·B, (s+1)·B), B = :func:`_digit_width`, so
-    a sum of components is one int sum, q^w times a component is a shift
+    per size: size s in bits [s·B, (s+1)·B), B = :func:`_size_digit_width`,
+    so a sum of components is one int sum, q^w times a component is a shift
     by w·B, and ``& mask`` keeps the sizes 0..L - 1.  A component that is
     zero at every size is 0.  An E step starts a mark on itself and ages
     the others, so it only renames components: layer g - 1 becomes layer
@@ -270,7 +270,7 @@ def _boundary_census(need, n_max: int, t_max: int) -> list:
     span = min(t_max, n_max)
     needs = [None] + [need(w) for w in range(1, n_max + 1)]
     cap = max(filter(None, needs), default=1)
-    width = _digit_width(n_max)
+    width = _size_digit_width(n_max)
     masks = [(1 << size * width) - 1 for size in range(n_max + 1)]
     totals = [1] + [0] * span
     # the empty word, at g = cap since the smallest part has no gap rule

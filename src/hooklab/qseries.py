@@ -487,7 +487,7 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
         e += 1
 
 
-def _digit_width(class_id: ClassId, order: int) -> int:
+def _degree_digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed bivariate table: the bit length of the
     class's count at ``order``, read off the product side of its own
     identity, the congruence class's literal product, which the memo keeps
@@ -509,16 +509,17 @@ def _digit_width(class_id: ClassId, order: int) -> int:
 
 
 def _build_bivariate(name: str, order: int) -> BivariateSeries:
-    """The table of a hook series, taken at x = 2^b, b = :func:`_digit_width`
-    (Kronecker substitution): the coefficient of x^k q^n lands in bits
-    b*k .. b*k+b-1 of one series.  A gap class's table is the sum of x^n
-    times term n over its gap-row streams, one :func:`_nahm_sum`.  A
-    congruence class's is the product of its part factors, each one
-    :func:`_apply`, a sparse product and its 1/(1 - q^d) passes, whatever
-    the x-degree.  Every step is Z-linear and every coefficient of x^k q^n
-    is below 2^b, so column k is read back exactly as digit k."""
+    """The table of a hook series, taken at x = 2^b,
+    b = :func:`_degree_digit_width` (Kronecker substitution): the
+    coefficient of x^k q^n lands in bits b*k .. b*k+b-1 of one series.  A
+    gap class's table is the sum of x^n times term n over its gap-row
+    streams, one :func:`_nahm_sum`.  A congruence class's is the product
+    of its part factors, each one :func:`_apply`, a sparse product and its
+    1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
+    every coefficient of x^k q^n is below 2^b, so column k is read back
+    exactly as digit k."""
     class_id, t, _, gap_rows = _HOOK_SERIES[name]
-    packed, width = TruncatedSeries.one(order), _digit_width(class_id, order)
+    packed, width = TruncatedSeries.one(order), _degree_digit_width(class_id, order)
     if gap_rows is not None:
         packed = _nahm_sum([(stream, 0, 1) for stream in gap_rows], order, 1 << width)
     else:

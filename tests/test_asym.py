@@ -14,6 +14,7 @@ from hooklab.asym import (
     PHI,
     AsymModel,
     ComplexParam,
+    dilog,
     eta_asym_residual,
     growth_model,
     saddle_functions,
@@ -344,6 +345,18 @@ def test_saddle_quadratic_coefficients():
     assert abs(s_lg / y**2 - LG_QUAD_COEF) < 1e-4
     with pytest.raises(ValueError):
         saddle_functions(0.1, "XX")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dilog_and_saddle_functions_reject_non_finite_values(bad):
+    # refused before any sum: a NaN fails every comparison, so a guard that
+    # asks only for the bad case lets it run the series to its cap
+    for w in (bad, complex(bad, 0.0), complex(0.0, bad)):
+        with pytest.raises(ValueError, match="outside the open unit disk"):
+            dilog(w)
+    for variant in ("RR", "LG"):
+        with pytest.raises(ValueError, match="y must be finite"):
+            saddle_functions(bad, variant)
 
 
 def test_growth_model_constants():

@@ -22,6 +22,7 @@ from hooklab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    SERIES_CEILING,
     _census_payload,
     asym_table,
     cached_census,
@@ -397,6 +398,7 @@ _VERIFY_DIGESTS = {
     (6, None): "43b71ab26eddb79c82042b265a0b048098fc0278649da87ad832a6c2ccaf42bd",
     (30, None): "85c2dbdc0d76d94b576bc486ee5888093f1fd90655b87eb9fe10cb558498087c",
     (40, None): "45600daa0e31e899a44ee498c2b359e3ba180bb3170041ec787898d3225b4ddf",
+    (80, None): "231e0c4199549e3c80796d93c8047a4a3b90aeda53d2e2c3114f08fd08e54ad8",
     (16, ("H22", 9, -1)): "0ffa6e18168ab7fb32a8e5a6c3169944c18800246d3a51630d99b03acc9897fd",
 }
 
@@ -429,20 +431,27 @@ _CROSSOVER_SERIES = {
 }
 
 
-@pytest.mark.parametrize("pair", sorted(_CROSSOVER_SERIES))
-def test_crossover_internal_consistency(pair):
-    report = crossover_report(pair, 300)
+@pytest.mark.parametrize(
+    "pair, n_max",
+    [pytest.param(pair, 300, id=pair) for pair in sorted(_CROSSOVER_SERIES)]
+    + [pytest.param(pair, SERIES_CEILING, id=f"{pair}-at-the-ceiling")
+       for pair in sorted(_CROSSOVER_SERIES)],
+)
+def test_crossover_internal_consistency(capsys, pair, n_max):
+    report = crossover_report(pair, n_max)
     assert report.first_hold is not None
     assert all(v < report.first_hold for v in report.violations)
     # independent honesty pass over the emitted data, from the series named
     # by their indices, not through the table the report reads
     (lbuild, lj, lt), (rbuild, rj, rt), direction = _CROSSOVER_SERIES[pair]
-    lhs, rhs = lbuild(lj, lt, 300), rbuild(rj, rt, 300)
-    for n in range(report.first_hold, 301):
+    lhs, rhs = lbuild(lj, lt, n_max), rbuild(rj, rt, n_max)
+    for n in range(report.first_hold, n_max + 1):
         if direction == "gt":
             assert lhs[n] > rhs[n]
         else:
             assert lhs[n] < rhs[n]
+    assert main(["crossover", "--pair", pair, "--n-max", str(n_max)]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_crossover_discovered_points():
@@ -509,6 +518,34 @@ def test_conjecture_scan_at_the_census_ceiling(tmp_path):
     assert not cache.exists()
 
 
+# sha256 of what each run writes at the census ceiling: the CSV of census
+# --class C --n-max 200 --t-max 200, and json.dumps of the "scans" of
+# conjecture --t 3,4,5,6,7,8 --n-max 200 --json
+_CEILING_OUTPUT_DIGESTS = {
+    "r1": "2dcdbb0a7516280b1e62c210c304c4acf4a279505e508dd32d820051a38975cd",
+    "r2": "c3807a0eb640a4fa61d9189115ce24038c4c21dc04fb1805acda99ef0b5b4703",
+    "g1": "8ec66e0ad89eec9aae9f289946f19face984fe7e44b9769c3a6e6cb052aa3621",
+    "g2": "6f207d3b6bce29e82453c57e7836a5a74ebcadb934cbc1f75d8c1e41a4ee82b0",
+    "conjecture": "adc20bc870c1de8ef828c567ea07bec3587b40401136371bd24f52106f6201d5",
+}
+
+
+@pytest.mark.parametrize("name", list(_CEILING_OUTPUT_DIGESTS))
+def test_census_and_conjecture_digests_at_the_ceiling(tmp_path, capsys, name):
+    # every count at t <= 200, where the engine digests stop at t = 8 and
+    # take t = 200 for r1 alone
+    top = str(CENSUS_CEILING)
+    if name == "conjecture":
+        assert main(["conjecture", "--t", "3,4,5,6,7,8", "--n-max", top, "--json"]) == EXIT_OK
+        output = json.dumps(json.loads(capsys.readouterr().out)["scans"]).encode()
+    else:
+        out = tmp_path / f"{name}.csv"
+        assert main(["census", "--class", name, "--n-max", top, "--t-max", top,
+                     "--out", str(out)]) == EXIT_OK
+        output = out.read_bytes()
+    assert hashlib.sha256(output).hexdigest() == _CEILING_OUTPUT_DIGESTS[name]
+
+
 # --------------------------------------------------------------------------
 # ratio and saddle tables
 # --------------------------------------------------------------------------
@@ -546,24 +583,31 @@ _RATIO_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("pair", sorted(_RATIO_PAIRS))
-def test_ratio_table_every_pair(pair):
+@pytest.mark.parametrize(
+    "pair, checkpoints",
+    [pytest.param(pair, [3000, 100], id=pair) for pair in sorted(_RATIO_PAIRS)]
+    + [pytest.param(pair, [1000, SERIES_CEILING], id=f"{pair}-at-the-ceiling")
+       for pair in sorted(_RATIO_PAIRS)],
+)
+def test_ratio_table_every_pair(capsys, pair, checkpoints):
     # every row of every pair, rebuilt from the series named by their
     # indices and from the growth model named by its key
-    checkpoints = [3000, 100]
+    ns = sorted(checkpoints)
     series, model_or_limit = _RATIO_PAIRS[pair]
-    coeffs = [build(j, t, 3000) for build, j, t in series]
+    coeffs = [build(j, t, ns[-1]) for build, j, t in series]
     if pair.endswith("-model"):
         model = asym.growth_model(model_or_limit)
         rows = [{"n": n, "coefficient": float(coeffs[0][n]), "model": model.value(n),
-                 "ratio": coeffs[0][n] / model.value(n)} for n in (100, 3000)]
+                 "ratio": coeffs[0][n] / model.value(n)} for n in ns]
         expected = {"pair": pair, "kind": "model", "limit": None, "rows": rows}
     else:
         (num, den), limit = coeffs, model_or_limit
         rows = [{"n": n, "ratio": num[n] / den[n], "limit": limit,
-                 "abs_error": abs(num[n] / den[n] - limit)} for n in (100, 3000)]
+                 "abs_error": abs(num[n] / den[n] - limit)} for n in ns]
         expected = {"pair": pair, "kind": "cross", "limit": limit, "rows": rows}
     assert ratio_table(pair, checkpoints) == expected
+    assert main(["ratios", "--pair", pair, "--checkpoints", ",".join(map(str, checkpoints))]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_series_reach_the_traced_names_positionally(monkeypatch):
@@ -974,18 +1018,27 @@ def test_module_entry_point(tmp_path):
     assert "first_hold" in proc.stdout
 
 
-# one process's mixed sequence: a census that writes files, a usage error
-# from a choice and one from a type check, --version, and a --json call
-# before a human-readable one of another subcommand, so that a default one
-# call left on the shared parser would show in a later one; {tmp} is the
-# test's temporary directory
+# (argv, exit code), in one process: a census that writes files, a usage
+# error from a choice and one from a type check, --version, and a --json
+# call before a human-readable one of another subcommand, so that a default
+# one call left on the shared parser would show in a later one; then every
+# subcommand but asym at its ceiling, with the series memo kept between
+# calls, and a usage error each past the crossover and verify bounds; {tmp}
+# is the test's temporary directory
 _REPLAY = [
-    ["census", "--class", "r2", "--n-max", "12", "--t-max", "3", "--out", "{tmp}/r2.csv"],
-    ["crossover", "--pair", "r-t3", "--n-max", "30"],
-    ["conjecture", "--t", "3", "--n-max", "20", "--json"],
-    ["verify", "--n-max", "6", "--workers", "0"],
-    ["--version"],
-    ["verify", "--n-max", "6"],
+    (["census", "--class", "r2", "--n-max", "12", "--t-max", "3", "--out", "{tmp}/r2.csv"], EXIT_OK),
+    (["crossover", "--pair", "r-t3", "--n-max", "30"], EXIT_USAGE),
+    (["conjecture", "--t", "3", "--n-max", "20", "--json"], EXIT_OK),
+    (["verify", "--n-max", "6", "--workers", "0"], EXIT_USAGE),
+    (["--version"], EXIT_OK),
+    (["verify", "--n-max", "6"], EXIT_OK),
+    *((["crossover", "--pair", p, "--n-max", "5000"], EXIT_OK) for p in ("g-t1", "g-t2", "r-t1", "r-t2")),
+    *((["ratios", "--pair", p, "--checkpoints", "1000,5000"], EXIT_OK) for p in ("r1-cross", "g22-model")),
+    (["verify", "--n-max", "80", "--json"], EXIT_OK),
+    (["census", "--class", "r2", "--n-max", "200", "--t-max", "200", "--out", "{tmp}/r2.csv"], EXIT_OK),
+    (["conjecture", "--t", "3,4,5,6,7,8", "--n-max", "200", "--json"], EXIT_OK),
+    (["crossover", "--pair", "r-t3", "--n-max", "5000"], EXIT_USAGE),
+    (["verify", "--n-max", "81"], EXIT_USAGE),
 ]
 
 
@@ -1009,12 +1062,13 @@ def test_main_called_repeatedly_matches_fresh_processes_and_builds_one_parser(
         return files
 
     cli._build_parser.cache_clear()
-    for argv in _REPLAY:
+    for argv, code in _REPLAY:
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         in_process = (main(argv), *capsys.readouterr(), taken())
         proc = subprocess.run([sys.executable, "-m", "hooklab", *argv], capture_output=True,
                               text=True, env=_child_env())
         assert in_process == (proc.returncode, proc.stdout, proc.stderr, taken()), argv
+        assert in_process[0] == code, argv
     assert built.count("hooklab") == 1
 
 
@@ -1150,7 +1204,7 @@ _UNREACHED = {
     "qseries.bivariate_R": "bench",
     "qseries.bivariate_G": "bench",
     "qseries._build_bivariate": "bench",
-    "qseries._digit_width": "bench",
+    "qseries._degree_digit_width": "bench",
     "qseries._part_factors": "bench",
     "qseries._part_factor": "bench",
     "qseries._pair_factor": "bench",

@@ -14,7 +14,7 @@ from hooklab.classes import ClassId, _boundary_masks, all_partitions, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
     _boundary_census,
-    _digit_width,
+    _size_digit_width,
     census,
     census_rows,
     conjugate,
@@ -366,5 +366,5 @@ def test_digit_width_holds_every_digit():
     # docstring), with room to spare; a multiple of 8 for int.to_bytes
     p = _partition_counts(CENSUS_CEILING)
     for n in range(CENSUS_CEILING + 1):
-        width = _digit_width(n)
+        width = _size_digit_width(n)
         assert width > (2 * (n + 1) * p[n]).bit_length() and width % 8 == 0, n

@@ -613,7 +613,7 @@ def _check_marginal_and_derivative(build, j, t, class_id, order):
 
 @pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
 def test_bivariate_marginal_and_derivative(build, j, t, class_id):
-    for order in (40, 150):
+    for order in (40, 150, 1000):
         _check_marginal_and_derivative(build, j, t, class_id, order)
 
 
@@ -622,12 +622,12 @@ def test_digit_width_exceeds_the_partition_numbers(monkeypatch):
     # must hold the class's count at every size up to the order, here from
     # the sum side, and every entry of a table packed with digits too wide
     # to carry
-    real = qseries._digit_width
+    real = qseries._degree_digit_width
     for class_id in ClassId:
         for order in (0, 1, 2, 40, 150, 1000):
             counts = counting_series(class_id, order).coeffs
             assert max(counts).bit_length() <= real(class_id, order), (class_id, order)
-    monkeypatch.setattr(qseries, "_digit_width", lambda class_id, order: 2 * real(class_id, order) + 8)
+    monkeypatch.setattr(qseries, "_degree_digit_width", lambda class_id, order: 2 * real(class_id, order) + 8)
     for build, j, t, class_id in BIVARIATE_BUILDERS:
         for order in (0, 40, 150, 400):
             entries = [c for col in build(j, t, order).cols for c in col.coeffs]
@@ -639,7 +639,7 @@ def test_narrow_digits_break_the_product_side_tables(monkeypatch, build, j, t, c
     # the largest coefficients of all eight tables at order 150 take 19 or
     # 20 bits, so 18-bit digits carry into the next x-degree and the checks
     # that pass at the real width must fail
-    monkeypatch.setattr(qseries, "_digit_width", lambda class_id, order: 18)
+    monkeypatch.setattr(qseries, "_degree_digit_width", lambda class_id, order: 18)
     with pytest.raises(AssertionError):
         _check_marginal_and_derivative(build, j, t, class_id, 150)
 
@@ -743,7 +743,8 @@ def test_product_sides_read_the_class_table(monkeypatch, build, class_id, which,
 # sha256 of each bivariate table's columns (comma-joined decimal
 # coefficients, one line per x-degree) and of the two class products,
 # recorded from the column-by-column product-side tables and the
-# smallest-part-first product
+# smallest-part-first product; at order 1000 every table packs wider
+# digits than at any smaller order here
 BIVARIATE_DIGESTS = {
     ("R", 1, 1, 150): "679736731b4f4fb943e987b046327df8d9cc01f799e35b86b7a61cb2a0a2f6a6",
     ("R", 1, 2, 150): "462196f0249e3d78ce5692dfdc9241a8786db560ff4c2c797f96898ae64e25d5",
@@ -757,6 +758,14 @@ BIVARIATE_DIGESTS = {
     ("R", 2, 2, 400): "51ec43883c742c589e908c3fa70cee99fd56957b766a00e41d5788622be3805c",
     ("G", 2, 1, 400): "a25957c5d1db2045f93eceae37b519b081deacd0ea94be86a09f22d718abb4e9",
     ("G", 2, 2, 400): "5accc7a4962132f40ac01eaefe9276a6aa659bfb36a89eaa99971a5182f02338",
+    ("R", 1, 1, 1000): "b2875f7e5cb17674ac03d5010dcb717ecc31a2c240c895453889f7aab281a59b",
+    ("R", 1, 2, 1000): "41ee42a5080af694a28848ce6192d003965be34d45f3830a89af81dc3a137e8f",
+    ("R", 2, 1, 1000): "11c504fb7e63e60970de962d4be32711b05c3ffd1ca9a2b8096d1392d4dbfd27",
+    ("R", 2, 2, 1000): "9b283b1651548a030cc1e87d1b10aefd84419eb10155a09efe83f3cdd8069254",
+    ("G", 1, 1, 1000): "86b4d3e72468fcaca288babdd4b477c3293a7fdecf5ca17fcfd29eb633e048cd",
+    ("G", 1, 2, 1000): "8b6503034c101f588ff9ea1a151697b4c1991fcaa485a7eb08e2006ea359bef9",
+    ("G", 2, 1, 1000): "30d7335fa297b9b19de8705acf00335f1ae73084b7df03298583d71b5336551c",
+    ("G", 2, 2, 1000): "08fda012270dc7191e6292d6a7c5648a5aed6b6d823a451def3de2b56689c58b",
 }
 PRODUCT_DIGESTS_2000 = {
     ((1, 4), 5): "54785e710467e9adb4be67d0bb8948f746591eec11d15f8700f93a7775fd9e2b",
