@@ -15,9 +15,8 @@ the dilogarithm, :func:`dilog`, which :func:`saddle_functions` takes along
 its arcs; the other polylogarithms, which only the lemma checks use, live
 with them in ``tests/lemma_checks.py``.
 
-Growth models: each hook-count sequence grows like A n^(-1/4) e^(B sqrt(n))
-with B = 2 pi / sqrt(15) for the Rogers-Ramanujan pair and B = pi / 2 for
-the little Gollnitz pair; amplitudes A are pinned in :func:`growth_model`.
+Every asymptotic constant is derived by :func:`_main_term` from one main
+term per identity, ``_MAIN_TERMS``, and the rows of ``qseries._HOOK_SERIES``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .qseries import _STREAMS
+from .qseries import _COUNTED_BY, _HOOK_SERIES, _STREAMS
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG_PHI = math.log(PHI)
@@ -220,30 +219,50 @@ def saddle_functions(y: float, variant: str) -> tuple:
     raise ValueError(f"unknown variant {variant!r} (expected 'RR' or 'LG')")
 
 
-_MODEL_GROWTH_RR = 2.0 * math.pi / math.sqrt(15.0)
-_MODEL_GROWTH_LG = math.pi / 2.0
-
-_MODELS = {
-    "r11": (3**0.25 * PHI**0.5 * LOG_PHI / (2.0 * math.pi), _MODEL_GROWTH_RR),
-    "r12": (3**0.25 * PHI**0.5 * LOG_PHI / (2.0 * math.pi), _MODEL_GROWTH_RR),
-    "r21": (3**0.25 * PHI**0.5 / (5.0 * math.pi), _MODEL_GROWTH_RR),
-    "r22": (3**1.25 * PHI**0.5 / (10.0 * math.pi), _MODEL_GROWTH_RR),
-    "g11": (LOG_SILVER / (2**1.25 * math.pi), _MODEL_GROWTH_LG),
-    "g12": (LOG_SILVER / (2**1.25 * math.pi), _MODEL_GROWTH_LG),
-    "g21": (3.0 / (2**3.25 * math.pi), _MODEL_GROWTH_LG),
-    "g22": (1.0 / (2**1.25 * math.pi), _MODEL_GROWTH_LG),
+# identity -> (k, lambda_P, peak * eps): at q = e^(-eps) its class product
+# is lambda_P e^(pi^2/(k eps)) to leading order, and its Nahm sum's terms
+# peak at the index peak/eps
+_MAIN_TERMS = {
+    "RR1": (15, math.sqrt(PHI) / 5**0.25, LOG_PHI),
+    "LG1": (16, 1.0 / 2**0.25, LOG_SILVER / 2.0),
 }
 
 
+def _main_term(name: str) -> tuple:
+    """(k, lambda_P, peak * eps, w) of hook series ``name``: its identity's
+    ``_MAIN_TERMS`` row and its weight w, as (numerator, denominator).  At
+    q = e^(-eps) the series is w/eps times its class product's main term.
+    A gap class's terms sum to the product and peak at n = peak/eps, so w
+    is peak * eps times the sum of a over its (stream, a, b) rows, over 1.
+    A congruence class's factors N(q)/(1 - q^d) are each about
+    N(1)/(d eps), so w is the sum of N(1)/d, exact and in lowest terms."""
+    class_id, _, form, gap_rows = _HOOK_SERIES[name]
+    k, lam, peak_eps = _MAIN_TERMS[_COUNTED_BY[class_id]]
+    if gap_rows is not None:
+        return k, lam, peak_eps, (peak_eps * sum(a for _, a, _ in form), 1)
+    num, den = 0, 1
+    for numerator, [d] in form:
+        num, den = num * d + den * sum(c for _, c in numerator), den * d
+    g = math.gcd(num, den)
+    return k, lam, peak_eps, (num // g, den // g)
+
+
 def growth_model(which: str) -> AsymModel:
-    """The A n^(-1/4) e^(B sqrt(n)) model of one hook-count sequence;
-    keys r11, r12, r21, r22, g11, g12, g21, g22 (r11/r12 share a model,
-    as do g11/g12)."""
-    try:
-        amp, growth = _MODELS[which]
-    except KeyError:
-        raise ValueError(f"unknown model {which!r}; expected one of {sorted(_MODELS)}")
-    return AsymModel(amp, growth, which)
+    """The A n^(-1/4) e^(B sqrt(n)) model of one hook-count sequence, keyed
+    by class and t (r11 for S11): Meinardus' transfer of its main term,
+    A = lambda_P w k^(1/4)/(2 pi) and B = 2 pi/sqrt(k)."""
+    names = {f"{cid.value}{t}": name for name, (cid, t, _, _) in _HOOK_SERIES.items()}
+    if which not in names:
+        raise ValueError(f"unknown model {which!r}; expected one of {sorted(names)}")
+    k, lam, _, (num, den) = _main_term(names[which])
+    return AsymModel(lam * k**0.25 / (2.0 * math.pi) * num / den, 2.0 * math.pi / math.sqrt(k), which)
+
+
+def cross_limit(num_name: str, den_name: str) -> float:
+    """Limit of the coefficient ratio of two hook series of one identity:
+    their weights' ratio a_num b_den/(b_num a_den), rounded once."""
+    (a_num, a_den), (b_num, b_den) = _main_term(num_name)[3], _main_term(den_name)[3]
+    return a_num * b_den / (b_num * a_den)
 
 
 # --------------------------------------------------------------------------
@@ -251,14 +270,6 @@ def growth_model(which: str) -> AsymModel:
 # --------------------------------------------------------------------------
 
 _EPS_MIN, _EPS_MAX = 0.003, 0.2  # keeps e^(pi^2/(15 eps)) inside binary64
-
-
-_SADDLE_TARGETS = {
-    # target -> (stream of qseries._STREAMS, peak index * eps,
-    #            amplitude * eps, k in the exponential e^(pi^2/(k eps)))
-    "S11": ("rr", LOG_PHI, (math.sqrt(PHI) / 5**0.25) * LOG_PHI, 15.0),
-    "H11": ("lg", LOG_SILVER / 2.0, LOG_SILVER / 2**1.25, 16.0),
-}
 
 
 def _factor_at(factor, epsilon: float) -> float:
@@ -282,18 +293,18 @@ def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     ``H11``: sum n q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n
              vs  (log(1+sqrt(2))/2^(5/4)) e^(pi^2/(16 eps))/eps.
 
-    The terms are those of the sum's stream in ``qseries._STREAMS``, run in
-    binary64: term n = term (n-1) F_n, each rational factor F_n taken at
-    q = e^(-eps) by :func:`_factor_at`.  Terms are added
+    The stream is the target's row (stream, 1, 0) in ``qseries._HOOK_SERIES``,
+    run in binary64: term n = term (n-1) F_n, each rational factor F_n taken
+    at q = e^(-eps) by :func:`_factor_at`.  Terms are added
     until the next falls below 1e-18 of the running sum (only checked beyond
     the peak index, where terms decay), with a hard cap of 10x the peak index.
     """
     if not _EPS_MIN <= epsilon <= _EPS_MAX:
         raise ValueError(f"epsilon must lie in [{_EPS_MIN}, {_EPS_MAX}]")
-    try:
-        stream, peak_eps, amplitude, k = _SADDLE_TARGETS[target]
-    except KeyError:
+    if target not in ("S11", "H11"):
         raise ValueError(f"unknown target {target!r} (expected 'S11' or 'H11')")
+    [(stream, _, _)] = _HOOK_SERIES[target][2]
+    k, lam, peak_eps, _ = _main_term(target)
 
     first, step = _STREAMS[stream]
     peak = peak_eps / epsilon
@@ -307,5 +318,5 @@ def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
         total += n * term
         if n > peak and n * term < 1e-18 * total:
             break
-    main = amplitude / epsilon * math.exp(math.pi**2 / (k * epsilon))
+    main = lam * peak_eps / epsilon * math.exp(math.pi**2 / (k * epsilon))
     return SaddleProbe(target, epsilon, total, main)

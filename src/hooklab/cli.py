@@ -47,6 +47,7 @@ from .hooks import (
 )
 from .qseries import (
     _HOOK_SERIES,
+    SERIES_CEILING,
     TruncatedSeries,
     counting_series,
     identity_check_sum_product,
@@ -57,7 +58,6 @@ from .qseries import (
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
 
 VERIFY_CEILING = 80        # largest n_max cmd_verify will enumerate
-SERIES_CEILING = 5000      # largest order crossover and ratios will build
 ENGINE_CHECK_T = 4         # t_max of verify's engine-vs-enumeration check
 HOOK_PROPERTY_BOUND = 30   # unrestricted-partition property sweep bound
 
@@ -420,11 +420,12 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
 # --------------------------------------------------------------------------
 
 _CROSS_RATIOS = {
-    # pair -> (numerator series, denominator series, limit)
-    "r1-cross": ("S11", "S21", 2.5 * asym.LOG_PHI),
-    "r2-cross": ("S22", "S21", 1.5),
-    "g1-cross": ("H11", "H21", 4.0 / 3.0 * asym.LOG_SILVER),
-    "g2-cross": ("H21", "H22", 0.75),
+    # pair -> (numerator series, denominator series), two series of one
+    # identity; the limit is the ratio of their weights, asym.cross_limit
+    "r1-cross": ("S11", "S21"),
+    "r2-cross": ("S22", "S21"),
+    "g1-cross": ("H11", "H21"),
+    "g2-cross": ("H21", "H22"),
 }
 
 
@@ -450,24 +451,19 @@ def ratio_table(pair: str, checkpoints: list) -> dict:
         ]
         return {"pair": pair, "kind": "model", "limit": None, "rows": rows}
     if pair in _CROSS_RATIOS:
-        num_key, den_key, limit = _CROSS_RATIOS[pair]
-        num = _series(num_key, order)
-        den = _series(den_key, order)
+        num_key, den_key = _CROSS_RATIOS[pair]
+        limit = asym.cross_limit(num_key, den_key)
+        num, den = _series(num_key, order), _series(den_key, order)
         zero = next((n for n in checkpoints if den[n] == 0), None)
         if zero is not None:
-            raise ValueError(
-                f"{pair} is undefined at checkpoint n={zero}: {den_key} has coefficient 0 there"
-            )
+            raise ValueError(f"{pair} is undefined at checkpoint n={zero}: {den_key} has coefficient 0 there")
         rows = [
             {"n": n, "ratio": num[n] / den[n], "limit": limit,
              "abs_error": abs(num[n] / den[n] - limit)}
             for n in checkpoints
         ]
         return {"pair": pair, "kind": "cross", "limit": limit, "rows": rows}
-    raise ValueError(
-        f"unknown pair {pair!r}; expected one of "
-        f"{sorted(model_pairs) + sorted(_CROSS_RATIOS)}"
-    )
+    raise ValueError(f"unknown pair {pair!r}; expected one of {sorted(model_pairs) + sorted(_CROSS_RATIOS)}")
 
 
 def asym_table(target: str, eps_list: list) -> dict:
@@ -475,19 +471,9 @@ def asym_table(target: str, eps_list: list) -> dict:
     when |ratio - 1| fails to decrease strictly."""
     if not eps_list:
         raise ValueError("eps list must be nonempty")
-    eps_sorted = sorted(set(eps_list), reverse=True)
-    rows = []
-    for eps in eps_sorted:
-        probe = asym.saddle_probe(target, eps)
-        rows.append(
-            {
-                "epsilon": eps,
-                "direct_value": probe.direct_value,
-                "main_term": probe.main_term,
-                "ratio": probe.ratio,
-                "deviation": abs(probe.ratio - 1.0),
-            }
-        )
+    probes = [asym.saddle_probe(target, eps) for eps in sorted(set(eps_list), reverse=True)]
+    rows = [{"epsilon": p.epsilon, "direct_value": p.direct_value, "main_term": p.main_term,
+             "ratio": p.ratio, "deviation": abs(p.ratio - 1.0)} for p in probes]
     deviations = [r["deviation"] for r in rows]
     monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
     return {"target": target, "rows": rows, "monotone": monotone}

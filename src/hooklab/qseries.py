@@ -60,7 +60,9 @@ built at the highest order requested so far: a lower order is served by
 truncation, a higher one rebuilds the entry.  Every call returns a fresh
 :class:`TruncatedSeries`, which the caller may mutate without touching the
 memo.  :func:`inv_pochhammer_product`, the bivariate builders and
-:func:`identity_check_sum_product` are not memoized.
+:func:`identity_check_sum_product` are not memoized.  Every builder, and
+the memo, refuses an order above :data:`SERIES_CEILING` with ValueError
+before it allocates, so no entry is ever larger.
 """
 
 from __future__ import annotations
@@ -74,6 +76,16 @@ from .classes import RESIDUE_CLASSES, ClassId
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
+
+
+SERIES_CEILING = 5000  # largest order any builder here will make
+
+
+def _check_ceiling(order: int) -> None:
+    """Refuse an order above :data:`SERIES_CEILING`, before anything of
+    that size is allocated or memoized."""
+    if order > SERIES_CEILING:
+        raise ValueError(f"order must be <= {SERIES_CEILING}; got {order}")
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +217,7 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
     Only factors with exponent <= order contribute; this is the partition
     counting series for parts restricted to the given residue classes.
     """
+    _check_ceiling(order)
     residues = set(residues)
     if not residues:
         raise ValueError("residues must be nonempty")
@@ -232,6 +245,7 @@ _MEMO: dict = {}
 def _memoized(key, order: int, build) -> TruncatedSeries:
     """A fresh copy of ``build(order)``, truncated from the memo entry for
     ``key`` when that was built at ``order`` or above, else rebuilt there."""
+    _check_ceiling(order)
     held = _MEMO.get(key)
     if held is None or held.order < order:
         held = _MEMO[key] = build(order)
@@ -518,6 +532,7 @@ def _build_bivariate(name: str, order: int) -> BivariateSeries:
     1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
     every coefficient of x^k q^n is below 2^b, so column k is read back
     exactly as digit k."""
+    _check_ceiling(order)
     class_id, t, _, gap_rows = _HOOK_SERIES[name]
     packed, width = TruncatedSeries.one(order), _degree_digit_width(class_id, order)
     if gap_rows is not None:
@@ -577,6 +592,7 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     """
     if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r} (expected 'RR1' or 'LG1')")
+    _check_ceiling(order)
     stream, cong = _IDENTITIES[which]
     lhs = _nahm_sum([(stream, 0, 1)], order)
     rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order)

@@ -5,9 +5,11 @@ its exact log-Pochhammer series, the Euler-Maclaurin residual of a sampled
 Gaussian, the leading-order probes of the class products and the
 term-by-term run of a Nahm-sum stream.
 
-They use ``hooklab.asym``'s dilogarithm, constants and epsilon range,
-``hooklab.qseries``'s term streams and :func:`_apply`, and mpmath (from the
-``test`` extra) for erfc off the real line.
+They use ``hooklab.asym``'s dilogarithm, constants, main terms and epsilon
+range, ``hooklab.qseries``'s term streams and :func:`_apply`, and mpmath
+(from the ``test`` extra) for erfc off the real line.  The class-product
+probes read k and lambda_P of RR1 and LG1 from ``asym._MAIN_TERMS``, so
+they check those constants against the directly evaluated products.
 """
 
 import cmath
@@ -20,6 +22,7 @@ import mpmath as mp
 from hooklab.asym import (
     _EPS_MAX,
     _EPS_MIN,
+    _MAIN_TERMS,
     _SERIES_CAP,
     LOG_SILVER,
     PHI,
@@ -236,11 +239,18 @@ def euler_maclaurin_gaussian_check(a, step, R: int) -> float:
     return abs(total - bracket)
 
 
+def _product_main(class_id: ClassId, identity: str) -> tuple:
+    """A class product's row of ``_PRODUCT_MAINS``, its amplitude and k
+    read from ``hooklab.asym._MAIN_TERMS``."""
+    k, lam, _ = _MAIN_TERMS[identity]
+    return RESIDUE_CLASSES[class_id], math.log(lam), math.pi**2 / k
+
+
 _PRODUCT_MAINS = {
     # (residues, modulus), log-amplitude, exponential rate coefficient c in e^(c/eps)
-    "RR14": (RESIDUE_CLASSES[ClassId.R2], 0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
+    "RR14": _product_main(ClassId.R2, "RR1"),
     "RR23": ((frozenset({2, 3}), 5), -0.5 * math.log(PHI) - 0.25 * math.log(5.0), math.pi**2 / 15.0),
-    "LG": (RESIDUE_CLASSES[ClassId.G2], -0.25 * math.log(2.0), math.pi**2 / 16.0),
+    "LG": _product_main(ClassId.G2, "LG1"),
 }
 
 

@@ -14,6 +14,7 @@ from hooklab.asym import (
     PHI,
     AsymModel,
     ComplexParam,
+    _main_term,
     dilog,
     eta_asym_residual,
     growth_model,
@@ -359,6 +360,19 @@ def test_dilog_and_saddle_functions_reject_non_finite_values(bad):
             saddle_functions(bad, variant)
 
 
+# the growth models' closed forms, A n^(-1/4) e^(B sqrt(n)) as (A, B)
+_MODEL_CLOSED_FORMS = {
+    "r11": (3**0.25 * PHI**0.5 * LOG_PHI / (2.0 * math.pi), 2.0 * math.pi / math.sqrt(15.0)),
+    "r12": (3**0.25 * PHI**0.5 * LOG_PHI / (2.0 * math.pi), 2.0 * math.pi / math.sqrt(15.0)),
+    "r21": (3**0.25 * PHI**0.5 / (5.0 * math.pi), 2.0 * math.pi / math.sqrt(15.0)),
+    "r22": (3**1.25 * PHI**0.5 / (10.0 * math.pi), 2.0 * math.pi / math.sqrt(15.0)),
+    "g11": (LOG_SILVER / (2**1.25 * math.pi), math.pi / 2.0),
+    "g12": (LOG_SILVER / (2**1.25 * math.pi), math.pi / 2.0),
+    "g21": (3.0 / (2**3.25 * math.pi), math.pi / 2.0),
+    "g22": (1.0 / (2**1.25 * math.pi), math.pi / 2.0),
+}
+
+
 def test_growth_model_constants():
     r21 = growth_model("r21")
     assert abs(r21.amplitude - 3**0.25 * PHI**0.5 / (5 * math.pi)) < 1e-16
@@ -370,6 +384,19 @@ def test_growth_model_constants():
     assert growth_model("g11").amplitude == growth_model("g12").amplitude
     with pytest.raises(ValueError):
         growth_model("r13")
+    # every model, derived from its series' weight and its identity's main
+    # term, against its closed form
+    for key, (amplitude, growth) in _MODEL_CLOSED_FORMS.items():
+        model = growth_model(key)
+        assert abs(model.amplitude - amplitude) <= 1e-15 * amplitude, key
+        assert abs(model.growth - growth) <= 1e-15 * growth, key
+
+
+def test_congruence_weights():
+    # the sum of N(1)/d over each product side's rational factors, exact
+    assert {name: _main_term(name)[3] for name in ("S21", "S22", "H21", "H22")} == {
+        "S21": (2, 5), "S22": (3, 5), "H21": (3, 8), "H22": (1, 2),
+    }
 
 
 def test_growth_model_cross_ratios():

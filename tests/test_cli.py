@@ -392,13 +392,14 @@ def test_verify_ceiling():
         verify_report(81)
 
 
-# sha256 of the JSON list of (name, ok, detail) of every check, per run
+# sha256 of the JSON list of (name, ok, detail) of every check, per run; the
+# run at the ceiling, n = 80, is checked by the replay test, which makes it
+# anyway, against _VERIFY_CEILING_DIGEST
 _VERIFY_DIGESTS = {
     (0, None): "c9feb961bed59d99e19e1a61ac3b5ba184b37396f59f1c730ca6ffbb50909ed6",
     (6, None): "43b71ab26eddb79c82042b265a0b048098fc0278649da87ad832a6c2ccaf42bd",
     (30, None): "85c2dbdc0d76d94b576bc486ee5888093f1fd90655b87eb9fe10cb558498087c",
     (40, None): "45600daa0e31e899a44ee498c2b359e3ba180bb3170041ec787898d3225b4ddf",
-    (80, None): "231e0c4199549e3c80796d93c8047a4a3b90aeda53d2e2c3114f08fd08e54ad8",
     (16, ("H22", 9, -1)): "0ffa6e18168ab7fb32a8e5a6c3169944c18800246d3a51630d99b03acc9897fd",
 }
 
@@ -1042,6 +1043,11 @@ _REPLAY = [
 ]
 
 
+# the _VERIFY_DIGESTS digest of `verify --n-max 80 --json`, whose run the
+# replay test checks
+_VERIFY_CEILING_DIGEST = "231e0c4199549e3c80796d93c8047a4a3b90aeda53d2e2c3114f08fd08e54ad8"
+
+
 def test_main_called_repeatedly_matches_fresh_processes_and_builds_one_parser(
     tmp_path, capsys, monkeypatch
 ):
@@ -1062,6 +1068,7 @@ def test_main_called_repeatedly_matches_fresh_processes_and_builds_one_parser(
         return files
 
     cli._build_parser.cache_clear()
+    verified = False
     for argv, code in _REPLAY:
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         in_process = (main(argv), *capsys.readouterr(), taken())
@@ -1069,6 +1076,11 @@ def test_main_called_repeatedly_matches_fresh_processes_and_builds_one_parser(
                               text=True, env=_child_env())
         assert in_process == (proc.returncode, proc.stdout, proc.stderr, taken()), argv
         assert in_process[0] == code, argv
+        if argv == ["verify", "--n-max", "80", "--json"]:
+            rows = [(c["name"], c["ok"], c["detail"]) for c in json.loads(in_process[1])["checks"]]
+            assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _VERIFY_CEILING_DIGEST
+            verified = True
+    assert verified
     assert built.count("hooklab") == 1
 
 

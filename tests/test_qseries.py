@@ -366,6 +366,25 @@ def test_memo_key_bound(empty_memo):
     assert len(qseries._MEMO) == 12
 
 
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(build, id=name) for name, build in MEMOIZED]
+    + [
+        pytest.param(lambda n: inv_pochhammer_product({1, 4}, 5, n), id="inv_pochhammer_product"),
+        pytest.param(lambda n: bivariate_R(1, 1, n), id="bivariate_R-gap"),
+        pytest.param(lambda n: bivariate_G(2, 2, n), id="bivariate_G-congruence"),
+        pytest.param(lambda n: identity_check_sum_product("RR1", n), id="identity-RR1"),
+        pytest.param(lambda n: identity_check_sum_product("LG1", n), id="identity-LG1"),
+    ],
+)
+def test_builders_refuse_orders_above_the_ceiling(empty_memo, build):
+    # refused before anything is allocated: the memo gains no key, not even
+    # the class product that sizes a bivariate table's digits
+    with pytest.raises(ValueError, match=f"order must be <= {qseries.SERIES_CEILING}"):
+        build(qseries.SERIES_CEILING + 1)
+    assert not qseries._MEMO
+
+
 def test_counting_series_looks_up_each_class(empty_memo):
     # a ClassId's value string is not a class, and neither is None
     for bad in ("r1", None):
