@@ -286,6 +286,10 @@ def _factor_at(factor, epsilon: float) -> float:
     return value
 
 
+# the hook series that saddle_probe evaluates, one Nahm sum per identity
+SADDLE_TARGETS = ("S11", "H11")
+
+
 def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     """Termwise Nahm-sum value at q = e^(-eps) against the main term.
 
@@ -301,8 +305,8 @@ def saddle_probe(target: str, epsilon: float) -> SaddleProbe:
     """
     if not _EPS_MIN <= epsilon <= _EPS_MAX:
         raise ValueError(f"epsilon must lie in [{_EPS_MIN}, {_EPS_MAX}]")
-    if target not in ("S11", "H11"):
-        raise ValueError(f"unknown target {target!r} (expected 'S11' or 'H11')")
+    if target not in SADDLE_TARGETS:
+        raise ValueError(f"unknown target {target!r} (expected {' or '.join(map(repr, SADDLE_TARGETS))})")
     [(stream, _, _)] = _HOOK_SERIES[target][2]
     k, lam, peak_eps, _ = _main_term(target)
 

@@ -25,8 +25,8 @@ congruence class has gap 0 on its allowed values, so their parts repeat.
 :func:`contains`, the enumerator (:func:`walk`, which yields each member
 with its boundary word, and :func:`iter_class` and :func:`all_partitions`,
 gap 0 everywhere, which yield its parts) and the census scan in ``hooks``
-all take membership from it; the product sides in ``qseries`` and
-``asym`` read :data:`RESIDUE_CLASSES` directly.
+all take membership from it; the product sides in ``qseries`` read
+:data:`RESIDUE_CLASSES` directly.
 
 A partition l_1 >= ... >= l_k is also its boundary word, read from the
 largest part down: N E^(l_1 - l_2) N ... N E^(l_k), an N step per part

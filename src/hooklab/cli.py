@@ -47,6 +47,7 @@ from .hooks import (
 )
 from .qseries import (
     _HOOK_SERIES,
+    _IDENTITIES,
     SERIES_CEILING,
     TruncatedSeries,
     counting_series,
@@ -286,7 +287,7 @@ def _checks(n_max: int, series: dict) -> Iterator[tuple]:
             n_max, ("engine", list(zip(c.counts, c.cardinality))),
             ("enumeration", list(zip(oracle.counts, oracle.cardinality))),
         )
-    for which in ("RR1", "LG1"):
+    for which in _IDENTITIES:
         chk = identity_check_sum_product(which, n_max)
         yield f"sum-product identity {which} (n <= {n_max})", "" if chk.ok else str(chk)
 
@@ -404,14 +405,12 @@ def conjecture_scan(t_list: list, n_max: int, cache_dir: str | None = None) -> l
     tables = {cid: cached_census(cid, n_max, t_top, cache_dir) for cid in ClassId}
     scans = []
     for t in t_list:
-        for pair, (gap_cid, cong_cid) in (
-            ("r", (ClassId.R1, ClassId.R2)),
-            ("g", (ClassId.G1, ClassId.G2)),
-        ):
+        for _, gap_cid, cong_cid in _IDENTITIES.values():
             lhs = tables[gap_cid].series(t)
             rhs = tables[cong_cid].series(t)
             holds_from, _ = _first_hold_and_violations(lhs, rhs, n_max)
-            scans.append(ConjectureScan(t, pair, n_max, holds_from, []))
+            # the pair is named by its class family, r or g
+            scans.append(ConjectureScan(t, gap_cid.value[0], n_max, holds_from, []))
     return scans
 
 
@@ -606,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", type=_number_list(int, "integer"), required=True, metavar="LIST")
 
     p = command("asym", _asym_command, "saddle-point probe table")
-    p.add_argument("--target", required=True, choices=["S11", "H11"])
+    p.add_argument("--target", required=True, choices=asym.SADDLE_TARGETS)
     p.add_argument("--eps", type=_number_list(float, "float"), required=True, metavar="LIST")
 
     for p in (census, conjecture):

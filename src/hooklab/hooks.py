@@ -65,15 +65,10 @@ def _hook_cells(parts: Partition, conj: Partition) -> list:
     return [r - i - 1 + c for i, r in enumerate(parts) for c in cols[:r]]
 
 
-def hook_lengths(parts: Partition, conj: Partition | None = None) -> list:
+def hook_lengths(parts: Partition) -> list:
     """Table of hook lengths, one list per row of the Young diagram: the
-    cells of :func:`_hook_cells`, cut at the ends of the rows.
-
-    ``conj`` is the conjugate of ``parts``, computed here when not given.
-    """
-    if conj is None:
-        conj = conjugate(parts)
-    cells = _hook_cells(parts, conj)
+    cells of :func:`_hook_cells`, cut at the ends of the rows."""
+    cells = _hook_cells(parts, conjugate(parts))
     ends = list(accumulate(parts))
     return [cells[a:b] for a, b in zip([0] + ends, ends)]
 

@@ -45,17 +45,17 @@ Horner sum of x^n times term n over its streams.  A congruence-class table
 is a product of one factor per part value that ``classes.RESIDUE_CLASSES``
 allows, as is the product side of :func:`identity_check_sum_product`, so
 each congruence class is defined there alone.  Both classes of a pair take
-the digit width b from the congruence class's product.
+the digit width b from the pair's counting series.
 
-:func:`counting_series` is the Nahm (sum) side of each pair's first
-identity; the product side, :func:`inv_pochhammer_product`, built largest
-part first, is its oracle and what :func:`identity_check_sum_product`
-compares it with.
+``_IDENTITIES`` states each identity once: the term stream of its sum side,
+its gap class and its congruence class.  :func:`counting_series` is that
+sum side, the count of both classes; the product side,
+:func:`inv_pochhammer_product`, built largest part first, is its oracle,
+and only :func:`identity_check_sum_product` builds it.
 
-The eight series, the two class counting series and the two class products
-that size the packed digits are memoized per process, twelve fixed keys
-whatever the input: the names, the identities RR1 and LG1, and each
-product's (residues, modulus).  Each key holds the series
+The eight series and the two class counting series are memoized per
+process, ten fixed keys whatever the input: the names and the identities
+RR1 and LG1.  Each key holds the series
 built at the highest order requested so far: a lower order is served by
 truncation, a higher one rebuilds the entry.  Every call returns a fresh
 :class:`TruncatedSeries`, which the caller may mutate without touching the
@@ -237,8 +237,7 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
 
 
 # key -> the series built at the highest order requested so far; the keys are
-# the eight hook series, the two counting series and the two class products,
-# twelve in all
+# the eight hook series and the two counting series, ten in all
 _MEMO: dict = {}
 
 
@@ -252,12 +251,13 @@ def _memoized(key, order: int, build) -> TruncatedSeries:
     return held.truncated(order)
 
 
-# identity -> (the term stream of its sum side, the congruence class whose
-# parts its product side allows)
-_IDENTITIES = {"RR1": ("rr", ClassId.R2), "LG1": ("lg", ClassId.G2)}
+# identity -> (the term stream of its sum side, its gap class, its congruence
+# class): the sum side counts both classes, and the product side allows the
+# congruence class's parts
+_IDENTITIES = {"RR1": ("rr", ClassId.R1, ClassId.R2), "LG1": ("lg", ClassId.G1, ClassId.G2)}
 
 # class -> the identity whose sum side counts it
-_COUNTED_BY = {ClassId.R1: "RR1", ClassId.R2: "RR1", ClassId.G1: "LG1", ClassId.G2: "LG1"}
+_COUNTED_BY = {cid: which for which, (_, *pair) in _IDENTITIES.items() for cid in pair}
 
 
 def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
@@ -274,7 +274,7 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     which = _COUNTED_BY.get(class_id)
     if which is None:
         raise ValueError(f"counting_series needs a ClassId; got {class_id!r}")
-    stream, _ = _IDENTITIES[which]
+    stream = _IDENTITIES[which][0]
     return _memoized(which, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
 
 
@@ -503,9 +503,8 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
 
 def _degree_digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed bivariate table: the bit length of the
-    class's count at ``order``, read off the product side of its own
-    identity, the congruence class's literal product, which the memo keeps
-    for the pair's next table.
+    class's count at ``order``, read off its pair's counting series, which
+    the memo keeps for the pair's next table.
 
     A coefficient of x^k q^n, n <= order, counts class members of size n.
     The two classes of a pair are equinumerous (RR1, LG1), and the
@@ -515,11 +514,7 @@ def _degree_digit_width(class_id: ClassId, order: int) -> int:
     gap-class table's Horner levels: every term is non-negative with lowest
     coefficient 1, and level k is kept on term k's window, so each digit of
     it is at most a final coefficient at some n <= order."""
-    _, cong = _IDENTITIES[_COUNTED_BY[class_id]]
-    residues, modulus = RESIDUE_CLASSES[cong]
-    key = tuple(sorted(residues)), modulus
-    product = _memoized(key, order, lambda n: inv_pochhammer_product(residues, modulus, n))
-    return product.coeffs[order].bit_length()
+    return counting_series(class_id, order).coeffs[order].bit_length()
 
 
 def _build_bivariate(name: str, order: int) -> BivariateSeries:
@@ -591,9 +586,9 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     side, so this check is what ties it to the product.
     """
     if which not in _IDENTITIES:
-        raise ValueError(f"unknown identity {which!r} (expected 'RR1' or 'LG1')")
+        raise ValueError(f"unknown identity {which!r} (expected {' or '.join(map(repr, _IDENTITIES))})")
     _check_ceiling(order)
-    stream, cong = _IDENTITIES[which]
+    stream, _, cong = _IDENTITIES[which]
     lhs = _nahm_sum([(stream, 0, 1)], order)
     rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order)
     for n in range(order + 1):

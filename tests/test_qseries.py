@@ -294,8 +294,6 @@ def test_truncation_stability(family, j, t, empty_memo):
 # --------------------------------------------------------------------------
 
 MEMO_KEYS = {f"{family}{j}{t}" for family in "SH" for j in (1, 2) for t in (1, 2)} | {"RR1", "LG1"}
-# the congruence-class products that size the digits of a packed table
-PRODUCT_KEYS = {((1, 4), 5), ((1, 5, 6), 8)}
 
 MEMOIZED = [
     *((f"S{j}{t}", lambda n, j=j, t=t: series_S(j, t, n)) for j in (1, 2) for t in (1, 2)),
@@ -357,13 +355,12 @@ def test_memo_key_bound(empty_memo):
             counting_series(cid, order)
         identity_check_sum_product("RR1", order)
         identity_check_sum_product("LG1", order)
-        for build in (bivariate_R, bivariate_G):
-            build(2, 1, order)
-            build(2, 2, order)
+        for build, j, t, _ in BIVARIATE_BUILDERS:
+            build(j, t, order)
         with pytest.raises(ValueError):
             series_S(3, 1, order)
-        assert set(qseries._MEMO) <= MEMO_KEYS | PRODUCT_KEYS
-    assert len(qseries._MEMO) == 12
+        assert set(qseries._MEMO) <= MEMO_KEYS
+    assert set(qseries._MEMO) == MEMO_KEYS
 
 
 @pytest.mark.parametrize(
@@ -379,10 +376,21 @@ def test_memo_key_bound(empty_memo):
 )
 def test_builders_refuse_orders_above_the_ceiling(empty_memo, build):
     # refused before anything is allocated: the memo gains no key, not even
-    # the class product that sizes a bivariate table's digits
+    # the counting series that sizes a bivariate table's digits
     with pytest.raises(ValueError, match=f"order must be <= {qseries.SERIES_CEILING}"):
         build(qseries.SERIES_CEILING + 1)
     assert not qseries._MEMO
+
+
+def test_each_identity_pairs_a_gap_class_with_a_congruence_class():
+    # the one statement of the class pairs: every class is counted by the
+    # identity of its row, and each row pairs one class of each kind
+    assert {which: pair for which, (_, *pair) in qseries._IDENTITIES.items()} == {
+        "RR1": [ClassId.R1, ClassId.R2], "LG1": [ClassId.G1, ClassId.G2]}
+    for _, gap, cong in qseries._IDENTITIES.values():
+        assert gap in classes.GAP_RULES and cong in classes.RESIDUE_CLASSES
+    assert qseries._COUNTED_BY == {
+        ClassId.R1: "RR1", ClassId.R2: "RR1", ClassId.G1: "LG1", ClassId.G2: "LG1"}
 
 
 def test_counting_series_looks_up_each_class(empty_memo):
@@ -397,28 +405,34 @@ def test_counting_series_looks_up_each_class(empty_memo):
         assert coeffs == [len(list(iter_class(cid, n))) for n in range(11)], cid
 
 
-def test_product_side_tables_share_the_class_product(monkeypatch, empty_memo):
-    # the product that sizes a table's digits is built once per class and
-    # order: a second table of the class at the same or a lower order reads
-    # it from the memo, a higher order rebuilds it
-    built = []
-    real = qseries.inv_pochhammer_product
+def test_only_the_identity_check_builds_the_class_product(monkeypatch, empty_memo):
+    # a table's digits are sized by its pair's counting series, so no table
+    # builds the class product; the identity check builds both of its sides
+    # afresh every time, even with both counting series held in the memo
+    built, summed = [], []
+    real_product, real_sum = qseries.inv_pochhammer_product, qseries._nahm_sum
 
-    def counted(residues, modulus, order):
+    def counted_product(residues, modulus, order):
         built.append((tuple(sorted(residues)), modulus, order))
-        return real(residues, modulus, order)
+        return real_product(residues, modulus, order)
 
-    monkeypatch.setattr(qseries, "inv_pochhammer_product", counted)
-    for build in (bivariate_R, bivariate_G):
-        for order in (150, 150, 40, 0):
-            build(2, 1, order)
-            build(2, 2, order)
-        build(2, 1, 200)
-    assert built == [((1, 4), 5, 150), ((1, 4), 5, 200), ((1, 5, 6), 8, 150), ((1, 5, 6), 8, 200)]
-    assert set(qseries._MEMO) == PRODUCT_KEYS
-    # the identity check builds its product side afresh every time
-    identity_check_sum_product("RR1", 100)
-    assert built[-1] == ((1, 4), 5, 100) and len(built) == 5
+    def counted_sum(streams, order, x=1):
+        summed.append((tuple(streams), order, x))
+        return real_sum(streams, order, x)
+
+    monkeypatch.setattr(qseries, "inv_pochhammer_product", counted_product)
+    for build, j, t, _ in BIVARIATE_BUILDERS:
+        for order in (150, 40, 0):
+            build(j, t, order)
+    assert built == []
+    assert set(qseries._MEMO) == {"RR1", "LG1"}
+    monkeypatch.setattr(qseries, "_nahm_sum", counted_sum)
+    for _ in range(2):
+        for which, product in (("RR1", ((1, 4), 5)), ("LG1", ((1, 5, 6), 8))):
+            identity_check_sum_product(which, 100)
+            assert built[-1] == (*product, 100)
+            assert summed[-1] == (((qseries._IDENTITIES[which][0], 0, 1),), 100, 1)
+    assert len(built) == len(summed) == 4
 
 
 class _Unwalkable(dict):
@@ -460,7 +474,7 @@ def _sum_weights() -> dict:
         if gap_rows is not None:  # a sum side
             for stream, a, b in form:
                 weights[stream].add((a, b))
-    for stream, _ in qseries._IDENTITIES.values():
+    for stream, _, _ in qseries._IDENTITIES.values():
         weights[stream].add((0, 1))
     return weights
 
@@ -748,12 +762,15 @@ def test_bivariate_order_bounds(build, j, t, class_id):
 )
 def test_product_sides_read_the_class_table(monkeypatch, build, class_id, which, patched):
     # a congruence class is defined once, in classes.RESIDUE_CLASSES: the
-    # product-side tables and the identity check follow a change there,
-    # while the sum side (a Nahm sum) does not, so the identity fails
+    # product-side tables' factors and the identity check follow a change
+    # there, while the sum side (a Nahm sum) does not, so the identity fails.
+    # The digit width is the sum side's count, which bounds the table only
+    # while the identity holds, so here it is the patched class's own count
     monkeypatch.setitem(classes.RESIDUE_CLASSES, class_id, patched)
     order = 20
     members = [sum(1 for _ in iter_class(class_id, n)) for n in range(order + 1)]
     assert members != counting_series(class_id, order).coeffs
+    monkeypatch.setattr(qseries, "_degree_digit_width", lambda cid, n: max(members).bit_length())
     for t in (1, 2):
         assert build(2, t, order).at_x_one().coeffs == members, t
     assert not identity_check_sum_product(which, order).ok
