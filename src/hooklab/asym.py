@@ -235,7 +235,10 @@ def _main_term(name: str) -> tuple:
     A gap class's terms sum to the product and peak at n = peak/eps, so w
     is peak * eps times the sum of a over its (stream, a, b) rows, over 1.
     A congruence class's factors N(q)/(1 - q^d) are each about
-    N(1)/(d eps), so w is the sum of N(1)/d, exact and in lowest terms."""
+    N(1)/(d eps), so w is the sum of N(1)/d, exact and in lowest terms.
+    A name that is not a hook series raises ValueError."""
+    if name not in _HOOK_SERIES:
+        raise ValueError(f"unknown hook series {name!r}; expected one of {list(_HOOK_SERIES)}")
     class_id, _, form, gap_rows = _HOOK_SERIES[name]
     k, lam, peak_eps = _MAIN_TERMS[_COUNTED_BY[class_id]]
     if gap_rows is not None:
@@ -260,8 +263,14 @@ def growth_model(which: str) -> AsymModel:
 
 def cross_limit(num_name: str, den_name: str) -> float:
     """Limit of the coefficient ratio of two hook series of one identity:
-    their weights' ratio a_num b_den/(b_num a_den), rounded once."""
+    their weights' ratio a_num b_den/(b_num a_den), rounded once.  Series
+    of different identities grow at different rates 2 pi/sqrt(k), so their
+    ratio has no finite limit, and such a pair raises ValueError."""
     (a_num, a_den), (b_num, b_den) = _main_term(num_name)[3], _main_term(den_name)[3]
+    which = {_COUNTED_BY[_HOOK_SERIES[name][0]] for name in (num_name, den_name)}
+    if len(which) > 1:
+        raise ValueError(f"{num_name} and {den_name} count classes of different identities; "
+                         "their ratio has no finite limit")
     return a_num * b_den / (b_num * a_den)
 
 

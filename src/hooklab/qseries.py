@@ -1,11 +1,14 @@
 """Exact truncated power series for the class generating functions.
 
-Everything here is integer-exact: a :class:`TruncatedSeries` holds the
-coefficients of sum(c_n q^n) + O(q^(N+1)) as Python ints, and the engine is
-division-free -- dividing by (1 - q^p) is realized as multiplication by the
-truncated geometric series of period p, an O(N) in-place pass.  Each
-in-place primitive works on whole list slices (``map``/``accumulate`` over
-them), so its per-coefficient loop runs in C, not in Python bytecode.
+Everything here is integer-exact.  The engine computes on plain lists of
+Python ints, a list c standing for sum(c_n q^n) + O(q^len(c)), and wraps a
+result in a :class:`TruncatedSeries` only where a public builder returns
+it.  It is division-free -- dividing by (1 - q^p) is realized as
+multiplication by the truncated geometric series of period p, an O(N) pass,
+:func:`_running_sums`.  Each list kernel works on whole list slices
+(``map``/``accumulate`` over them), so its per-coefficient loop runs in C,
+not in Python bytecode, and lists are added by :func:`_add` alone, which
+refuses lists of unequal length rather than drop the tail of the longer.
 
 The eight univariate series:
 
@@ -21,8 +24,8 @@ The eight univariate series:
 
 Every construction is written with one format, the rational factor
 (numerator, periods): N/prod(1 - q^d) over d in periods, with N given by
-its (e, c) monomials c q^e, e >= 0.  One primitive, :func:`_apply`, takes
-a series times a factor.  Two tables define the eight series.
+its (e, c) monomials c q^e, e >= 0.  One kernel, :func:`_apply`, takes a
+coefficient list times a factor.  Two tables define the eight series.
 ``_STREAMS`` holds each Nahm-sum term stream as a term 0 and a rational
 factor F_n, term n = term (n-1) F_n.  ``_HOOK_SERIES`` holds each series,
 by its name S11 ... H22, with its class and t: a gap class's as a sum side,
@@ -55,11 +58,11 @@ and only :func:`identity_check_sum_product` builds it.
 
 The eight series and the two class counting series are memoized per
 process, ten fixed keys whatever the input: the names and the identities
-RR1 and LG1.  Each key holds the series
+RR1 and LG1.  Each key holds the coefficient list
 built at the highest order requested so far: a lower order is served by
 truncation, a higher one rebuilds the entry.  Every call returns a fresh
-:class:`TruncatedSeries`, which the caller may mutate without touching the
-memo.  :func:`inv_pochhammer_product`, the bivariate builders and
+:class:`TruncatedSeries` cut from it, which the caller may mutate without
+touching the memo.  :func:`inv_pochhammer_product`, the bivariate builders and
 :func:`identity_check_sum_product` are not memoized.  Every builder, and
 the memo, refuses an order above :data:`SERIES_CEILING` with ValueError
 before it allocates, so no entry is ever larger.
@@ -74,16 +77,14 @@ from operator import add, mul
 from .classes import RESIDUE_CLASSES, ClassId
 
 
-class OrderMismatchError(ValueError):
-    """Two series of different truncation orders were combined."""
-
-
 SERIES_CEILING = 5000  # largest order any builder here will make
 
 
-def _check_ceiling(order: int) -> None:
-    """Refuse an order above :data:`SERIES_CEILING`, before anything of
-    that size is allocated or memoized."""
+def _check_order(order: int) -> None:
+    """Refuse a negative order, or one above :data:`SERIES_CEILING`, before
+    anything of that size is allocated or memoized."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if order > SERIES_CEILING:
         raise ValueError(f"order must be <= {SERIES_CEILING}; got {order}")
 
@@ -94,42 +95,23 @@ def _check_ceiling(order: int) -> None:
 
 
 class TruncatedSeries:
-    """Power series mod q^(order+1) with exact integer coefficients."""
+    """Power series mod q^(order+1) with exact integer coefficients: what a
+    public builder returns, wrapped around the engine's coefficient list."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: list | None = None):
+    def __init__(self, order: int, coeffs: list):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.order = order
-        if coeffs is None:
-            self.coeffs = [0] * (order + 1)
-        else:
-            if len(coeffs) != order + 1:
-                raise ValueError("coeffs must have exactly order+1 entries")
-            self.coeffs = list(coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        s = cls(order)
-        s.coeffs[0] = 1
-        return s
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, self.coeffs)
+        if len(coeffs) != order + 1:
+            raise ValueError("coeffs must have exactly order+1 entries")
+        self.order, self.coeffs = order, list(coeffs)
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """New series holding this one's coefficients up to q^order."""
         if order > self.order:
             raise ValueError(f"order {order} exceeds truncation order {self.order}")
         return TruncatedSeries(order, self.coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -148,22 +130,12 @@ class TruncatedSeries:
         tail = ", ..." if self.order >= 8 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
-    # -- in-place exact primitives (used by the series builders) ----------
 
-    def imul_geometric(self, period: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^period) in place (see :func:`_running_sums`)."""
-        if period < 1:
-            raise ValueError("period must be >= 1")
-        _running_sums(self.coeffs, period)
-        return self
-
-    def iadd_scaled(self, other: "TruncatedSeries", k: int = 1) -> "TruncatedSeries":
-        if other.order != self.order:
-            raise OrderMismatchError(f"orders differ: {self.order} != {other.order}")
-        scaled = other.coeffs if k == 1 else map(mul, other.coeffs, repeat(k))
-        # slice assignment drains the map before it writes, so other may be self
-        self.coeffs[:] = map(add, self.coeffs, scaled)
-        return self
+def _add(*lists) -> list:
+    """The coefficientwise sum of ``lists``, which must all have one length:
+    ``zip(strict=True)`` raises ValueError rather than drop the tail of the
+    longer."""
+    return list(map(sum, zip(*lists, strict=True)))
 
 
 def _running_sums(c: list, period: int) -> None:
@@ -184,16 +156,18 @@ def _running_sums(c: list, period: int) -> None:
             c[lo : lo + period] = map(add, c[lo : lo + period], c[lo - period : lo])
 
 
-def _apply(series: TruncatedSeries, factor, order: int | None = None) -> TruncatedSeries:
-    """New series: ``series`` times the rational factor (numerator, periods),
-    N/prod(1 - q^d) over d in periods, with N the sum of c q^e over the
-    (e, c) monomials of numerator, e >= 0.  The result is kept to ``order``
-    (default the series' own), which may exceed it by N's lowest exponent."""
+def _apply(src: list, factor, size: int | None = None) -> list:
+    """New coefficient list: ``src`` times the rational factor (numerator,
+    periods), N/prod(1 - q^d) over d in periods, with N the sum of c q^e over
+    the (e, c) monomials of numerator, e >= 0, d >= 1.  The result is kept to
+    ``size`` coefficients (default len(src)), which may exceed len(src) by
+    N's lowest exponent."""
     numerator, periods = factor
     if any(e < 0 for e, _ in numerator):
         raise ValueError("numerator exponents must be >= 0")
-    out = TruncatedSeries(series.order if order is None else order)
-    src, dst, fresh = series.coeffs, out.coeffs, True
+    if any(d < 1 for d in periods):
+        raise ValueError("periods must be >= 1")
+    dst, fresh = [0] * (len(src) if size is None else size), True
     for e, c in numerator:
         n = min(len(src), len(dst) - e)  # src[:n] lands on dst[e : e + n]
         if n <= 0:
@@ -207,8 +181,8 @@ def _apply(series: TruncatedSeries, factor, order: int | None = None) -> Truncat
         else:  # map stops at the end of dst[e : e + n]
             dst[e : e + n] = map(add, dst[e : e + n], src if c == 1 else map(mul, src, repeat(c)))
     for d in periods:
-        out.imul_geometric(d)
-    return out
+        _running_sums(dst, d)
+    return dst
 
 
 def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSeries:
@@ -217,38 +191,37 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
     Only factors with exponent <= order contribute; this is the partition
     counting series for parts restricted to the given residue classes.
     """
-    _check_ceiling(order)
+    _check_order(order)
     residues = set(residues)
     if not residues:
         raise ValueError("residues must be nonempty")
     if any(not 1 <= r <= modulus for r in residues):
         raise ValueError(f"residues must lie in [1, {modulus}]")
     keys = {r % modulus for r in residues}
-    out = TruncatedSeries.one(order)
     # parts above order/2 occur at most once and never two together, so
     # their factors are together 1 + sum q^e; the rest go largest first
     half = order // 2
-    for e in range(half + 1, order + 1):
-        out.coeffs[e] = int(e % modulus in keys)
+    out = [1] + [0] * half + [int(e % modulus in keys) for e in range(half + 1, order + 1)]
     for e in range(half, 0, -1):
         if e % modulus in keys:
-            out.imul_geometric(e)
-    return out
+            _running_sums(out, e)
+    return TruncatedSeries(order, out)
 
 
-# key -> the series built at the highest order requested so far; the keys are
-# the eight hook series and the two counting series, ten in all
+# key -> the coefficient list built at the highest order requested so far;
+# the keys are the eight hook series and the two counting series, ten in all
 _MEMO: dict = {}
 
 
 def _memoized(key, order: int, build) -> TruncatedSeries:
-    """A fresh copy of ``build(order)``, truncated from the memo entry for
-    ``key`` when that was built at ``order`` or above, else rebuilt there."""
-    _check_ceiling(order)
+    """A fresh series of the list ``build(order)``, cut from the memo entry
+    for ``key`` when that was built at ``order`` or above, else rebuilt
+    there."""
+    _check_order(order)
     held = _MEMO.get(key)
-    if held is None or held.order < order:
+    if held is None or len(held) <= order:
         held = _MEMO[key] = build(order)
-    return held.truncated(order)
+    return TruncatedSeries(order, held[: order + 1])
 
 
 # identity -> (the term stream of its sum side, its gap class, its congruence
@@ -299,9 +272,9 @@ _STREAMS = {
 }
 
 
-def _nahm_sum(streams, order: int, x: int = 1) -> TruncatedSeries:
+def _nahm_sum(streams, order: int, x: int = 1) -> list:
     """Sum over (stream, a, b) in ``streams`` of (a*n + b) x^n times term n
-    of that stream, to the given order, at the integer ``x``.
+    of that stream, at the integer ``x``: its coefficient list to q^order.
 
     Each weighted sum is evaluated by Horner's rule, from the innermost term
     outward.  With F_n the factor taking term n-1 to term n (F_0 = term 0),
@@ -317,9 +290,8 @@ def _nahm_sum(streams, order: int, x: int = 1) -> TruncatedSeries:
     The hook series and the counting series take x = 1.  A gap-class
     bivariate table takes x = 2^b, its packed digits (see
     :func:`_build_bivariate`)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    acc = TruncatedSeries.zero(order)
+    _check_order(order)
+    acc = [0] * (order + 1)
     for stream, a, b in streams:
         first, step = _STREAMS[stream]
         # factors[n] = (F_n, the lowest exponent of its numerator), and room
@@ -333,13 +305,15 @@ def _nahm_sum(streams, order: int, x: int = 1) -> TruncatedSeries:
             room -= low
         if not factors:
             continue
-        level = TruncatedSeries.zero(room - 1)
+        level = [0] * room
         for k in range(len(factors) - 1, -1, -1):
-            level.coeffs[0] += (a * k + b) * x**k
+            level[0] += (a * k + b) * x**k
             factor, low = factors[k]
             # F_k T_k on the window of T_(k-1), which is low longer
-            level = _apply(level, factor, level.order + low)
-        acc.iadd_scaled(level)
+            level = _apply(level, factor, len(level) + low)
+        # the windows grew back by every low taken from order + 1, so the
+        # last level, F_0 T_0, spans exactly order + 1
+        acc = _add(acc, level)
     return acc
 
 
@@ -374,15 +348,12 @@ def _checked_name(fn: str, family: str, j: int, t: int) -> str:
     return f"{family}{int(j)}{int(t)}"
 
 
-def _build_hook_series(name: str, order: int) -> TruncatedSeries:
+def _build_hook_series(name: str, order: int) -> list:
     class_id, _, form, gap_rows = _HOOK_SERIES[name]
     if gap_rows is not None:
         return _nahm_sum(form, order)
-    prod = counting_series(class_id, order)
-    acc = TruncatedSeries.zero(order)
-    for factor in form:
-        acc.iadd_scaled(_apply(prod, factor))
-    return acc
+    prod = counting_series(class_id, order).coeffs
+    return _add(*(_apply(prod, factor) for factor in form))
 
 
 def series_S(j: int, t: int, order: int) -> TruncatedSeries:
@@ -422,7 +393,9 @@ class BivariateSeries:
 
     def __init__(self, order_q: int, cols: list):
         cols = list(cols)  # the trim below must not shorten the caller's list
-        while len(cols) > 1 and cols[-1].is_zero():
+        if not cols or any(col.order != order_q for col in cols):
+            raise ValueError(f"a table needs one or more columns, each of order {order_q}")
+        while len(cols) > 1 and not any(cols[-1].coeffs):
             cols.pop()
         self.order_q, self.cols = order_q, cols
 
@@ -439,18 +412,12 @@ class BivariateSeries:
 
     def at_x_one(self) -> TruncatedSeries:
         """Marginalize the statistic: substitute x = 1."""
-        acc = TruncatedSeries.zero(self.order_q)
-        for col in self.cols:
-            acc.iadd_scaled(col)
-        return acc
+        return TruncatedSeries(self.order_q, _add(*(col.coeffs for col in self.cols)))
 
     def x_derivative_at_one(self) -> TruncatedSeries:
         """d/dx at x = 1: weights each column by its x-degree."""
-        acc = TruncatedSeries.zero(self.order_q)
-        for k, col in enumerate(self.cols):
-            if k:
-                acc.iadd_scaled(col, k)
-        return acc
+        weighted = (map(mul, col.coeffs, repeat(k)) for k, col in enumerate(self.cols))
+        return TruncatedSeries(self.order_q, _add(*weighted))
 
 
 # Product-side factors, one per part value, as rational factors
@@ -527,16 +494,17 @@ def _build_bivariate(name: str, order: int) -> BivariateSeries:
     1/(1 - q^d) passes, whatever the x-degree.  Every step is Z-linear and
     every coefficient of x^k q^n is below 2^b, so column k is read back
     exactly as digit k."""
-    _check_ceiling(order)
+    _check_order(order)
     class_id, t, _, gap_rows = _HOOK_SERIES[name]
-    packed, width = TruncatedSeries.one(order), _degree_digit_width(class_id, order)
+    width = _degree_digit_width(class_id, order)
     if gap_rows is not None:
         packed = _nahm_sum([(stream, 0, 1) for stream in gap_rows], order, 1 << width)
     else:
+        packed = [1] + [0] * order
         for factor in _part_factors(class_id, t, order, 1 << width):
             packed = _apply(packed, factor)
-    mask, digits = (1 << width) - 1, -(-max(packed.coeffs).bit_length() // width)
-    cols = [[c >> width * k & mask for c in packed.coeffs] for k in range(digits)]
+    mask, digits = (1 << width) - 1, -(-max(packed).bit_length() // width)
+    cols = [[c >> width * k & mask for c in packed] for k in range(digits)]
     return BivariateSeries(order, [TruncatedSeries(order, col) for col in cols])
 
 
@@ -587,11 +555,11 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     """
     if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r} (expected {' or '.join(map(repr, _IDENTITIES))})")
-    _check_ceiling(order)
+    _check_order(order)
     stream, _, cong = _IDENTITIES[which]
     lhs = _nahm_sum([(stream, 0, 1)], order)
-    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order)
+    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order).coeffs
     for n in range(order + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return IdentityCheck(which, order, False, n, lhs.coeffs[n], rhs.coeffs[n])
+        if lhs[n] != rhs[n]:
+            return IdentityCheck(which, order, False, n, lhs[n], rhs[n])
     return IdentityCheck(which, order, True)

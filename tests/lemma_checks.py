@@ -31,7 +31,7 @@ from hooklab.asym import (
     dilog,
 )
 from hooklab.classes import RESIDUE_CLASSES, ClassId
-from hooklab.qseries import _STREAMS, TruncatedSeries, _apply
+from hooklab.qseries import _STREAMS, _apply
 
 
 def param_z(param: ComplexParam) -> complex:
@@ -283,15 +283,16 @@ def product_asym_probe(which: str, epsilon: float) -> float:
 def _nahm_terms(stream: str, order: int):
     """(n, term n) for n = 0, 1, ... over a stream of ``qseries._STREAMS``,
     up to its first zero term (the lowest exponent rises with n, and each
-    later term is a multiple of it).  Each term is a fresh series and the
-    next is built before it is handed out, so the caller may mutate it.
+    later term is a multiple of it).  Each term is a fresh coefficient list
+    of order + 1 entries, and the next is built before it is handed out, so
+    the caller may mutate it.
 
     Every term is run at the full order: the plain sum of the terms, which
     ``qseries._nahm_sum`` never forms, is what its Horner evaluation and
     the gap-class bivariate tables are tested against."""
     first, step = _STREAMS[stream]
-    term, n = _apply(TruncatedSeries.one(order), first), 0
-    while not term.is_zero():
+    term, n = _apply([1] + [0] * order, first), 0
+    while any(term):
         after = _apply(term, step(n + 1))
         yield n, term
         term, n = after, n + 1

@@ -15,6 +15,7 @@ from hooklab.asym import (
     AsymModel,
     ComplexParam,
     _main_term,
+    cross_limit,
     dilog,
     eta_asym_residual,
     growth_model,
@@ -397,6 +398,18 @@ def test_congruence_weights():
     assert {name: _main_term(name)[3] for name in ("S21", "S22", "H21", "H22")} == {
         "S21": (2, 5), "S22": (3, 5), "H21": (3, 8), "H22": (1, 2),
     }
+
+
+def test_cross_limit_refuses_pairs_without_a_limit():
+    # RR1's series grow like e^(2 pi sqrt(n/15)), LG1's like e^(2 pi sqrt(n/16)),
+    # so a ratio across the identities diverges and has no limit to report
+    for num, den in (("S11", "H11"), ("S21", "H22"), ("H12", "S12")):
+        with pytest.raises(ValueError, match="different identities"):
+            cross_limit(num, den)
+    for num, den in (("S13", "S21"), ("S21", "r21"), ("", "H11")):
+        with pytest.raises(ValueError, match="unknown hook series"):
+            cross_limit(num, den)
+    assert cross_limit("S22", "S21") == 1.5 and cross_limit("H21", "H22") == 0.75
 
 
 def test_growth_model_cross_ratios():

@@ -1197,8 +1197,7 @@ _UNREACHED = {
     "hooks.hook_lengths": "api",
     "qseries.TruncatedSeries.__eq__": "api",
     "qseries.TruncatedSeries.__repr__": "api",
-    "qseries.TruncatedSeries.copy": "api",
-    "qseries.TruncatedSeries.is_zero": "api",
+    "qseries.TruncatedSeries.truncated": "api",
     "qseries.BivariateSeries.__init__": "api",
     "qseries.BivariateSeries.order_x": "api",
     "qseries.BivariateSeries.coefficient": "api",

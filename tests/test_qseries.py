@@ -1,4 +1,4 @@
-"""Exact series engine: in-place primitives, products, the eight hook
+"""Exact series engine: list kernels, products, the eight hook
 generating functions against brute-force censuses, bivariate refinements,
 identities."""
 
@@ -15,9 +15,10 @@ from hooklab.classes import ClassId, iter_class
 from hooklab.hooks import census, t_hook_count
 from hooklab.qseries import (
     BivariateSeries,
-    OrderMismatchError,
     TruncatedSeries,
+    _add,
     _apply,
+    _running_sums,
     _part_factor,
     bivariate_G,
     bivariate_R,
@@ -31,18 +32,8 @@ from lemma_checks import _nahm_terms
 
 
 # --------------------------------------------------------------------------
-# in-place primitives
+# list kernels
 # --------------------------------------------------------------------------
-
-
-def test_strict_order_policy():
-    a = TruncatedSeries.one(4)
-    b = TruncatedSeries.one(5)
-    with pytest.raises(OrderMismatchError):
-        a.iadd_scaled(b)
-    with pytest.raises(OrderMismatchError):
-        b.iadd_scaled(a)
-    assert a == TruncatedSeries.one(4) and b == TruncatedSeries.one(5)
 
 
 def test_series_constructors():
@@ -55,13 +46,13 @@ def test_series_constructors():
 
 
 def test_scale_and_shift():
-    s = TruncatedSeries(3, [1, 2, 0, 4])
-    assert TruncatedSeries.zero(3).iadd_scaled(s, -2).coeffs == [-2, -4, 0, -8]
+    s = [1, 2, 0, 4]
+    assert _apply(s, ([(0, -2)], [])) == [-2, -4, 0, -8]
     # a shift is one monomial over no periods; past the order it leaves
     # nothing, and never lengthens the list
-    assert _apply(s, ([(2, 1)], [])).coeffs == [0, 0, 1, 2]
+    assert _apply(s, ([(2, 1)], [])) == [0, 0, 1, 2]
     assert _apply(s, ([(0, 1)], [])) == s
-    assert _apply(s, ([(4, 1)], [])) == _apply(s, ([(6, 1)], [])) == TruncatedSeries.zero(3)
+    assert _apply(s, ([(4, 1)], [])) == _apply(s, ([(6, 1)], [])) == [0] * 4
 
 
 # The slice kernels against the per-coefficient loops they replaced.
@@ -80,22 +71,24 @@ def _coeffs(seed: int, size: int) -> list:
 
 @st.composite
 def _series_and_exponent(draw):
-    """A series of order 0..300 and an exponent in 1..order+2, drawn from
-    either side of sqrt(order + 1), where imul_geometric changes method."""
+    """The coefficient list of a series of order 0..300 and an exponent in
+    1..order+2, drawn from either side of sqrt(order + 1), where
+    _running_sums changes method."""
     order = draw(st.integers(0, 300))
     root = isqrt(order + 1)
     exp = draw(st.one_of(st.integers(1, root), st.integers(root + 1, order + 2)))
-    return TruncatedSeries(order, _coeffs(draw(st.integers(0, 2**32)), order + 1)), exp
+    return _coeffs(draw(st.integers(0, 2**32)), order + 1), exp
 
 
 @given(_series_and_exponent())
 @settings(max_examples=200, deadline=None)
-def test_imul_geometric_matches_the_loop(case):
+def test_running_sums_matches_the_loop(case):
     s, period = case
-    c = list(s.coeffs)
-    for k in range(period, s.order + 1):
+    c = list(s)
+    for k in range(period, len(s)):
         c[k] += c[k - period]
-    assert s.imul_geometric(period).coeffs == c
+    _running_sums(s, period)
+    assert s == c
 
 
 @given(
@@ -109,32 +102,35 @@ def test_apply_matches_the_loop(case, numerator, periods, grow):
     # exponents reach past the order, the first monomial's included, and the
     # window grows by at most the numerator's lowest exponent
     src, _ = case
-    before = list(src.coeffs)
-    numerator = [(min(e, src.order + 2), c) for e, c in numerator]
-    periods = [min(d, src.order + 2) for d in periods]
-    order = src.order + min([grow, *(e for e, _ in numerator)])
-    c = [0] * (order + 1)
+    before = list(src)
+    numerator = [(min(e, len(src) + 1), c) for e, c in numerator]
+    periods = [min(d, len(src) + 1) for d in periods]
+    size = len(src) + min([grow, *(e for e, _ in numerator)])
+    c = [0] * size
     for exp, sign in numerator:
-        for k in range(exp, order + 1):
-            c[k] += sign * src.coeffs[k - exp]
+        for k in range(exp, size):
+            c[k] += sign * src[k - exp]
     for d in periods:
-        for k in range(d, order + 1):
+        for k in range(d, size):
             c[k] += c[k - d]
-    out = _apply(src, (numerator, periods), order)
-    assert out.order == order and out.coeffs == c
-    assert _apply(src, (numerator, periods)) == out.truncated(src.order)
-    assert src.coeffs == before
+    assert _apply(src, (numerator, periods), size) == c
+    assert _apply(src, (numerator, periods)) == c[: len(src)]
+    assert src == before
 
 
 @given(_series_and_exponent(), st.integers(0, 2**32), st.sampled_from([0, 1, -1, 7]))
 @settings(max_examples=200, deadline=None)
-def test_iadd_scaled_matches_the_loop(case, seed, k):
+def test_add_matches_the_loop(case, seed, k):
     s, _ = case
-    other = TruncatedSeries(s.order, _coeffs(seed, s.order + 1))
-    expected = [a + k * b for a, b in zip(s.coeffs, other.coeffs)]
-    assert s.copy().iadd_scaled(other, k).coeffs == expected
-    # adding a series to itself reads every old coefficient before writing
-    assert s.copy().iadd_scaled(s, k).coeffs == [(1 + k) * a for a in s.coeffs]
+    other = _coeffs(seed, len(s))
+    expected = [a + k * b for a, b in zip(s, other)]
+    assert _add(s, [k * b for b in other]) == expected
+    assert _add(s, s, other) == [2 * a + b for a, b in zip(s, other)]
+    assert _add(s) == s and _add(s) is not s
+    # a list one entry longer or shorter is refused, not cut to the shorter
+    for wrong in (other + [1], other[:-1]):
+        with pytest.raises(ValueError):
+            _add(s, wrong)
 
 
 # --------------------------------------------------------------------------
@@ -178,21 +174,25 @@ def test_inv_pochhammer_examples():
 
 def test_rational_factor():
     # _apply to 1 expands (sum c q^exp) / prod (1 - q^d)
-    rf = _apply(TruncatedSeries.one(9), ([(1, 1), (4, 1)], [5]))
-    assert [n for n, c in enumerate(rf.coeffs) if c] == [1, 4, 6, 9]
-    assert all(c in (0, 1) for c in rf.coeffs)
-    rf2 = _apply(TruncatedSeries.one(12), ([(2, 1), (10, 1), (11, -1), (12, 1)], [16]))
-    assert rf2.coeffs[2] == rf2.coeffs[10] == rf2.coeffs[12] == 1
-    assert rf2.coeffs[11] == -1
-    assert _apply(TruncatedSeries.one(6), ([], [7])).is_zero()
+    rf = _apply([1] + [0] * 9, ([(1, 1), (4, 1)], [5]))
+    assert [n for n, c in enumerate(rf) if c] == [1, 4, 6, 9]
+    assert all(c in (0, 1) for c in rf)
+    rf2 = _apply([1] + [0] * 12, ([(2, 1), (10, 1), (11, -1), (12, 1)], [16]))
+    assert rf2[2] == rf2[10] == rf2[12] == 1
+    assert rf2[11] == -1
+    assert _apply([1] + [0] * 6, ([], [7])) == [0] * 7
     # on a general series: (1 + q)(q + q^4)/(1 - q^5) to q^9
-    s = TruncatedSeries(9, [1, 1] + [0] * 8)
-    assert _apply(s, ([(1, 1), (4, 1)], [5])).coeffs == [0, 1, 1, 0, 1, 1, 1, 1, 0, 1]
-    # a negative exponent is rejected in any position, before anything is built
+    s = [1, 1] + [0] * 8
+    assert _apply(s, ([(1, 1), (4, 1)], [5])) == [0, 1, 1, 0, 1, 1, 1, 1, 0, 1]
+    # a negative exponent is rejected in any position, and so is a period
+    # below 1, before anything is built
     for numerator in ([(-1, 1)], [(1, 1), (-1, 1)], [(-1, 1), (1, 1)]):
         with pytest.raises(ValueError):
             _apply(s, (numerator, [5]))
-    assert s.coeffs == [1, 1] + [0] * 8
+    for periods in ([0], [5, -1]):
+        with pytest.raises(ValueError, match="periods must be >= 1"):
+            _apply(s, ([(1, 1)], periods))
+    assert s == [1, 1] + [0] * 8
 
 
 # --------------------------------------------------------------------------
@@ -262,10 +262,10 @@ def test_s12_cross_form():
     # S(1,2) == S(1,1) - 1/(q,q^4;q^5)_inf + 1/(q^2,q^3;q^5)_inf
     order = 500
     lhs = series_S(1, 2, order)
-    rhs = series_S(1, 1, order)
-    rhs.iadd_scaled(inv_pochhammer_product({1, 4}, 5, order), -1)
-    rhs.iadd_scaled(inv_pochhammer_product({2, 3}, 5, order))
-    assert lhs == rhs
+    rhs = [s - a + b for s, a, b in zip(series_S(1, 1, order).coeffs,
+                                        inv_pochhammer_product({1, 4}, 5, order).coeffs,
+                                        inv_pochhammer_product({2, 3}, 5, order).coeffs)]
+    assert lhs.coeffs == rhs
 
 
 @pytest.mark.parametrize(
@@ -317,11 +317,11 @@ def test_memo_serves_lower_orders_by_truncation(empty_memo):
     for _, build in MEMOIZED:
         build(2000)
     assert set(qseries._MEMO) == MEMO_KEYS
-    assert all(s.order == 2000 for s in qseries._MEMO.values())
+    assert all(len(held) == 2001 for held in qseries._MEMO.values())
     for name, build in MEMOIZED:
         for order in (0, 1, 57, 400):
             assert build(order) == _unmemoized(build, order), (name, order)
-    assert all(s.order == 2000 for s in qseries._MEMO.values())
+    assert all(len(held) == 2001 for held in qseries._MEMO.values())
 
 
 def test_memo_rebuilds_at_a_higher_order(empty_memo):
@@ -330,7 +330,7 @@ def test_memo_rebuilds_at_a_higher_order(empty_memo):
         assert build(300) == _unmemoized(build, 300), name
         assert build(120) == _unmemoized(build, 120), name
     assert counting_series(ClassId.G1, 300) == inv_pochhammer_product({1, 5, 6}, 8, 300)
-    assert all(s.order == 300 for s in qseries._MEMO.values())
+    assert all(len(held) == 301 for held in qseries._MEMO.values())
 
 
 def test_memo_returns_copies(empty_memo):
@@ -484,7 +484,7 @@ def _window_edges(stream: str, top: int) -> set:
     orders one either side of it: where a term enters the sum."""
     edges = set()
     for _, term in _nahm_terms(stream, top):
-        low = next(e for e, c in enumerate(term.coeffs) if c)
+        low = next(e for e, c in enumerate(term) if c)
         edges |= {low - 1, low, low + 1}
     return {e for e in edges if 0 <= e <= top}
 
@@ -497,12 +497,12 @@ def test_nahm_terms_at_every_small_order(stream):
     full = [term for _, term in _nahm_terms(stream, 200)]
     for order in range(81):
         got = list(_nahm_terms(stream, order))
-        expected = [t.truncated(order) for t in full]
-        expected = expected[: next(n for n, t in enumerate(expected) if t.is_zero())]
+        expected = [t[: order + 1] for t in full]
+        expected = expected[: next(n for n, t in enumerate(expected) if not any(t))]
         assert [n for n, _ in got] == list(range(len(expected))), order
         for (n, term), want in zip(got, expected):
-            assert term.order == order and len(term.coeffs) == order + 1, (order, n)
-            assert term.coeffs == want.coeffs, (order, n)
+            assert len(term) == order + 1, (order, n)
+            assert term == want, (order, n)
 
 
 @pytest.mark.parametrize("stream", sorted(qseries._STREAMS))
@@ -512,12 +512,11 @@ def test_nahm_sum_matches_its_terms(stream):
     top = 2000
     terms = list(_nahm_terms(stream, top))
     for a, b in _sum_weights()[stream]:
-        expected = TruncatedSeries.zero(top)
+        expected = [0] * (top + 1)
         for n, term in terms:
-            expected.iadd_scaled(term, a * n + b)
+            expected = [e + (a * n + b) * c for e, c in zip(expected, term)]
         for order in sorted(set(range(81)) | _window_edges(stream, top)):
-            assert qseries._nahm_sum([(stream, a, b)], order) == expected.truncated(order), (
-                a, b, order)
+            assert qseries._nahm_sum([(stream, a, b)], order) == expected[: order + 1], (a, b, order)
 
 
 # sha256 of the comma-joined decimal coefficients at order 5000, recorded
@@ -558,9 +557,9 @@ def test_identity_checks():
         identity_check_sum_product("RR2", 10)
 
 
-def _raised_at_7(series):
-    series.coeffs[7] += 1
-    return series
+def _raised_at_7(coeffs: list) -> list:
+    coeffs[7] += 1
+    return coeffs
 
 
 def test_identity_report_on_mismatch(monkeypatch):
@@ -574,7 +573,7 @@ def test_identity_report_on_mismatch(monkeypatch):
     for which in ("RR1", "LG1"):
         with monkeypatch.context() as m:
             m.setattr(qseries, "inv_pochhammer_product",
-                      lambda *args: _raised_at_7(real_product(*args)))
+                      lambda *args: TruncatedSeries(40, _raised_at_7(real_product(*args).coeffs)))
             chk = identity_check_sum_product(which, 40)
         assert not chk.ok
         assert (chk.first_mismatch, chk.sum_value, chk.product_value) == (
@@ -689,10 +688,10 @@ def test_gap_tables_match_their_term_rows(build, j, t, class_id):
         cols = []
         for stream in gap_rows:
             for n, term in _nahm_terms(stream, order):
-                cols.extend(TruncatedSeries.zero(order) for _ in range(len(cols), n + 1))
-                cols[n].iadd_scaled(term)
+                cols.extend([0] * (order + 1) for _ in range(len(cols), n + 1))
+                cols[n] = [a + b for a, b in zip(cols[n], term)]
         table = build(j, t, order)
-        assert [col.coeffs for col in table.cols] == [col.coeffs for col in cols], (name, order)
+        assert [col.coeffs for col in table.cols] == cols, (name, order)
 
 
 def test_bivariate_examples():
@@ -719,19 +718,29 @@ def test_part_factor_is_its_definition(lone, repeated):
             expected = [0] * (order + 1)
             for m in range(order // e + 1):
                 expected[e * m] = x ** (0 if m == 0 else lone if m == 1 else repeated)
-            assert _apply(TruncatedSeries.one(order), factor).coeffs == expected, (e, lone, repeated, x)
+            assert _apply([1] + [0] * order, factor) == expected, (e, lone, repeated, x)
 
 
 def test_bivariate_series_keeps_its_own_column_list():
     # trimming the zero top columns must not shorten the caller's list, and
     # a later change to that list must not reach the table
-    cols = [TruncatedSeries.one(3), TruncatedSeries.zero(3), TruncatedSeries.zero(3)]
+    one, zero = TruncatedSeries(3, [1, 0, 0, 0]), TruncatedSeries(3, [0] * 4)
+    cols = [one, zero, zero]
     table = BivariateSeries(3, cols)
     assert len(cols) == 3
     assert table.cols is not cols
     assert table.order_x == 0
-    cols.append(TruncatedSeries.one(3))
+    cols.append(one)
     assert table.order_x == 0
+
+
+def test_bivariate_series_refuses_a_column_of_another_order():
+    # a column of order 5 in an order-3 table would let coefficient(5, 1)
+    # read q^5 past order_q; a table without columns has no x-degree 0
+    for cols in ([TruncatedSeries(3, [1, 0, 0, 0]), TruncatedSeries(5, [0, 1, 0, 0, 0, 7])],
+                 [TruncatedSeries(5, [1, 0, 0, 0, 0, 0])], []):
+        with pytest.raises(ValueError, match="each of order 3"):
+            BivariateSeries(3, cols)
 
 
 def test_bivariate_rejects_unknown_indices():
