@@ -38,6 +38,7 @@ bit j set when letter j (from 0) is N or is E, built from the parts by
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from itertools import zip_longest
 from operator import itemgetter
@@ -66,6 +67,15 @@ RESIDUE_CLASSES: dict[ClassId, tuple[frozenset, int]] = {
     ClassId.R2: (frozenset({1, 4}), 5),
     ClassId.G2: (frozenset({1, 5, 6}), 8),
 }
+
+
+def _partition_bits(n: int) -> float:
+    """log2 of e^(π·sqrt(2n/3)), n >= 0, which bounds p(n), the number of
+    all partitions of n: p(n) <= e^(π·sqrt(2n/3)), equal only at n = 0, and
+    p(n) ~ e^(π·sqrt(2n/3))/(4n·sqrt(3)).  p does not decrease, so the
+    bound at n holds every p(m), m <= n, and the size of every class at m.
+    The packed digit widths of ``hooks`` and ``qseries`` are read from it."""
+    return math.pi * math.sqrt(2 * n / 3) / math.log(2)
 
 
 def least_gap(class_id: ClassId, v: int) -> int | None:

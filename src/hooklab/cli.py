@@ -370,8 +370,8 @@ def crossover_report(pair: str, n_max: int) -> CrossoverReport:
     if not 0 <= n_max <= SERIES_CEILING:
         raise ValueError(f"n_max must be in [0, {SERIES_CEILING}]")
     lkey, rkey = _CROSSOVER_PAIRS[pair]
-    lhs = _series(lkey, n_max)
-    rhs = _series(rkey, n_max)
+    lhs = _series(lkey, n_max).coeffs
+    rhs = _series(rkey, n_max).coeffs
     first_hold, violations = _first_hold_and_violations(lhs, rhs, n_max)
     return CrossoverReport(pair, n_max, first_hold, violations)
 

@@ -31,7 +31,7 @@ from collections.abc import Iterator
 from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, rshift, sub
 
-from .classes import ClassId, Partition, _boundary_masks, _east, least_gap, walk
+from .classes import ClassId, Partition, _boundary_masks, _east, _partition_bits, least_gap, walk
 
 #: largest n_max and t_max a census accepts
 CENSUS_CEILING = 200
@@ -177,9 +177,9 @@ def check_shape(n_max: int, t_max: int) -> None:
 def _size_digit_width(n_max: int) -> int:
     """The bits per size of the census scan's packed components: a multiple
     of 8 above log2(2·(n_max + 1)·p(n_max)), where p(n) is the number of
-    all partitions of n, taken from p(n) < e^(π·sqrt(2n/3)).  Why every
+    all partitions of n, taken from ``classes._partition_bits``.  Why every
     digit fits is argued in :func:`_boundary_census`."""
-    bits = math.log2(2 * (n_max + 1)) + math.pi * math.sqrt(2 * n_max / 3) / math.log(2)
+    bits = math.log2(2 * (n_max + 1)) + _partition_bits(n_max)
     return 8 * (int(bits) // 8 + 1)
 
 

@@ -40,6 +40,15 @@ the lowest exponent of its term grows, so the sum costs about as much as
 the terms' nonzero windows, not (number of terms) x (order).  Term n may
 also carry a weight x^n at an integer x.
 
+Each stream that the eight series and the two counting series read is
+evaluated once per order, by one packed pass, :func:`_stream_halves`:
+term n weighted n 2^W + 1, so that each coefficient holds the stream's
+count, sum term_n, in its low W bits and its weighted sum, sum n term_n,
+above them (Kronecker substitution, W from :func:`_count_digit_width`).
+A gap-class series is a·weighted + b·count summed over the rows
+(stream, a, b) of its sum side; a counting series is the count half of
+its identity's stream.
+
 One builder, :func:`_build_bivariate`, makes the eight bivariate
 refinements sum_lambda x^(statistic) q^|lambda|, each taken at x = 2^b as
 one series whose b-bit digits are the table's columns (Kronecker
@@ -54,13 +63,15 @@ the digit width b from the pair's counting series.
 its gap class and its congruence class.  :func:`counting_series` is that
 sum side, the count of both classes; the product side,
 :func:`inv_pochhammer_product`, built largest part first, is its oracle,
-and only :func:`identity_check_sum_product` builds it.
+and only :func:`identity_check_sum_product` builds it, against the count
+half of a packed pass of its own.
 
-The eight series and the two class counting series are memoized per
-process, ten fixed keys whatever the input: the names and the identities
-RR1 and LG1.  Each key holds the coefficient list
-built at the highest order requested so far: a lower order is served by
-truncation, a higher one rebuilds the entry.  Every call returns a fresh
+The memo holds eight fixed keys whatever the input: the four streams the
+series read, rr, rr_shifted, lg and lg12, each with its (count, weighted)
+halves, and the four congruence-class series S21, S22, H21 and H22, so
+twelve coefficient lists at most.  Each key holds the lists built at the
+highest order requested so far: a lower order is served by truncation, a
+higher one rebuilds the entry.  Every call returns a fresh
 :class:`TruncatedSeries` cut from it, which the caller may mutate without
 touching the memo.  :func:`inv_pochhammer_product`, the bivariate builders and
 :func:`identity_check_sum_product` are not memoized.  Every builder, and
@@ -74,7 +85,7 @@ from collections import namedtuple
 from itertools import accumulate, chain, count, repeat
 from operator import add, mul
 
-from .classes import RESIDUE_CLASSES, ClassId
+from .classes import RESIDUE_CLASSES, ClassId, _partition_bits
 
 
 SERIES_CEILING = 5000  # largest order any builder here will make
@@ -138,9 +149,11 @@ def _add(*lists) -> list:
     return list(map(sum, zip(*lists, strict=True)))
 
 
-def _running_sums(c: list, period: int) -> None:
-    """c[k] += c[k - period] for k ascending, in place: multiplication of
-    the coefficient list ``c`` by 1/(1 - q^period), period >= 1.
+def _running_sums(c: list, period: int, start: int = 0) -> None:
+    """c[k] += c[k - period] for k ascending from ``start + period``, in
+    place.  With start = 0 it multiplies the coefficient list ``c`` by
+    1/(1 - q^period), period >= 1; a caller that knows the first strides
+    to add nothing but what it has already added starts later.
 
     The recurrence is a running sum along each residue class mod ``period``.
     A short period takes those sums slice by slice; a long one walks blocks
@@ -149,10 +162,10 @@ def _running_sums(c: list, period: int) -> None:
     are packed ints, summed by doubling."""
     size = len(c)
     if period * period <= size:
-        for r in range(period):
+        for r in range(start, start + period):
             c[r::period] = accumulate(c[r::period])
     else:
-        for lo in range(period, size, period):
+        for lo in range(start + period, size, period):
             c[lo : lo + period] = map(add, c[lo : lo + period], c[lo - period : lo])
 
 
@@ -204,24 +217,35 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
     out = [1] + [0] * half + [int(e % modulus in keys) for e in range(half + 1, order + 1)]
     for e in range(half, 0, -1):
         if e % modulus in keys:
-            _running_sums(out, e)
+            # the parts above e leave out[1..e] zero, so the first stride of
+            # 1/(1 - q^e) only adds out[0] = 1 to out[e]; the sums go on from 2e
+            out[e] += 1
+            _running_sums(out, e, e)
     return TruncatedSeries(order, out)
 
 
-# key -> the coefficient list built at the highest order requested so far;
-# the keys are the eight hook series and the two counting series, ten in all
+# key -> the tuple of coefficient lists built at the highest order requested
+# so far: a stream's (count, weighted) halves under its name (rr,
+# rr_shifted, lg, lg12) and a congruence-class series (coeffs,) under its
+# name (S21, S22, H21, H22), eight keys and twelve lists in all
 _MEMO: dict = {}
 
 
-def _memoized(key, order: int, build) -> TruncatedSeries:
-    """A fresh series of the list ``build(order)``, cut from the memo entry
-    for ``key`` when that was built at ``order`` or above, else rebuilt
-    there."""
+def _held(key, order: int, build) -> tuple:
+    """The memo entry for ``key`` when that was built at ``order`` or
+    above, else ``build(order)``, held in its place.  A caller cuts what it
+    returns from the entry, never the entry itself."""
     _check_order(order)
     held = _MEMO.get(key)
-    if held is None or len(held) <= order:
+    if held is None or len(held[0]) <= order:
         held = _MEMO[key] = build(order)
-    return TruncatedSeries(order, held[: order + 1])
+    return held
+
+
+def _halves(stream: str, order: int) -> tuple:
+    """The memoized (count, weighted) halves of ``stream`` to q^order or
+    above (:func:`_stream_halves`)."""
+    return _held(stream, order, lambda n: _stream_halves(stream, n))
 
 
 # identity -> (the term stream of its sum side, its gap class, its congruence
@@ -239,16 +263,17 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n for G1 and G2.  Both classes of a
     pair are equinumerous, so they share one series.
 
-    The sum is evaluated by Horner's rule on shrinking windows
-    (:func:`_nahm_sum`).  :func:`identity_check_sum_product` compares it with
-    the product side.  Memoized per process, one entry per pair, keyed by
-    the identity's name; a fresh series is returned on every call.  Anything
-    but a :class:`ClassId` raises ValueError before any memo entry is made."""
+    It is the count half of the identity's stream (:func:`_stream_halves`),
+    whose weighted half is the gap class's 1-hook series, S11 or H11: one
+    Horner pass makes both.  :func:`identity_check_sum_product` compares
+    that count half with the product side.  Memoized per process under the
+    stream's name; a fresh series is returned on every call.  Anything but
+    a :class:`ClassId` raises ValueError before any memo entry is made."""
     which = _COUNTED_BY.get(class_id)
     if which is None:
         raise ValueError(f"counting_series needs a ClassId; got {class_id!r}")
-    stream = _IDENTITIES[which][0]
-    return _memoized(which, order, lambda n: _nahm_sum([(stream, 0, 1)], n))
+    count, _ = _halves(_IDENTITIES[which][0], order)
+    return TruncatedSeries(order, count[: order + 1])
 
 
 # --------------------------------------------------------------------------
@@ -287,8 +312,8 @@ def _nahm_sum(streams, order: int, x: int = 1) -> list:
     :func:`_apply` of F_k to the level inside it, on a window longer by the
     lowest exponent of F_k's numerator.
 
-    The hook series and the counting series take x = 1.  A gap-class
-    bivariate table takes x = 2^b, its packed digits (see
+    A stream's packed pass, :func:`_stream_halves`, takes x = 1 and one
+    row.  A gap-class bivariate table takes x = 2^b, its packed digits (see
     :func:`_build_bivariate`)."""
     _check_order(order)
     acc = [0] * (order + 1)
@@ -315,6 +340,39 @@ def _nahm_sum(streams, order: int, x: int = 1) -> list:
         # last level, F_0 T_0, spans exactly order + 1
         acc = _add(acc, level)
     return acc
+
+
+def _count_digit_width(order: int) -> int:
+    """Bits W of the count half in a stream's packed pass to q^order: every
+    count the pass makes is below 2^W.
+
+    The stream's count at n <= order is at most its class's count at n.
+    For rr and lg that is the identity (RR1, LG1).  Each other stream a
+    series reads is a gap row of a gap-class table (rr_shifted, with
+    rr_second, of S12; lg12 of H12), whose value at x = 1 is the class's
+    count, and its terms are non-negative.  A class's count at n is at
+    most p(n) <= p(order) <= 2^(``classes._partition_bits(order)``).  W
+    is that exponent rounded down plus one, and one guard bit for the
+    rounding of the float.  Every step of the pass is Z-linear on exact
+    ints, so only the final counts must fit, though no Horner level's count
+    digit exceeds a final count either (the argument of
+    :func:`_degree_digit_width`).  The weighted half is the top field and
+    needs no bound."""
+    return int(_partition_bits(order)) + 2
+
+
+def _stream_halves(stream: str, order: int) -> tuple:
+    """(count, weighted) of ``stream`` to q^order, the coefficient lists of
+    sum term_n and sum n term_n, from one Horner pass.
+
+    The pass weights term n by n 2^W + 1, W = :func:`_count_digit_width`
+    (Kronecker substitution, as :func:`_build_bivariate`), so each of its
+    coefficients is count + 2^W weighted, both non-negative and the count
+    below 2^W: one mask and one shift read the halves back exactly."""
+    _check_order(order)
+    width = _count_digit_width(order)
+    packed, mask = _nahm_sum([(stream, 1 << width, 1)], order), (1 << width) - 1
+    return [c & mask for c in packed], [c >> width for c in packed]
 
 
 # --------------------------------------------------------------------------
@@ -348,12 +406,25 @@ def _checked_name(fn: str, family: str, j: int, t: int) -> str:
     return f"{family}{int(j)}{int(t)}"
 
 
-def _build_hook_series(name: str, order: int) -> list:
+def _hook_series(name: str, order: int) -> TruncatedSeries:
+    """A fresh series ``name`` to q^order.  A gap class's sums each row
+    (stream, a, b) of its sum side as a·weighted + b·count of the stream's
+    memoized halves.  A congruence class's, memoized under its name, is
+    its class's count times the sum of its factors."""
     class_id, _, form, gap_rows = _HOOK_SERIES[name]
-    if gap_rows is not None:
-        return _nahm_sum(form, order)
-    prod = counting_series(class_id, order).coeffs
-    return _add(*(_apply(prod, factor) for factor in form))
+    if gap_rows is None:
+        def build(n):
+            prod = counting_series(class_id, n).coeffs
+            return (_add(*(_apply(prod, factor) for factor in form)),)
+        (held,) = _held(name, order, build)
+        return TruncatedSeries(order, held[: order + 1])
+    rows = []
+    for stream, a, b in form:
+        count, weighted = _halves(stream, order)
+        rows += [half[: order + 1] if c == 1 else [c * v for v in half[: order + 1]]
+                 for c, half in ((a, weighted), (b, count)) if c]
+    # a lone row is already a fresh list, which _add would copy by summing
+    return TruncatedSeries(order, rows[0] if len(rows) == 1 else _add(*rows))
 
 
 def series_S(j: int, t: int, order: int) -> TruncatedSeries:
@@ -364,7 +435,7 @@ def series_S(j: int, t: int, order: int) -> TruncatedSeries:
     the highest order built so far is served by truncation, and a fresh
     series is returned on every call."""
     name = _checked_name("series_S", "S", j, t)
-    return _memoized(name, order, lambda n: _build_hook_series(name, n))
+    return _hook_series(name, order)
 
 
 def series_H(j: int, t: int, order: int) -> TruncatedSeries:
@@ -373,7 +444,7 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
 
     Memoized per process like :func:`series_S`."""
     name = _checked_name("series_H", "H", j, t)
-    return _memoized(name, order, lambda n: _build_hook_series(name, n))
+    return _hook_series(name, order)
 
 
 # --------------------------------------------------------------------------
@@ -470,8 +541,9 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
 
 def _degree_digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed bivariate table: the bit length of the
-    class's count at ``order``, read off its pair's counting series, which
-    the memo keeps for the pair's next table.
+    class's count at ``order``, read off its pair's counting series, the
+    count half of its identity's stream, which the memo keeps for the
+    pair's next table and for the series.
 
     A coefficient of x^k q^n, n <= order, counts class members of size n.
     The two classes of a pair are equinumerous (RR1, LG1), and the
@@ -549,15 +621,17 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     sum q^(n^2)/(q;q)_n = 1/(q,q^4;q^5)_inf) or ``"LG1"`` (first little
     Gollnitz identity, sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n =
     1/(q,q^5,q^6;q^8)_inf).  Both sides are computed here, unmemoized and
-    independently: the sum side from its term stream, the product side by
-    :func:`inv_pochhammer_product`.  :func:`counting_series` serves the sum
-    side, so this check is what ties it to the product.
+    independently: the sum side as the count half of a fresh packed pass of
+    its stream (:func:`_stream_halves`), the construction
+    :func:`counting_series` and the series read, and the product side by
+    :func:`inv_pochhammer_product`, so this check ties that pass to the
+    product.
     """
     if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r} (expected {' or '.join(map(repr, _IDENTITIES))})")
     _check_order(order)
     stream, _, cong = _IDENTITIES[which]
-    lhs = _nahm_sum([(stream, 0, 1)], order)
+    lhs, _ = _stream_halves(stream, order)
     rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order).coeffs
     for n in range(order + 1):
         if lhs[n] != rhs[n]:

@@ -80,15 +80,17 @@ def _series_and_exponent(draw):
     return _coeffs(draw(st.integers(0, 2**32)), order + 1), exp
 
 
-@given(_series_and_exponent())
+@given(_series_and_exponent(), st.integers(0, 302))
 @settings(max_examples=200, deadline=None)
-def test_running_sums_matches_the_loop(case):
+def test_running_sums_matches_the_loop(case, start):
+    # from the first stride, and from a later start, which may lie past the end
     s, period = case
-    c = list(s)
-    for k in range(period, len(s)):
-        c[k] += c[k - period]
-    _running_sums(s, period)
-    assert s == c
+    for begin in (0, start):
+        got, c = list(s), list(s)
+        for k in range(begin + period, len(s)):
+            c[k] += c[k - period]
+        _running_sums(got, period, begin)
+        assert got == c, begin
 
 
 @given(
@@ -154,9 +156,11 @@ def _restricted_partition_counts(values, order):
 )
 def test_inv_pochhammer_vs_dp(residues, modulus):
     # every order to 40 puts each part value on both sides of the order/2
-    # band of single parts, at odd and even orders
+    # band of single parts, at odd and even orders; 81, 120, 121 and 300
+    # run both branches of _running_sums, slice sums and block walk, over
+    # several strides past each period's skipped first one
     keys = {r % modulus for r in residues}
-    for order in (*range(41), 80):
+    for order in (*range(41), 80, 81, 120, 121, 300):
         series = inv_pochhammer_product(residues, modulus, order)
         values = [v for v in range(1, order + 1) if v % modulus in keys]
         assert series.coeffs == _restricted_partition_counts(values, order), order
@@ -293,7 +297,9 @@ def test_truncation_stability(family, j, t, empty_memo):
 # the per-process memo
 # --------------------------------------------------------------------------
 
-MEMO_KEYS = {f"{family}{j}{t}" for family in "SH" for j in (1, 2) for t in (1, 2)} | {"RR1", "LG1"}
+# the four streams the gap-class series and the counting series read, each
+# holding its (count, weighted) halves, and the four congruence-class series
+MEMO_KEYS = {"rr", "rr_shifted", "lg", "lg12", "S21", "S22", "H21", "H22"}
 
 MEMOIZED = [
     *((f"S{j}{t}", lambda n, j=j, t=t: series_S(j, t, n)) for j in (1, 2) for t in (1, 2)),
@@ -313,15 +319,20 @@ def _unmemoized(build, order):
         qseries._MEMO = saved
 
 
+def _held_lengths() -> list:
+    """The length of every coefficient list the memo holds."""
+    return [len(coeffs) for held in qseries._MEMO.values() for coeffs in held]
+
+
 def test_memo_serves_lower_orders_by_truncation(empty_memo):
     for _, build in MEMOIZED:
         build(2000)
     assert set(qseries._MEMO) == MEMO_KEYS
-    assert all(len(held) == 2001 for held in qseries._MEMO.values())
+    assert _held_lengths() == [2001] * 12
     for name, build in MEMOIZED:
         for order in (0, 1, 57, 400):
             assert build(order) == _unmemoized(build, order), (name, order)
-    assert all(len(held) == 2001 for held in qseries._MEMO.values())
+    assert _held_lengths() == [2001] * 12
 
 
 def test_memo_rebuilds_at_a_higher_order(empty_memo):
@@ -330,7 +341,7 @@ def test_memo_rebuilds_at_a_higher_order(empty_memo):
         assert build(300) == _unmemoized(build, 300), name
         assert build(120) == _unmemoized(build, 120), name
     assert counting_series(ClassId.G1, 300) == inv_pochhammer_product({1, 5, 6}, 8, 300)
-    assert all(len(held) == 301 for held in qseries._MEMO.values())
+    assert _held_lengths() == [301] * 12
 
 
 def test_memo_returns_copies(empty_memo):
@@ -425,14 +436,54 @@ def test_only_the_identity_check_builds_the_class_product(monkeypatch, empty_mem
         for order in (150, 40, 0):
             build(j, t, order)
     assert built == []
-    assert set(qseries._MEMO) == {"RR1", "LG1"}
+    assert set(qseries._MEMO) == {"rr", "lg"}
     monkeypatch.setattr(qseries, "_nahm_sum", counted_sum)
+    packed = 1 << qseries._count_digit_width(100)
     for _ in range(2):
         for which, product in (("RR1", ((1, 4), 5)), ("LG1", ((1, 5, 6), 8))):
             identity_check_sum_product(which, 100)
             assert built[-1] == (*product, 100)
-            assert summed[-1] == (((qseries._IDENTITIES[which][0], 0, 1),), 100, 1)
+            assert summed[-1] == (((qseries._IDENTITIES[which][0], packed, 1),), 100, 1)
     assert len(built) == len(summed) == 4
+
+
+# the streams the eight series and the two counting series read: every row
+# of a gap class's sum side, and the stream of each identity
+UNIVARIATE_STREAMS = sorted(
+    {stream for _, _, form, gap_rows in qseries._HOOK_SERIES.values() if gap_rows is not None
+     for stream, _, _ in form}
+    | {stream for stream, _, _ in qseries._IDENTITIES.values()}
+)
+
+
+def test_one_pass_per_stream_per_order(monkeypatch, empty_memo):
+    # the eight series and both counting series at one order run one packed
+    # pass of each stream they read; a repeat or a lower order runs none, a
+    # higher order one per stream again, and an identity check one of its own
+    assert UNIVARIATE_STREAMS == ["lg", "lg12", "rr", "rr_shifted"]
+    passes = []
+    real_sum = qseries._nahm_sum
+
+    def counted_sum(streams, order, x=1):
+        passes.append(([stream for stream, _, _ in streams], order))
+        return real_sum(streams, order, x)
+
+    def build_all(order):
+        for _, build in MEMOIZED:
+            build(order)
+        for cid in ClassId:
+            counting_series(cid, order)
+
+    monkeypatch.setattr(qseries, "_nahm_sum", counted_sum)
+    for order, fresh in ((300, True), (300, False), (120, False), (0, False), (301, True)):
+        build_all(order)
+        expected = [([stream], order) for stream in UNIVARIATE_STREAMS] if fresh else []
+        assert sorted(passes) == expected, order
+        passes.clear()
+    for which in ("RR1", "LG1", "RR1"):
+        identity_check_sum_product(which, 200)
+        assert passes == [([qseries._IDENTITIES[which][0]], 200)], which
+        passes.clear()
 
 
 class _Unwalkable(dict):
@@ -519,6 +570,29 @@ def test_nahm_sum_matches_its_terms(stream):
             assert qseries._nahm_sum([(stream, a, b)], order) == expected[: order + 1], (a, b, order)
 
 
+@pytest.mark.parametrize("stream", UNIVARIATE_STREAMS)
+def test_packed_halves_are_the_count_and_the_weighted_sum(stream):
+    # the halves of one packed pass against the two sums run one weighting
+    # at a time, at every small order, where terms enter the sum, and at
+    # the ceiling, where the largest count must still fit below 2^W
+    top = qseries.SERIES_CEILING
+    for order in sorted(set(range(81)) | _window_edges(stream, 2000) | {top}):
+        count, weighted = qseries._stream_halves(stream, order)
+        assert count == qseries._nahm_sum([(stream, 0, 1)], order), order
+        assert weighted == qseries._nahm_sum([(stream, 1, 0)], order), order
+    assert max(count).bit_length() <= qseries._count_digit_width(top)
+
+
+def test_count_digit_width_holds_every_partition_count():
+    # the width's bound is p(n), the number of all partitions of n, which
+    # every class's count at n, and so every stream's, stays below: W must
+    # hold p(n) at every order, not only the counts of the streams here
+    top = qseries.SERIES_CEILING
+    p = inv_pochhammer_product({1}, 1, top).coeffs
+    for n in range(top + 1):
+        assert p[n].bit_length() <= qseries._count_digit_width(n), n
+
+
 # sha256 of the comma-joined decimal coefficients at order 5000, recorded
 # from the per-coefficient loop engine that built the class products as
 # products, before the slice kernels and the Nahm-sum counting series
@@ -584,8 +658,11 @@ def test_identity_report_on_mismatch(monkeypatch):
 
         real_sum = qseries._nahm_sum
 
-        def corrupted(rows, order, planted=[(streams[which], 0, 1)]):
-            # the fault goes into the sum of the identity's own stream
+        packed = 1 << qseries._count_digit_width(40)
+
+        def corrupted(rows, order, planted=[(streams[which], packed, 1)]):
+            # the fault goes into the count half of the identity's own
+            # stream's packed pass
             out = real_sum(rows, order)
             return _raised_at_7(out) if rows == planted else out
 
