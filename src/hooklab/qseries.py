@@ -32,22 +32,15 @@ by its name S11 ... H22, with its class and t: a gap class's as a sum side,
 a weighted sum over streams, a congruence class's as a product side, a
 class counting series times a sum of rational factors.
 
-:func:`_nahm_sum` evaluates a weighted sum over a stream by Horner's rule,
-from the last term that reaches the order inward, so each level is one
-:func:`_apply` of a stream's factor to the level inside it.  A level
-is kept only on the window that can still reach q^order, which shrinks as
-the lowest exponent of its term grows, so the sum costs about as much as
-the terms' nonzero windows, not (number of terms) x (order).  Term n may
-also carry a weight x^n at an integer x.
-
-Each stream that the eight series and the two counting series read is
-evaluated once per order, by one packed pass, :func:`_stream_halves`:
-term n weighted n 2^W + 1, so that each coefficient holds the stream's
-count, sum term_n, in its low W bits and its weighted sum, sum n term_n,
-above them (Kronecker substitution, W from :func:`_count_digit_width`).
-A gap-class series is a·weighted + b·count summed over the rows
-(stream, a, b) of its sum side; a counting series is the count half of
-its identity's stream.
+:func:`_nahm_sum` evaluates weighted sums over a stream by Horner's rule,
+from the last term that reaches the order inward, each level one
+:func:`_apply` of a stream's factor to the level inside it, kept only on
+the window that can still reach q^order: the sum costs about as much as
+the terms' nonzero windows, not (number of terms) x (order).  One packed
+pass over each identity's stream, :func:`_identity_pass`, makes its class
+count and its gap class's t = 1 and t = 2 series, three fields of each
+coefficient; the relations of ``_SHIFTED`` move the t = 2 sum sides onto
+that stream as q-polynomial weights.
 
 One builder, :func:`_build_bivariate`, makes the eight bivariate
 refinements sum_lambda x^(statistic) q^|lambda|, each taken at x = 2^b as
@@ -64,25 +57,25 @@ its gap class and its congruence class.  :func:`counting_series` is that
 sum side, the count of both classes; the product side,
 :func:`inv_pochhammer_product`, built largest part first, is its oracle,
 and only :func:`identity_check_sum_product` builds it, against the count
-half of a packed pass of its own.
+field of a fresh pass of its own.
 
-The memo holds eight fixed keys whatever the input: the four streams the
-series read, rr, rr_shifted, lg and lg12, each with its (count, weighted)
-halves, and the four congruence-class series S21, S22, H21 and H22, so
-twelve coefficient lists at most.  Each key holds the lists built at the
-highest order requested so far: a lower order is served by truncation, a
-higher one rebuilds the entry.  Every call returns a fresh
-:class:`TruncatedSeries` cut from it, which the caller may mutate without
-touching the memo.  :func:`inv_pochhammer_product`, the bivariate builders and
-:func:`identity_check_sum_product` are not memoized.  Every builder, and
-the memo, refuses an order above :data:`SERIES_CEILING` with ValueError
-before it allocates, so no entry is ever larger.
+The memo holds six fixed keys whatever the input: RR1 and LG1, each with
+the (count, t = 1, t = 2) lists of its pass, and the four congruence-class
+series S21, S22, H21 and H22, so ten coefficient lists at most.  Each key
+holds the lists built at the highest order requested so far: a lower order
+is served by truncation, a higher one rebuilds the entry.  Every call
+returns a fresh :class:`TruncatedSeries` cut from it, which the caller may
+mutate without touching the memo.  :func:`inv_pochhammer_product`, the
+bivariate builders and :func:`identity_check_sum_product` are not memoized.
+Every builder, and the memo, refuses an order above :data:`SERIES_CEILING`
+with ValueError before it allocates, so no entry is ever larger.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, chain, count, repeat
+from math import isqrt
 from operator import add, mul
 
 from .classes import RESIDUE_CLASSES, ClassId, _partition_bits
@@ -224,28 +217,21 @@ def inv_pochhammer_product(residues, modulus: int, order: int) -> TruncatedSerie
     return TruncatedSeries(order, out)
 
 
-# key -> the tuple of coefficient lists built at the highest order requested
-# so far: a stream's (count, weighted) halves under its name (rr,
-# rr_shifted, lg, lg12) and a congruence-class series (coeffs,) under its
-# name (S21, S22, H21, H22), eight keys and twelve lists in all
+# key -> the coefficient lists built at the highest order requested so far:
+# (count, t = 1, t = 2) under an identity's name (RR1, LG1) and (coeffs,)
+# under a congruence-class series' (S21, S22, H21, H22), ten lists in all
 _MEMO: dict = {}
 
 
 def _held(key, order: int, build) -> tuple:
     """The memo entry for ``key`` when that was built at ``order`` or
-    above, else ``build(order)``, held in its place.  A caller cuts what it
-    returns from the entry, never the entry itself."""
+    above, else ``build(key, order)``, held in its place.  A caller cuts
+    what it returns from the entry, never the entry itself."""
     _check_order(order)
     held = _MEMO.get(key)
     if held is None or len(held[0]) <= order:
-        held = _MEMO[key] = build(order)
+        held = _MEMO[key] = build(key, order)
     return held
-
-
-def _halves(stream: str, order: int) -> tuple:
-    """The memoized (count, weighted) halves of ``stream`` to q^order or
-    above (:func:`_stream_halves`)."""
-    return _held(stream, order, lambda n: _stream_halves(stream, n))
 
 
 # identity -> (the term stream of its sum side, its gap class, its congruence
@@ -263,17 +249,16 @@ def counting_series(class_id: ClassId, order: int) -> TruncatedSeries:
     sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n for G1 and G2.  Both classes of a
     pair are equinumerous, so they share one series.
 
-    It is the count half of the identity's stream (:func:`_stream_halves`),
-    whose weighted half is the gap class's 1-hook series, S11 or H11: one
-    Horner pass makes both.  :func:`identity_check_sum_product` compares
-    that count half with the product side.  Memoized per process under the
-    stream's name; a fresh series is returned on every call.  Anything but
-    a :class:`ClassId` raises ValueError before any memo entry is made."""
+    It is the count field of the identity's pass (:func:`_identity_pass`),
+    whose other fields are the gap class's hook series: one Horner pass
+    makes all three.  :func:`identity_check_sum_product` compares that
+    count with the product side.  Memoized per process under the
+    identity's name; a fresh series is returned on every call.  Anything
+    but a :class:`ClassId` raises ValueError before any memo entry is made."""
     which = _COUNTED_BY.get(class_id)
     if which is None:
         raise ValueError(f"counting_series needs a ClassId; got {class_id!r}")
-    count, _ = _halves(_IDENTITIES[which][0], order)
-    return TruncatedSeries(order, count[: order + 1])
+    return TruncatedSeries(order, _held(which, order, _identity_pass)[0][: order + 1])
 
 
 # --------------------------------------------------------------------------
@@ -296,28 +281,43 @@ _STREAMS = {
     "lg12": (([(0, 1), (1, 1)], []), lambda n: ([(2 * n, 1), (4 * n + 1, 1)], [2 * n])),
 }
 
+# stream -> (its identity's stream, (c, d) monomials, factor or None): term n
+# is term n of the identity's stream times the sum of q^(c n + d) and the
+# factor.  rr_shifted_n = q^(2n+1) rr_n is G(z) - G(zq) = zq G(zq^2) (Andrews,
+# The Theory of Partitions, ch. 7); lg12_n = q (1 + q^(2n-1))(1 + q^(2n+1))
+# lg_n/(1 + q), multiplied out, with 1/(1 + q) = (1 - q)/(1 - q^2)
+_SHIFTED = {
+    "rr_shifted": ("rr", [(2, 1)], None),
+    "lg12": ("lg", [(0, 1), (2, 0), (2, 2), (4, 1)], (((0, 1), (1, -1)), (2,))),
+}
 
-def _nahm_sum(streams, order: int, x: int = 1) -> list:
-    """Sum over (stream, a, b) in ``streams`` of (a*n + b) x^n times term n
-    of that stream, at the integer ``x``: its coefficient list to q^order.
 
-    Each weighted sum is evaluated by Horner's rule, from the innermost term
-    outward.  With F_n the factor taking term n-1 to term n (F_0 = term 0),
-    w_k = (a*k + b) x^k and K the last term whose lowest exponent is at most
+def _nahm_sum(rows, order: int, x: int = 1) -> list:
+    """Sum over the rows (stream, a, b) or (stream, a, b, c, d) of
+    (a*n + b) x^n q^(c*n + d) times term n of the stream, c, d >= 0 (0 when
+    left out), at the integer ``x``: its coefficient list to q^order.
+
+    A stream's rows are summed by one Horner pass, innermost term outward.
+    With F_n the factor taking term n-1 to term n (F_0 = term 0), w_k the
+    rows' weight at k and K the last term whose lowest exponent is at most
     ``order``, the sum is F_0 T_0, where T_K = w_K and
     T_k = w_k + F_(k+1) T_(k+1).  T_k enters the sum multiplied by
     F_0 ... F_k, which is term k, so it is needed only below
     q^(order + 1 - low_k), low_k being the lowest exponent of term k: each
-    level is kept on that window, which shrinks as k grows, and is one
-    :func:`_apply` of F_k to the level inside it, on a window longer by the
-    lowest exponent of F_k's numerator.
-
-    A stream's packed pass, :func:`_stream_halves`, takes x = 1 and one
-    row.  A gap-class bivariate table takes x = 2^b, its packed digits (see
-    :func:`_build_bivariate`)."""
+    level is kept on that window, which shrinks as k grows, skips the
+    monomials of w_k past it, and is one :func:`_apply` of F_k to the level
+    inside it, on a window longer by the lowest exponent of F_k's numerator.
+    :func:`_identity_pass` takes x = 1 and packed weights; a gap-class
+    bivariate table x = 2^b, its packed digits (:func:`_build_bivariate`)."""
     _check_order(order)
+    weights = {}
+    for stream, a, b, *shift in rows:
+        c, d = shift or (0, 0)
+        if c < 0 or d < 0:
+            raise ValueError("weight exponents must be >= 0")
+        weights.setdefault(stream, []).append((a, b, c, d))
     acc = [0] * (order + 1)
-    for stream, a, b in streams:
+    for stream, row_weights in weights.items():
         first, step = _STREAMS[stream]
         # factors[n] = (F_n, the lowest exponent of its numerator), and room
         # the window of the level T_k in hand, order + 1 - low_k
@@ -332,7 +332,9 @@ def _nahm_sum(streams, order: int, x: int = 1) -> list:
             continue
         level = [0] * room
         for k in range(len(factors) - 1, -1, -1):
-            level[0] += (a * k + b) * x**k
+            for a, b, c, d in row_weights:
+                if c * k + d < len(level):
+                    level[c * k + d] += (a * k + b) * x**k
             factor, low = factors[k]
             # F_k T_k on the window of T_(k-1), which is low longer
             level = _apply(level, factor, len(level) + low)
@@ -343,36 +345,44 @@ def _nahm_sum(streams, order: int, x: int = 1) -> list:
 
 
 def _count_digit_width(order: int) -> int:
-    """Bits W of the count half in a stream's packed pass to q^order: every
-    count the pass makes is below 2^W.
-
-    The stream's count at n <= order is at most its class's count at n.
-    For rr and lg that is the identity (RR1, LG1).  Each other stream a
-    series reads is a gap row of a gap-class table (rr_shifted, with
-    rr_second, of S12; lg12 of H12), whose value at x = 1 is the class's
-    count, and its terms are non-negative.  A class's count at n is at
-    most p(n) <= p(order) <= 2^(``classes._partition_bits(order)``).  W
-    is that exponent rounded down plus one, and one guard bit for the
+    """Bits W of the count field in an identity's pass to q^order.  That
+    field counts the identity's classes, and a class's count at n <= order
+    is at most p(n) <= p(order) <= 2^(``classes._partition_bits(order)``).
+    W is that exponent rounded down plus one, and one guard bit for the
     rounding of the float.  Every step of the pass is Z-linear on exact
-    ints, so only the final counts must fit, though no Horner level's count
-    digit exceeds a final count either (the argument of
-    :func:`_degree_digit_width`).  The weighted half is the top field and
-    needs no bound."""
+    ints, so only the final fields must fit."""
     return int(_partition_bits(order)) + 2
 
 
-def _stream_halves(stream: str, order: int) -> tuple:
-    """(count, weighted) of ``stream`` to q^order, the coefficient lists of
-    sum term_n and sum n term_n, from one Horner pass.
+def _identity_pass(which: str, order: int) -> tuple:
+    """(count, t = 1, t = 2) of identity ``which`` to q^order, its sum side
+    and its gap class's hook series, from one Horner pass over its stream.
 
-    The pass weights term n by n 2^W + 1, W = :func:`_count_digit_width`
-    (Kronecker substitution, as :func:`_build_bivariate`), so each of its
-    coefficients is count + 2^W weighted, both non-negative and the count
-    below 2^W: one mask and one shift read the halves back exactly."""
-    _check_order(order)
+    A sum-side row (stream, a, b) runs on that stream by its ``_SHIFTED``
+    relation, its weight times 2^s, s = 0, W or W + W2 by field (Kronecker
+    substitution).  The count is below 2^W (:func:`_count_digit_width`).
+    A term k that reaches q^n has k^2 <= n, so the t = 1 series,
+    sum k term_k, is below isqrt(order) 2^W <= 2^W2 with
+    W2 = W + bit_length(isqrt(order)) + 1.  The top field needs no bound: a
+    mask and a shift read each field back, the shift flooring a negative
+    one too.  A relation's factor, one per sum side, is applied after."""
+    stream, gap, _ = _IDENTITIES[which]
     width = _count_digit_width(order)
-    packed, mask = _nahm_sum([(stream, 1 << width, 1)], order), (1 << width) - 1
-    return [c & mask for c in packed], [c >> width for c in packed]
+    width2 = width + isqrt(order).bit_length() + 1
+    # the count, then the gap class's t = 1 and t = 2 sum sides in table order
+    forms = [[(stream, 0, 1)], *(form for cid, _, form, _ in _HOOK_SERIES.values() if cid == gap)]
+    rows, factors = [], []
+    for shift, form in zip((0, width, width + width2), forms):
+        relations = [_SHIFTED.get(s, (s, [(0, 0)], None)) for s, _, _ in form]
+        (factor,) = {f for _, _, f in relations}  # one per sum side, or ValueError
+        factors.append(factor)
+        rows += [(base, a << shift, b << shift, c, d)
+                 for (_, a, b), (base, monomials, _) in zip(form, relations) for c, d in monomials]
+    packed = _nahm_sum(rows, order)
+    mask, mask2 = (1 << width) - 1, (1 << width2) - 1
+    fields = ([v & mask for v in packed], [v >> width & mask2 for v in packed],
+              [v >> width + width2 for v in packed])
+    return tuple(f if factor is None else _apply(f, factor) for f, factor in zip(fields, factors))
 
 
 # --------------------------------------------------------------------------
@@ -407,24 +417,18 @@ def _checked_name(fn: str, family: str, j: int, t: int) -> str:
 
 
 def _hook_series(name: str, order: int) -> TruncatedSeries:
-    """A fresh series ``name`` to q^order.  A gap class's sums each row
-    (stream, a, b) of its sum side as a·weighted + b·count of the stream's
-    memoized halves.  A congruence class's, memoized under its name, is
-    its class's count times the sum of its factors."""
-    class_id, _, form, gap_rows = _HOOK_SERIES[name]
+    """A fresh series ``name`` to q^order.  A gap class's is a field of its
+    identity's memoized pass.  A congruence class's, memoized under its
+    name, is its class's count times the sum of its factors."""
+    class_id, t, form, gap_rows = _HOOK_SERIES[name]
     if gap_rows is None:
-        def build(n):
+        def build(_, n):
             prod = counting_series(class_id, n).coeffs
             return (_add(*(_apply(prod, factor) for factor in form)),)
         (held,) = _held(name, order, build)
-        return TruncatedSeries(order, held[: order + 1])
-    rows = []
-    for stream, a, b in form:
-        count, weighted = _halves(stream, order)
-        rows += [half[: order + 1] if c == 1 else [c * v for v in half[: order + 1]]
-                 for c, half in ((a, weighted), (b, count)) if c]
-    # a lone row is already a fresh list, which _add would copy by summing
-    return TruncatedSeries(order, rows[0] if len(rows) == 1 else _add(*rows))
+    else:
+        held = _held(_COUNTED_BY[class_id], order, _identity_pass)[t]
+    return TruncatedSeries(order, held[: order + 1])
 
 
 def series_S(j: int, t: int, order: int) -> TruncatedSeries:
@@ -541,9 +545,8 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
 
 def _degree_digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed bivariate table: the bit length of the
-    class's count at ``order``, read off its pair's counting series, the
-    count half of its identity's stream, which the memo keeps for the
-    pair's next table and for the series.
+    class's count at ``order``, read off its pair's counting series, which
+    the memo keeps for the pair's next table and for the series.
 
     A coefficient of x^k q^n, n <= order, counts class members of size n.
     The two classes of a pair are equinumerous (RR1, LG1), and the
@@ -620,19 +623,16 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     ``which`` is ``"RR1"`` (first Rogers-Ramanujan identity,
     sum q^(n^2)/(q;q)_n = 1/(q,q^4;q^5)_inf) or ``"LG1"`` (first little
     Gollnitz identity, sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n =
-    1/(q,q^5,q^6;q^8)_inf).  Both sides are computed here, unmemoized and
-    independently: the sum side as the count half of a fresh packed pass of
-    its stream (:func:`_stream_halves`), the construction
-    :func:`counting_series` and the series read, and the product side by
-    :func:`inv_pochhammer_product`, so this check ties that pass to the
-    product.
+    1/(q,q^5,q^6;q^8)_inf).  Both sides are built here, unmemoized and
+    independently: the sum side as the count field of a fresh
+    :func:`_identity_pass`, the pass :func:`counting_series` and the series
+    read, and the product side by :func:`inv_pochhammer_product`.
     """
     if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r} (expected {' or '.join(map(repr, _IDENTITIES))})")
     _check_order(order)
-    stream, _, cong = _IDENTITIES[which]
-    lhs, _ = _stream_halves(stream, order)
-    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order).coeffs
+    lhs = _identity_pass(which, order)[0]
+    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[_IDENTITIES[which][2]], order).coeffs
     for n in range(order + 1):
         if lhs[n] != rhs[n]:
             return IdentityCheck(which, order, False, n, lhs[n], rhs[n])

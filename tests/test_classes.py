@@ -89,19 +89,27 @@ def test_count_examples():
     assert len(list(iter_class(ClassId.R1, 0))) == 1
 
 
+@pytest.fixture(scope="module")
+def partitions_to_40():
+    """The partitions of each n <= 40 as all_partitions yields them, walked
+    once for the module: the filtered-generator cases and the pentagonal
+    check read the same 215k tuples."""
+    return [list(all_partitions(n)) for n in range(41)]
+
+
 @pytest.mark.parametrize("class_id", list(ClassId))
-def test_enumerate_against_filtered_generator(class_id):
+def test_enumerate_against_filtered_generator(class_id, partitions_to_40):
     # exhaustive realization == membership filter over all partitions
     for n in range(0, 41):
         fast = list(iter_class(class_id, n))
-        brute = [p for p in all_partitions(n) if contains(class_id, p)]
+        brute = [p for p in partitions_to_40[n] if contains(class_id, p)]
         assert sorted(fast) == sorted(brute)
         assert len(set(fast)) == len(fast)
         assert fast == sorted(fast, reverse=True)  # descending lexicographic
         assert all(contains(class_id, p) and sum(p) == n for p in fast)
 
 
-def test_all_partitions_against_the_pentagonal_recurrence():
+def test_all_partitions_against_the_pentagonal_recurrence(partitions_to_40):
     # all_partitions is the class walk's greedy fill and backtrack with gap 0
     # at every value, so the filtered-generator test above rests on it; its
     # completeness is checked against Euler's recurrence for p(n)
@@ -110,7 +118,7 @@ def test_all_partitions_against_the_pentagonal_recurrence():
         terms = ((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (-1) ** (k + 1)) for k in range(1, n + 1))
         p.append(sum(sign * (p[n - a] + (p[n - b] if b <= n else 0)) for a, b, sign in terms if a <= n))
     for n in range(41):
-        parts = list(all_partitions(n))
+        parts = partitions_to_40[n]
         assert len(parts) == len(set(parts)) == p[n]
         assert parts == sorted(parts, reverse=True)
         assert all(is_partition(q) and sum(q) == n for q in parts)

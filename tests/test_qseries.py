@@ -297,9 +297,9 @@ def test_truncation_stability(family, j, t, empty_memo):
 # the per-process memo
 # --------------------------------------------------------------------------
 
-# the four streams the gap-class series and the counting series read, each
-# holding its (count, weighted) halves, and the four congruence-class series
-MEMO_KEYS = {"rr", "rr_shifted", "lg", "lg12", "S21", "S22", "H21", "H22"}
+# the two identities, each holding the (count, t = 1, t = 2) fields of its
+# pass, and the four congruence-class series
+MEMO_KEYS = {"RR1", "LG1", "S21", "S22", "H21", "H22"}
 
 MEMOIZED = [
     *((f"S{j}{t}", lambda n, j=j, t=t: series_S(j, t, n)) for j in (1, 2) for t in (1, 2)),
@@ -328,11 +328,11 @@ def test_memo_serves_lower_orders_by_truncation(empty_memo):
     for _, build in MEMOIZED:
         build(2000)
     assert set(qseries._MEMO) == MEMO_KEYS
-    assert _held_lengths() == [2001] * 12
+    assert _held_lengths() == [2001] * 10
     for name, build in MEMOIZED:
         for order in (0, 1, 57, 400):
             assert build(order) == _unmemoized(build, order), (name, order)
-    assert _held_lengths() == [2001] * 12
+    assert _held_lengths() == [2001] * 10
 
 
 def test_memo_rebuilds_at_a_higher_order(empty_memo):
@@ -341,7 +341,7 @@ def test_memo_rebuilds_at_a_higher_order(empty_memo):
         assert build(300) == _unmemoized(build, 300), name
         assert build(120) == _unmemoized(build, 120), name
     assert counting_series(ClassId.G1, 300) == inv_pochhammer_product({1, 5, 6}, 8, 300)
-    assert _held_lengths() == [301] * 12
+    assert _held_lengths() == [301] * 10
 
 
 def test_memo_returns_copies(empty_memo):
@@ -436,37 +436,43 @@ def test_only_the_identity_check_builds_the_class_product(monkeypatch, empty_mem
         for order in (150, 40, 0):
             build(j, t, order)
     assert built == []
-    assert set(qseries._MEMO) == {"rr", "lg"}
+    assert set(qseries._MEMO) == {"RR1", "LG1"}
     monkeypatch.setattr(qseries, "_nahm_sum", counted_sum)
-    packed = 1 << qseries._count_digit_width(100)
     for _ in range(2):
         for which, product in (("RR1", ((1, 4), 5)), ("LG1", ((1, 5, 6), 8))):
             identity_check_sum_product(which, 100)
             assert built[-1] == (*product, 100)
-            assert summed[-1] == (((qseries._IDENTITIES[which][0], packed, 1),), 100, 1)
+            rows, order, x = summed[-1]
+            assert ({row[0] for row in rows}, order, x) == ({qseries._IDENTITIES[which][0]}, 100, 1)
     assert len(built) == len(summed) == 4
 
 
-# the streams the eight series and the two counting series read: every row
-# of a gap class's sum side, and the stream of each identity
-UNIVARIATE_STREAMS = sorted(
-    {stream for _, _, form, gap_rows in qseries._HOOK_SERIES.values() if gap_rows is not None
-     for stream, _, _ in form}
-    | {stream for stream, _, _ in qseries._IDENTITIES.values()}
-)
+# the streams the eight series and the two counting series read: the stream
+# of each identity, whose one pass makes its gap class's series too
+UNIVARIATE_STREAMS = sorted(stream for stream, _, _ in qseries._IDENTITIES.values())
+
+
+def _counted_passes(monkeypatch) -> list:
+    """Wrap ``qseries._nahm_sum`` to record (the sorted streams its rows
+    read, order) of each call, one Horner pass per stream."""
+    passes = []
+    real_sum = qseries._nahm_sum
+
+    def counted_sum(rows, order, x=1):
+        passes.append((sorted({row[0] for row in rows}), order))
+        return real_sum(rows, order, x)
+
+    monkeypatch.setattr(qseries, "_nahm_sum", counted_sum)
+    return passes
 
 
 def test_one_pass_per_stream_per_order(monkeypatch, empty_memo):
     # the eight series and both counting series at one order run one packed
-    # pass of each stream they read; a repeat or a lower order runs none, a
-    # higher order one per stream again, and an identity check one of its own
-    assert UNIVARIATE_STREAMS == ["lg", "lg12", "rr", "rr_shifted"]
-    passes = []
-    real_sum = qseries._nahm_sum
-
-    def counted_sum(streams, order, x=1):
-        passes.append(([stream for stream, _, _ in streams], order))
-        return real_sum(streams, order, x)
+    # pass per identity, over its stream alone; a repeat or a lower order
+    # runs none, a higher order one per identity again, and an identity
+    # check one of its own
+    assert UNIVARIATE_STREAMS == ["lg", "rr"]
+    passes = _counted_passes(monkeypatch)
 
     def build_all(order):
         for _, build in MEMOIZED:
@@ -474,7 +480,6 @@ def test_one_pass_per_stream_per_order(monkeypatch, empty_memo):
         for cid in ClassId:
             counting_series(cid, order)
 
-    monkeypatch.setattr(qseries, "_nahm_sum", counted_sum)
     for order, fresh in ((300, True), (300, False), (120, False), (0, False), (301, True)):
         build_all(order)
         expected = [([stream], order) for stream in UNIVARIATE_STREAMS] if fresh else []
@@ -556,6 +561,36 @@ def test_nahm_terms_at_every_small_order(stream):
             assert term == want, (order, n)
 
 
+def _times(coeffs: list, monomials) -> list:
+    """``coeffs`` times the polynomial sum of c q^e over the (e, c)
+    monomials, e >= 0, cut to the length of ``coeffs``: the plain loop."""
+    out = [0] * len(coeffs)
+    for e, c in monomials:
+        for n in range(e, len(coeffs)):
+            out[n] += c * coeffs[n - e]
+    return out
+
+
+def test_t2_streams_are_q_shifts_of_the_identity_streams():
+    # the termwise relations that let one pass over rr or lg make S12 or
+    # H12: rr_shifted_k = q^(2k+1) rr_k for every k, and (1 + q) lg12_k =
+    # q (1 + q^(2k-1))(1 + q^(2k+1)) lg_k for k >= 1, with lg12_0 = 1 + q;
+    # a term missing from a run is a term past the order, all zero
+    order = 200
+    terms = {s: dict(_nahm_terms(s, order)) for s in ("rr", "rr_shifted", "lg", "lg12")}
+    zero = [0] * (order + 1)
+    assert len(terms["rr"]) > 10 and len(terms["lg"]) > 10
+    for k, rr_k in terms["rr"].items():
+        assert terms["rr_shifted"].get(k, zero) == _times(rr_k, [(2 * k + 1, 1)]), k
+    assert set(terms["rr_shifted"]) <= set(terms["rr"])
+    assert terms["lg12"][0] == [1, 1] + [0] * (order - 1)
+    for k, lg_k in terms["lg"].items():
+        if k:
+            rhs = _times(lg_k, [(1, 1), (2 * k, 1), (2 * k + 2, 1), (4 * k + 1, 1)])
+            assert _times(terms["lg12"].get(k, zero), [(0, 1), (1, 1)]) == rhs, k
+    assert set(terms["lg12"]) <= set(terms["lg"])
+
+
 @pytest.mark.parametrize("stream", sorted(qseries._STREAMS))
 def test_nahm_sum_matches_its_terms(stream):
     # the Horner evaluation against the terms run one by one at full order;
@@ -568,19 +603,76 @@ def test_nahm_sum_matches_its_terms(stream):
             expected = [e + (a * n + b) * c for e, c in zip(expected, term)]
         for order in sorted(set(range(81)) | _window_edges(stream, top)):
             assert qseries._nahm_sum([(stream, a, b)], order) == expected[: order + 1], (a, b, order)
+    # a weight monomial below q^0 would index the level from its far end
+    for c, d in ((0, -1), (-1, 3)):
+        with pytest.raises(ValueError, match="weight exponents"):
+            qseries._nahm_sum([(stream, 1, 0, c, d)], 10)
 
 
-@pytest.mark.parametrize("stream", UNIVARIATE_STREAMS)
+@pytest.mark.parametrize("stream", ["lg", "lg12", "rr", "rr_shifted"])
 def test_packed_halves_are_the_count_and_the_weighted_sum(stream):
-    # the halves of one packed pass against the two sums run one weighting
-    # at a time, at every small order, where terms enter the sum, and at
-    # the ceiling, where the largest count must still fit below 2^W
+    # one pass weighting term n by n 2^W + 1 (Kronecker substitution, as
+    # _identity_pass packs its fields) against the two sums run one
+    # weighting at a time: at every small order, where terms enter the sum,
+    # and at the ceiling, where the largest count must still fit below 2^W
     top = qseries.SERIES_CEILING
     for order in sorted(set(range(81)) | _window_edges(stream, 2000) | {top}):
-        count, weighted = qseries._stream_halves(stream, order)
+        width = qseries._count_digit_width(order)
+        packed = qseries._nahm_sum([(stream, 1 << width, 1)], order)
+        count = [c & (1 << width) - 1 for c in packed]
         assert count == qseries._nahm_sum([(stream, 0, 1)], order), order
-        assert weighted == qseries._nahm_sum([(stream, 1, 0)], order), order
+        assert [c >> width for c in packed] == qseries._nahm_sum([(stream, 1, 0)], order), order
     assert max(count).bit_length() <= qseries._count_digit_width(top)
+
+
+# identity -> its pass's fields as unfused sums, each row run on its own
+# stream: the count, the t = 1 series and the paper's t = 2 sum side
+UNFUSED = {
+    "RR1": ([("rr", 0, 1)], [("rr", 1, 0)], [("rr", 1, 0), ("rr_shifted", 0, -1)]),
+    "LG1": ([("lg", 0, 1)], [("lg", 1, 0)], [("lg12", 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(UNFUSED))
+def test_identity_pass_fields_are_the_unfused_sums(monkeypatch, which):
+    # the three fields of one packed pass against the three sums run one at
+    # a time: at every small order, where a term of either stream enters the
+    # sum, and at the ceiling, where the count must still fit below 2^W and
+    # the t = 1 series below 2^W2.  Below 2000 the unfused sums are cut from
+    # their run at 2000, which test_nahm_sum_matches_its_terms holds equal
+    # to their run at each of these orders.
+    forms = UNFUSED[which]
+    mid = 2000
+    reference = [qseries._nahm_sum(form, mid) for form in forms]
+    edges = set().union(*(_window_edges(stream, mid) for stream in {row[0] for form in forms for row in form}))
+    for order in sorted(set(range(81)) | edges):
+        fields = qseries._identity_pass(which, order)
+        assert list(fields) == [r[: order + 1] for r in reference], order
+    top = qseries.SERIES_CEILING
+    count, t1, t2 = qseries._identity_pass(which, top)
+    assert [count, t1, t2] == [qseries._nahm_sum(form, top) for form in forms]
+    width = qseries._count_digit_width(top)
+    assert max(count).bit_length() <= width
+    assert max(t1).bit_length() <= width + isqrt(top).bit_length() + 1
+    # W cut to the least that holds the counts: then W2's margin over W is
+    # what keeps the t = 1 series out of the t = 2 field
+    monkeypatch.setattr(qseries, "_count_digit_width", lambda n: max(count[: n + 1]).bit_length())
+    for order in (80, mid, top):
+        assert list(qseries._identity_pass(which, order)) == [f[: order + 1] for f in (count, t1, t2)]
+
+
+@pytest.mark.parametrize("name", ["S12", "H12"])
+def test_bivariate_gap_rows_are_not_the_pass_stream(monkeypatch, empty_memo, name):
+    # the S12 and H12 tables' d/dx at x = 1 is held to the series
+    # (_check_marginal_and_derivative, criterion 4); that compares two
+    # constructions only while the table's streams are not the one the
+    # series' pass reads
+    passes = _counted_passes(monkeypatch)
+    (series_S if name[0] == "S" else series_H)(int(name[1]), int(name[2]), 60)
+    [(pass_streams, _)] = passes
+    class_id, _, _, gap_rows = qseries._HOOK_SERIES[name]
+    assert pass_streams == [qseries._IDENTITIES[qseries._COUNTED_BY[class_id]][0]]
+    assert not set(pass_streams) & set(gap_rows), name
 
 
 def test_count_digit_width_holds_every_partition_count():
@@ -658,13 +750,11 @@ def test_identity_report_on_mismatch(monkeypatch):
 
         real_sum = qseries._nahm_sum
 
-        packed = 1 << qseries._count_digit_width(40)
-
-        def corrupted(rows, order, planted=[(streams[which], packed, 1)]):
-            # the fault goes into the count half of the identity's own
-            # stream's packed pass
+        def corrupted(rows, order, planted={streams[which]}):
+            # the fault goes into the count field, the low bits, of the pass
+            # over the identity's own stream
             out = real_sum(rows, order)
-            return _raised_at_7(out) if rows == planted else out
+            return _raised_at_7(out) if {row[0] for row in rows} == planted else out
 
         with monkeypatch.context() as m:
             m.setattr(qseries, "_nahm_sum", corrupted)
