@@ -1,7 +1,10 @@
 """Command-line orchestration: censuses (each also written, on request, to
 a per-class cache file that is never read back), the verification suite,
 inequality crossovers, the t >= 3 conjecture scan, and asymptotic ratio
-tables.
+tables.  A census is served by ``hooks.census_rows``, which holds the last
+scan of each class per process, four tables at most, each bounded by the
+census ceiling: a command that repeats, or asks less than, a census an
+earlier call in the same process scanned is cut from it.
 
 Each subcommand has one handler, registered on its subparser as the
 default of ``run``.  A handler takes the parsed arguments and returns the
@@ -121,8 +124,11 @@ def cached_census(
     """Census of ``class_id`` at exactly (n_max, t_max).
 
     With a cache directory, the table also replaces the class's cache file
-    there.  The file is written through and never read back: computing the
-    exact census costs less than reading and checking a stored one would.
+    there, on every call.  The file is written through and never read back:
+    computing the exact census costs less than reading and checking a
+    stored one would.  The table comes from :func:`census_rows`, which
+    serves a shape no larger than the class's last scan in this process
+    from memory (one held scan per class, four at most) and scans any other.
     """
     check_shape(n_max, t_max)
     path = None if cache_dir is None else _cache_file(cache_dir, class_id)

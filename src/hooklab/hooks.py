@@ -21,6 +21,14 @@ part of value w one shift, and where parts of value w may repeat
 1/(1 - q^w) a few shifted sums by doubling.  Each class enters it as its
 least-gap rule, ``classes.least_gap``.  Exhaustive enumeration
 (:func:`enumerated_census`) is kept as the scan's oracle.
+
+:func:`census_rows` holds the last scan of each class per process, with
+the shape it was scanned at and the gap sequence it was scanned under:
+one entry per :class:`ClassId`, so four tables at most, each no larger
+than a census at :data:`CENSUS_CEILING`.  A request no larger in n and t,
+under the same gaps, is cut from the entry; census values do not depend
+on the shape they were scanned at, so the cut is exact.  Any other
+request scans again and replaces the entry.
 """
 
 from __future__ import annotations
@@ -292,15 +300,42 @@ def _boundary_census(need, n_max: int, t_max: int) -> list:
     return [list(row) + pad for row in zip(*columns)]
 
 
+# class -> (its gaps least_gap(class, v) for v = 1..n, (n, t), the rows of
+# _boundary_census at that shape as tuples): the last scan of each class
+_CENSUS_MEMO: dict = {}
+
+
+def _held_census(class_id: ClassId, n_max: int, t_max: int) -> tuple:
+    """The held rows of :func:`_boundary_census` for ``class_id`` that cover
+    (n_max, t_max): the class's memo entry when that was scanned at a shape
+    no smaller under the same gaps, else a scan at (n_max, t_max) held in
+    its place.  The key holds the gaps, so a class whose rule has changed
+    since its scan is scanned again.  The rows may be longer and wider than
+    asked; the caller cuts them, and they are tuples, so it cannot change
+    the entry."""
+    gaps = tuple(least_gap(class_id, v) for v in range(1, n_max + 1))
+    held = _CENSUS_MEMO.get(class_id)
+    if held is not None:
+        held_gaps, (held_n, held_t), rows = held
+        if n_max <= held_n and t_max <= held_t and held_gaps[:n_max] == gaps:
+            return rows
+    rows = tuple(map(tuple, _boundary_census(lambda v: gaps[v - 1], n_max, t_max)))
+    _CENSUS_MEMO[class_id] = (gaps, (n_max, t_max), rows)
+    return rows
+
+
 def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None) -> dict:
     """Hook-census rows ``{n: (bins, total_hooks, cardinality)}`` for the sizes
     ``ns``, where ``bins[t-1]`` is the number of t-hooks over the class members
     of size n and ``total_hooks`` is ``n * cardinality`` (one hook per cell).
 
     Computed exactly by the boundary-word scan of :func:`_boundary_census`,
-    with no enumeration.  ``workers`` is accepted, and must be at least 1,
-    because the benchmark harness in ``bench/`` passes it; the scan is
-    serial, so it selects nothing.
+    with no enumeration, at (max(ns), t_max).  The scan is held per process,
+    one entry per class (the module docstring), so a repeated or smaller
+    shape is cut from it; every call returns fresh lists, which the caller
+    may mutate.  ``workers`` is accepted, and must be at least 1, because
+    the benchmark harness in ``bench/`` passes it; the scan is serial, so it
+    selects nothing.  Every input is checked before the memo is read.
     """
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
@@ -310,8 +345,8 @@ def census_rows(class_id: ClassId, ns, t_max: int, *, workers: int | None = None
         raise ValueError("sizes must be >= 0")
     if not ns:
         return {}
-    totals = _boundary_census(lambda v: least_gap(class_id, v), max(ns), t_max)
-    return {n: (totals[n][1:], n * totals[n][0], totals[n][0]) for n in ns}
+    totals = _held_census(class_id, max(ns), t_max)
+    return {n: (list(totals[n][1 : 1 + t_max]), n * totals[n][0], totals[n][0]) for n in ns}
 
 
 def census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:

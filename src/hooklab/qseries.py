@@ -56,8 +56,8 @@ the digit width b from the pair's counting series.
 its gap class and its congruence class.  :func:`counting_series` is that
 sum side, the count of both classes; the product side,
 :func:`inv_pochhammer_product`, built largest part first, is its oracle,
-and only :func:`identity_check_sum_product` builds it, against the count
-field of a fresh pass of its own.
+and only :func:`identity_check_sum_product` builds it, against a fresh
+count-only pass of its own over the identity's stream.
 
 The memo holds six fixed keys whatever the input: RR1 and LG1, each with
 the (count, t = 1, t = 2) lists of its pass, and the four congruence-class
@@ -624,15 +624,17 @@ def identity_check_sum_product(which: str, order: int) -> IdentityCheck:
     sum q^(n^2)/(q;q)_n = 1/(q,q^4;q^5)_inf) or ``"LG1"`` (first little
     Gollnitz identity, sum q^(n^2+n)(-1/q;q^2)_n/(q^2;q^2)_n =
     1/(q,q^5,q^6;q^8)_inf).  Both sides are built here, unmemoized and
-    independently: the sum side as the count field of a fresh
-    :func:`_identity_pass`, the pass :func:`counting_series` and the series
-    read, and the product side by :func:`inv_pochhammer_product`.
+    independently: the sum side as a fresh :func:`_nahm_sum` over the
+    identity's stream with the count's weight alone, so it reads none of
+    the packing of :func:`_identity_pass` that :func:`counting_series` and
+    the series read, and the product side by :func:`inv_pochhammer_product`.
     """
     if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r} (expected {' or '.join(map(repr, _IDENTITIES))})")
     _check_order(order)
-    lhs = _identity_pass(which, order)[0]
-    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[_IDENTITIES[which][2]], order).coeffs
+    stream, _, cong = _IDENTITIES[which]
+    lhs = _nahm_sum([(stream, 0, 1)], order)
+    rhs = inv_pochhammer_product(*RESIDUE_CLASSES[cong], order).coeffs
     for n in range(order + 1):
         if lhs[n] != rhs[n]:
             return IdentityCheck(which, order, False, n, lhs[n], rhs[n])

@@ -1038,6 +1038,8 @@ _REPLAY = [
     (["verify", "--n-max", "80", "--json"], EXIT_OK),
     (["census", "--class", "r2", "--n-max", "200", "--t-max", "200", "--out", "{tmp}/r2.csv"], EXIT_OK),
     (["conjecture", "--t", "3,4,5,6,7,8", "--n-max", "200", "--json"], EXIT_OK),
+    # cut in n and t from the census the conjecture above scanned and held
+    (["census", "--class", "g1", "--n-max", "150", "--t-max", "6", "--out", "{tmp}/g1.csv"], EXIT_OK),
     (["crossover", "--pair", "r-t3", "--n-max", "5000"], EXIT_USAGE),
     (["verify", "--n-max", "81"], EXIT_USAGE),
 ]

@@ -1,6 +1,7 @@
 """Young-diagram geometry: conjugation, hook lengths, shortcut statistics,
 and the class censuses."""
 
+import copy
 import hashlib
 import json
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooklab import classes
+from hooklab import classes, hooks
 from hooklab.classes import ClassId, _boundary_masks, all_partitions, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
@@ -300,6 +301,99 @@ def test_census_rows_picks_sizes_and_checks_its_inputs():
     ):
         with pytest.raises(ValueError):
             census_rows(ClassId.R1, **bad)
+
+
+# --------------------------------------------------------------------------
+# the per-process census memo
+# --------------------------------------------------------------------------
+
+
+def _counted_scans(monkeypatch) -> list:
+    """The shape of every scan census_rows runs from here on, recorded by a
+    wrapper around the module's _boundary_census."""
+    shapes = []
+
+    def counted(need, n_max, t_max):
+        shapes.append((n_max, t_max))
+        return _boundary_census(need, n_max, t_max)
+
+    monkeypatch.setattr(hooks, "_boundary_census", counted)
+    return shapes
+
+
+def _direct_rows(cid, n_max, t_max) -> dict:
+    """census_rows over 0..n_max as a direct scan gives them."""
+    rows = _boundary_census(lambda v: classes.least_gap(cid, v), n_max, t_max)
+    return {n: (row[1:], n * row[0], row[0]) for n, row in enumerate(rows)}
+
+
+def test_a_repeated_shape_runs_no_scan(monkeypatch):
+    shapes = _counted_scans(monkeypatch)
+    first = census(ClassId.R1, 30, 4)
+    assert census(ClassId.R1, 30, 4) == first == enumerated_census(ClassId.R1, 30, 4)
+    assert census_rows(ClassId.R1, [30], 4) == {30: (first.counts[30], first.total_hooks[30], first.cardinality[30])}
+    assert shapes == [(30, 4)]
+
+
+@pytest.mark.parametrize("cid", list(ClassId))
+def test_a_held_census_serves_smaller_shapes_by_truncation(monkeypatch, cid):
+    census_rows(cid, range(85), 4)
+    shapes = _counted_scans(monkeypatch)
+    for n_max, t_max in ((40, 2), (84, 1), (84, 4)):
+        assert census_rows(cid, range(n_max + 1), t_max) == _direct_rows(cid, n_max, t_max)
+    assert shapes == []
+
+
+def test_a_larger_or_wider_shape_scans_again_and_replaces_the_entry(monkeypatch):
+    shapes = _counted_scans(monkeypatch)
+    for n_max, t_max in ((30, 3), (31, 3), (31, 5), (20, 6)):
+        assert census(ClassId.G2, n_max, t_max) == enumerated_census(ClassId.G2, n_max, t_max)
+        assert hooks._CENSUS_MEMO[ClassId.G2][1] == (n_max, t_max)
+    assert shapes == [(30, 3), (31, 3), (31, 5), (20, 6)]
+    # (31, 5) was replaced by (20, 6), which serves only what it covers
+    census(ClassId.G2, 20, 2)
+    census(ClassId.G2, 21, 2)
+    assert shapes[4:] == [(21, 2)]
+
+
+@pytest.mark.parametrize(
+    "table,cid,rule",
+    [("GAP_RULES", ClassId.R1, (4, 4)), ("RESIDUE_CLASSES", ClassId.R2, (frozenset({1, 3}), 4))],
+)
+def test_a_changed_rule_is_scanned_again(monkeypatch, table, cid, rule):
+    shipped, shipped_rule = census(cid, 30, 4), getattr(classes, table)[cid]
+    shapes = _counted_scans(monkeypatch)
+    monkeypatch.setitem(getattr(classes, table), cid, rule)
+    changed = census(cid, 24, 4)  # a smaller shape, which the old rule's entry would serve
+    assert changed == enumerated_census(cid, 24, 4)
+    assert changed.counts != shipped.counts[:25]
+    # and back: the entry scanned under the patched rule does not serve it
+    monkeypatch.setitem(getattr(classes, table), cid, shipped_rule)
+    assert census(cid, 24, 4).counts == shipped.counts[:25]
+    assert shapes == [(24, 4), (24, 4)]
+
+
+def test_mutating_the_returned_rows_leaves_the_next_call_unchanged():
+    rows = census_rows(ClassId.G1, range(13), 4)
+    expected = copy.deepcopy(rows)
+    rows[7][0][2] += 1
+    census(ClassId.G1, 12, 4).counts[7][2] += 1
+    census(ClassId.G1, 12, 4).cardinality[7] += 1
+    assert census_rows(ClassId.G1, range(13), 4) == expected
+    assert census_rows(ClassId.G1, range(8), 3)[7][0] == expected[7][0][:3]
+
+
+@given(st.lists(st.tuples(st.sampled_from(list(ClassId)), st.integers(0, 50), st.integers(1, 50)),
+                min_size=1, max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_any_sequence_of_shapes_holds_at_most_one_entry_per_class(shapes):
+    for cid, n_max, t_max in shapes:
+        assert census_rows(cid, range(n_max + 1), t_max) == _direct_rows(cid, n_max, t_max)
+        assert set(hooks._CENSUS_MEMO) <= set(ClassId)
+        assert len(hooks._CENSUS_MEMO) <= 4
+        for gaps, (held_n, held_t), rows in hooks._CENSUS_MEMO.values():
+            assert len(gaps) == held_n <= CENSUS_CEILING and held_t <= CENSUS_CEILING
+            assert len(rows) == held_n + 1 and {len(row) for row in rows} == {1 + held_t}
 
 
 def _digest(value) -> str:

@@ -751,8 +751,8 @@ def test_identity_report_on_mismatch(monkeypatch):
         real_sum = qseries._nahm_sum
 
         def corrupted(rows, order, planted={streams[which]}):
-            # the fault goes into the count field, the low bits, of the pass
-            # over the identity's own stream
+            # the fault goes into the count-only pass over the identity's
+            # own stream
             out = real_sum(rows, order)
             return _raised_at_7(out) if {row[0] for row in rows} == planted else out
 
