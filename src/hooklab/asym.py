@@ -2,10 +2,11 @@
 
 Everything runs in binary64, with one exception: :func:`eta_asym_residual`
 measures a quantity far below double resolution and evaluates its two sides
-in scratch arbitrary precision (returning the correctly rounded double).  It
-is the module's one use of mpmath, which comes with the ``test`` extra, not
-with the package: the function imports it on its first call, so importing
-this module (and the ``hooklab`` command) needs the standard library alone.
+in scratch arbitrary precision (returning the correctly rounded double).
+That precision is binary fixed point on Python integers, with its own pi,
+exp and principal Log (:func:`_fixed_pi`, :func:`_fixed_exp`,
+:func:`_fixed_log`), so the module, like the rest of the package, runs on
+the standard library alone.
 The probes evaluate the Nahm sums (term by term, each rational factor
 (numerator, periods) of a ``qseries._STREAMS`` stream taken by
 :func:`_factor_at`) directly at q = e^(-z), z = eps(1 + iy), and compare
@@ -34,6 +35,7 @@ LOG_SILVER = math.log(SQRT2 + 1.0)  # log(1 + sqrt(2))
 
 _SERIES_CAP = 10**6
 _ETA_GUARD_DPS = 20  # digits beyond the cancellation in eta_asym_residual's sum
+_ETA_GUARD_BITS = 32  # bits beyond its working digits, and beyond each term
 
 
 class ComplexParam(namedtuple("ComplexParam", "epsilon y")):
@@ -101,10 +103,99 @@ def dilog(w: complex) -> complex:
 # --------------------------------------------------------------------------
 # the Dedekind-eta expansion residual
 # --------------------------------------------------------------------------
+#
+# Fixed point: an int x at precision p stands for x / 2^p, and a complex
+# number is a pair (re, im) of them.  Right shifts and // floor, so each
+# step is off by less than one unit of 2^-p.
+
+
+def _fixed_pi(p: int) -> int:
+    """pi at precision p, by the Chudnovsky series (about 47 bits a term).
+
+    The sums are scaled by constants of up to 30 bits before the closing
+    quotient, which carries their floor errors up by as much, so the series
+    runs 32 bits deeper than p.
+    """
+    w = p + 32
+    one = 1 << w
+    c = 640320**3 // 24
+    k, a, a_sum, b_sum = 1, one, one, 0
+    while a:
+        a = a * -((6 * k - 5) * (2 * k - 1) * (6 * k - 1)) // (k * k * k * c)
+        a_sum += a
+        b_sum += k * a
+        k += 1
+    return (426880 * math.isqrt(10005 << (2 * w)) << p) // (13591409 * a_sum + 545140134 * b_sum)
+
+
+def _fixed_exp(xr: int, xi: int, p: int) -> tuple:
+    """e^x at precision p: e^(x/2^s) by its Taylor series, squared s times.
+
+    s brings |x/2^s| under 2^-sqrt(p).  The squarings multiply the error of
+    e^(x/2^s) by up to 2^s, so it is summed s + 8 bits deeper.  Re x below
+    -(p + 2) gives 0, the value being under 2^-(p+2).
+    """
+    if xr < -(p + 2) << p:
+        return 0, 0
+    s = max(0, max(abs(xr), abs(xi)).bit_length() - p + math.isqrt(p))
+    g = s + 8
+    w = p + g
+    ur, ui = (xr << g) >> s, (xi << g) >> s
+    er = tr = 1 << w
+    ei = ti = 0
+    k = 1
+    while abs(tr) > 1 or abs(ti) > 1:  # a floored -1 would repeat forever
+        tr, ti = ((tr * ur - ti * ui) >> w) // k, ((tr * ui + ti * ur) >> w) // k
+        er, ei, k = er + tr, ei + ti, k + 1
+    for _ in range(s):
+        er, ei = ((er + ei) * (er - ei)) >> w, (er * ei) >> (w - 1)
+    return er >> g, ei >> g
+
+
+def _fixed_log(wr: int, wi: int, p: int) -> tuple:
+    """Principal Log w at precision p, by Newton's step L += w e^(-L) - 1.
+
+    The step squares the error, so it starts from the double Log and runs at
+    precisions that double up to p.  A tiny w is fine: e^(-L) is then large
+    and keeps its bits.  Above |w| = 4, e^(-L) would sink under 2^-p, so the
+    power of two is split off: Log(w 2^-e) + e log 2.
+    """
+    e = max(abs(wr), abs(wi)).bit_length() - p  # |w| < 2^e
+    if e > 2:
+        lr, li = _fixed_log(wr >> e, wi >> e, p)
+        return lr + e * _fixed_log(2 << p, 0, p)[0], li
+    sh = max(0, e + p - 64)  # the top 64 bits of w, for the double start
+    start = cmath.log(complex(wr >> sh, wi >> sh)) - (p - sh) * math.log(2.0)
+    precs = [p]
+    while precs[-1] > 80:  # the double start is good to ~40 bits
+        precs.append(precs[-1] // 2 + 8)
+    q = precs[-1]
+    lr, li = int(start.real * 2.0**q), int(start.imag * 2.0**q)
+    for step_q in reversed(precs):
+        lr, li = lr << (step_q - q), li << (step_q - q)
+        q = step_q
+        er, ei = _fixed_exp(-lr, -li, q)
+        lr += ((wr * er - wi * ei) >> p) - (1 << q)
+        li += (wr * ei + wi * er) >> p
+    return lr, li
+
+
+def _fixed_to_double(x: int, p: int) -> float:
+    """x at precision p as a double, rounded as mpmath rounds: to nearest at
+    53 bits, then by ``math.ldexp``, which rounds again in the subnormal
+    range.  An underflow gives 0, never -0."""
+    m = abs(x)
+    s = max(0, m.bit_length() - 64)
+    sticky = m & ((1 << s) - 1) != 0  # keeps float()'s round-to-nearest exact
+    v = math.ldexp(float((m >> s) | sticky), s - p)
+    return (-v if x < 0 else v) or 0.0
 
 
 def eta_asym_residual(param: ComplexParam) -> complex:
     """-Log((q;q)_inf) computed exactly minus pi^2/(6z) + Log(z/2pi)/2 - z/24.
+
+    Here q = e^(-z) with z = eps + i fl(eps y): the imaginary part is the
+    double nearest eps y, not the exact product.
 
     The residual decays faster than every power of epsilon inside the cone
     (instantiated as |y| <= epsilon^(-1/4)); near the probe scales it sits
@@ -113,7 +204,7 @@ def eta_asym_residual(param: ComplexParam) -> complex:
     (~1e-14, growing as epsilon shrinks).  Both sides are therefore evaluated
     in scratch arbitrary precision, deep enough that the returned complex is
     the correctly rounded double of the true residual; magnitudes below the
-    subnormal range come back as an exact 0.
+    subnormal range come back as an exact 0 (see :func:`_fixed_to_double`).
 
     (q;q)_inf is summed by Euler's pentagonal series
     sum_k (-1)^k q^(k(3k-1)/2), whose terms fall like e^(-3 eps k^2/2): a few
@@ -126,10 +217,23 @@ def eta_asym_residual(param: ComplexParam) -> complex:
     2 pi i; the residual is far smaller than pi, so its imaginary part is
     reduced to the nearest multiple of 2 pi.
 
+    The arithmetic is binary fixed point on Python integers, with
+    P = wp log2(10) + ``_ETA_GUARD_BITS`` bits after the point.  Every term
+    of the sum has size at most 1 and is held to 2^-P < 10^-wp.  The sum
+    cancels down to about 10^-cancel, so that absolute error is a relative
+    10^-(wp - cancel) = 10^-(dps + ``_ETA_GUARD_DPS``) of it: P keeps dps
+    digits of the sum after the cancellation, and the guard digits take up
+    the rounding of the k_max steps.  The Log is taken of the sum itself,
+    never of |sum|^2, which would square the sum's size and leave it with
+    half its digits.  A term q^(k(3k-1)/2) of size 2^-m needs P bits below
+    the point, not P + m, so the chains that build it are cut to
+    P - m + ``_ETA_GUARD_BITS`` bits as the terms fall.  When |Im z| < 1,
+    P also gains the leading zero bits of Im z, so every imaginary part
+    keeps P bits of its own scale, as mpmath's floating parts do.  pi runs
+    as many bits deeper as |Im z| has, so the branch step stays exact at
+    any finite z.
+
     Requires epsilon >= ``_EPS_MIN``: the cancelled digits grow like 1/eps.
-    The arbitrary precision is mpmath's, from the ``test`` extra; it is
-    imported here, once both guards have passed, so a rejected input never
-    needs it and a missing mpmath raises ``ModuleNotFoundError``.
     """
     eps, y = param.epsilon, param.y
     if eps < _EPS_MIN:
@@ -143,26 +247,49 @@ def eta_asym_residual(param: ComplexParam) -> complex:
     wp = dps + int(cancel) + _ETA_GUARD_DPS
     # |q^(k(3k-1)/2)| < 10^(-wp) once 3 eps k^2 / 2 > wp ln 10
     k_max = math.isqrt(int(2.0 * wp * math.log(10.0) / (3.0 * eps))) + 2
-    import mpmath as mp
-
-    with mp.workdps(wp):
-        z = mp.mpc(eps, eps * y) if y else mp.mpf(eps)
-        q = mp.exp(-z)
-        q3 = q**3
-        # terms k and -k: q^(k(3k-1)/2) and q^(k(3k+1)/2) = q^(k(3k-1)/2) q^k
-        total = qk = a = mp.mpf(1)
-        step = q  # q^(3k-2) = q^(k(3k-1)/2) / q^((k-1)(3k-4)/2)
-        for k in range(1, k_max + 1):
-            qk *= q
-            a *= step
-            step *= q3
-            term = a * (1 + qk)
-            total = total - term if k % 2 else total + term
-        res = -mp.log(total) - (mp.pi**2 / (6 * z) + mp.log(z / (2 * mp.pi)) / 2 - z / 24)
-        turns = mp.nint(mp.im(res) / (2 * mp.pi))
-        if turns:
-            res -= 2j * mp.pi * turns
-        return complex(res)
+    # P bits, plus the leading zero bits of Im z when |Im z| < 1
+    p = int(wp * math.log2(10.0)) + _ETA_GUARD_BITS + max(0, -math.frexp(eps * y)[1])
+    one = 1 << p
+    # z = (zr + i zi) / den exactly, den a power of two
+    (zr, den), (zi, den_i) = eps.as_integer_ratio(), (eps * y).as_integer_ratio()
+    den, zr, zi = max(den, den_i), zr * max(1, den_i // den), zi * max(1, den // den_i)
+    qr, qi = _fixed_exp(-(zr << p) // den, -(zi << p) // den, p)
+    q2r, q2i = (qr * qr - qi * qi) >> p, (2 * qr * qi) >> p
+    q3r, q3i = (q2r * qr - q2i * qi) >> p, (q2r * qi + q2i * qr) >> p
+    # terms k and -k: a = q^(k(3k-1)/2) and a q^k = q^(k(3k+1)/2); a is held
+    # at precision p, the chains q^k and step = q^(3k-2) at w <= p, with
+    # q and q^3 cut to w as cr, ci and c3r, c3i
+    tr, ti, ar, ai = one, 0, one, 0
+    w, kr, ki, sr, si = p, one, 0, qr, qi
+    cr, ci, c3r, c3i = qr, qi, q3r, q3i
+    for k in range(1, k_max + 1):
+        new_w = max(ar.bit_length(), ai.bit_length()) + _ETA_GUARD_BITS
+        if new_w < w:
+            d, w = w - new_w, new_w
+            kr, ki, sr, si = kr >> d, ki >> d, sr >> d, si >> d
+            d = p - w
+            cr, ci, c3r, c3i = qr >> d, qi >> d, q3r >> d, q3i >> d
+        kr, ki = (kr * cr - ki * ci) >> w, (kr * ci + ki * cr) >> w
+        ar, ai = (ar * sr - ai * si) >> w, (ar * si + ai * sr) >> w
+        sr, si = (sr * c3r - si * c3i) >> w, (sr * c3i + si * c3r) >> w
+        xr = ar + ((ar * kr - ai * ki) >> w)
+        xi = ai + ((ar * ki + ai * kr) >> w)
+        if k % 2:
+            tr, ti = tr - xr, ti - xi
+        else:
+            tr, ti = tr + xr, ti + xi
+    # pi 8 bits deep, and one more per bit of |Im z|: the branch step below
+    # takes up to |Im z|/24 turns of 2 pi off the imaginary part
+    extra = 8 + (abs(zi) // den).bit_length()
+    pi = _fixed_pi(p + extra)
+    two_pi, pi_sq = pi >> (extra - 1), (pi * pi) >> (p + 2 * extra)
+    lr, li = _fixed_log(tr, ti, p)
+    mr, mi = _fixed_log((zr << 2 * p) // (den * two_pi), (zi << 2 * p) // (den * two_pi), p)
+    six_z_sq = 6 * (zr * zr + zi * zi)  # pi^2/(6z) = pi^2 den conj(z) / (6 |z|^2)
+    rr = -lr - (pi_sq * zr * den // six_z_sq + mr // 2 - (zr << p) // (24 * den))
+    ri = -li - (-pi_sq * zi * den // six_z_sq + mi // 2 - (zi << p) // (24 * den))
+    ri -= (pi * (((ri << extra) + pi) // (2 * pi))) >> (extra - 1)  # the nearest multiple of 2 pi
+    return complex(_fixed_to_double(rr, p), _fixed_to_double(ri, p))
 
 
 # --------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 polylogarithms, the little Gollnitz dilogarithm identity, the Bernoulli
 numbers and polynomials, the Zagier q-Pochhammer expansion residual against
 its exact log-Pochhammer series, the Euler-Maclaurin residual of a sampled
-Gaussian, the leading-order probes of the class products and the
-term-by-term run of a Nahm-sum stream.
+Gaussian, the leading-order probes of the class products, the
+term-by-term run of a Nahm-sum stream and the mpmath evaluation of the
+Dedekind-eta expansion residual, the reference for the fixed-point one.
 
 They use ``hooklab.asym``'s dilogarithm, constants, main terms and epsilon
 range, ``hooklab.qseries``'s term streams and :func:`_apply`, and mpmath
-(from the ``test`` extra) for erfc off the real line.  The class-product
-probes read k and lambda_P of RR1 and LG1 from ``asym._MAIN_TERMS``, so
-they check those constants against the directly evaluated products.
+(from the ``test`` extra) for erfc off the real line and the eta residual.
+The class-product probes read k and lambda_P of RR1 and LG1 from
+``asym._MAIN_TERMS``, so they check those constants against the directly
+evaluated products.
 """
 
 import cmath
@@ -22,6 +24,7 @@ import mpmath as mp
 from hooklab.asym import (
     _EPS_MAX,
     _EPS_MIN,
+    _ETA_GUARD_DPS,
     _MAIN_TERMS,
     _SERIES_CAP,
     LOG_SILVER,
@@ -296,3 +299,42 @@ def _nahm_terms(stream: str, order: int):
         after = _apply(term, step(n + 1))
         yield n, term
         term, n = after, n + 1
+
+
+def mpmath_eta_asym_residual(param: ComplexParam) -> complex:
+    """The mpmath evaluation of ``asym.eta_asym_residual``, kept as its
+    reference: the same guards, precision plan, pentagonal sum and branch
+    step, at mpmath's working precision of wp digits.  The fixed-point
+    evaluation must return equal doubles."""
+    eps, y = param.epsilon, param.y
+    if eps < _EPS_MIN:
+        raise ValueError(f"epsilon must be >= {_EPS_MIN}")
+    if abs(y) > eps**-0.25:
+        raise ValueError("y outside the cone |y| <= epsilon^(-1/4)")
+    # resolve down to the double underflow threshold (|res| ~ e^(-4pi^2/(eps(1+y^2))))
+    need = 4.0 * math.pi**2 / (eps * (1.0 + y * y)) / math.log(10.0)
+    dps = int(min(need, 370.0)) + 40
+    cancel = math.pi**2 / (6.0 * eps * (1.0 + y * y)) / math.log(10.0)
+    wp = dps + int(cancel) + _ETA_GUARD_DPS
+    # |q^(k(3k-1)/2)| < 10^(-wp) once 3 eps k^2 / 2 > wp ln 10
+    k_max = math.isqrt(int(2.0 * wp * math.log(10.0) / (3.0 * eps))) + 2
+    import mpmath as mp
+
+    with mp.workdps(wp):
+        z = mp.mpc(eps, eps * y) if y else mp.mpf(eps)
+        q = mp.exp(-z)
+        q3 = q**3
+        # terms k and -k: q^(k(3k-1)/2) and q^(k(3k+1)/2) = q^(k(3k-1)/2) q^k
+        total = qk = a = mp.mpf(1)
+        step = q  # q^(3k-2) = q^(k(3k-1)/2) / q^((k-1)(3k-4)/2)
+        for k in range(1, k_max + 1):
+            qk *= q
+            a *= step
+            step *= q3
+            term = a * (1 + qk)
+            total = total - term if k % 2 else total + term
+        res = -mp.log(total) - (mp.pi**2 / (6 * z) + mp.log(z / (2 * mp.pi)) / 2 - z / 24)
+        turns = mp.nint(mp.im(res) / (2 * mp.pi))
+        if turns:
+            res -= 2j * mp.pi * turns
+        return complex(res)

@@ -14,6 +14,9 @@ from hooklab.asym import (
     PHI,
     AsymModel,
     ComplexParam,
+    _fixed_exp,
+    _fixed_log,
+    _fixed_pi,
     _main_term,
     cross_limit,
     dilog,
@@ -28,6 +31,7 @@ from lemma_checks import (
     dilog_gollnitz_identity_check,
     euler_maclaurin_gaussian_check,
     log_pochhammer_shifted_exact,
+    mpmath_eta_asym_residual,
     param_z,
     polylog,
     product_asym_probe,
@@ -233,16 +237,18 @@ def test_eta_residual_epsilon_floor(monkeypatch):
     from hooklab import asym
 
     assert eta_asym_residual(ComplexParam(asym._EPS_MIN)) == 0
-    # rejected before any mpmath work: with the import blocked only the
-    # guards can answer, and an input they pass needs mpmath
+    # the arithmetic is the standard library's: with the mpmath import
+    # blocked the guards still answer, and an input they pass gives the
+    # same doubles as with mpmath open
+    accepted = [ComplexParam(0.05), ComplexParam(0.05, 2.0)]
+    with_mpmath = [eta_asym_residual(param) for param in accepted]
     monkeypatch.setitem(sys.modules, "mpmath", None)
     for eps in (1e-4, 0.0029):
         with pytest.raises(ValueError, match="epsilon"):
             eta_asym_residual(ComplexParam(eps))
     with pytest.raises(ValueError, match="cone"):
         eta_asym_residual(ComplexParam(0.05, 5.0))
-    with pytest.raises(ModuleNotFoundError, match="mpmath"):
-        eta_asym_residual(ComplexParam(0.05))
+    assert [eta_asym_residual(param) for param in accepted] == with_mpmath
 
 
 def _lambert_eta_residual(eps, y):
@@ -271,6 +277,58 @@ def test_eta_residual_matches_the_lambert_series(eps, y):
     # sum is 2 pi i (0.2, 1.4), 4 pi i (0.05, +-2) or 6 pi i (0.03, +-2.4)
     # away, so those points need the branch step
     assert eta_asym_residual(ComplexParam(eps, y)) == _lambert_eta_residual(eps, y)
+
+
+def test_eta_residual_matches_the_mpmath_reference():
+    # equal doubles at every epsilon of the grid, on the axis and on both
+    # cone edges, where fl(eps y) is not the exact product, and at a tiny y
+    # whose imaginary part lands in the subnormal range, where both roundings
+    # count; a part that underflows is +0, where the reference's zero takes
+    # the sign of its rounding noise
+    grid = [(eps, y) for eps in (0.003, 0.01, 0.02, 0.05, 0.2, 1.5, 3.0, 10.0, 1000.0)
+            for y in (0.0, eps**-0.25, -(eps**-0.25))]
+    grid += [(0.03, 2.4), (0.03, -2.4), (0.2, 1.4), (1.4462365996873379, 1.0593731102586852e-298)]
+    for eps, y in grid:
+        got = eta_asym_residual(ComplexParam(eps, y))
+        assert got == mpmath_eta_asym_residual(ComplexParam(eps, y)), (eps, y)
+        for part in (got.real, got.imag):
+            assert part != 0 or math.copysign(1.0, part) == 1.0, (eps, y)
+
+
+def test_eta_residual_far_out_where_q_vanishes():
+    # at these epsilon q = e^(-z) is below any working precision and the
+    # residual is the closed form alone; the mpmath reference overflows
+    # here.  Im z/24 runs to 2e222 turns of 2 pi, all taken off exactly
+    for eps, y in [(1e12, 1e-3), (1e40, 3e-11), (1e100, 5e-26), (1e300, -3e-76)]:
+        with mp.workdps(800):
+            z = mp.mpc(eps, eps * y)
+            res = -(mp.pi**2 / (6 * z) + mp.log(z / (2 * mp.pi)) / 2 - z / 24)
+            want = complex(res - 2j * mp.pi * mp.nint(mp.im(res) / (2 * mp.pi)))
+        assert eta_asym_residual(ComplexParam(eps, y)) == want, (eps, y)
+
+
+def test_fixed_point_primitives_against_mpmath():
+    # each against mpmath at the fixed-point input itself, to a few units
+    # of 2^-p (relative, for the large values of e^x)
+    p = 600
+    with mp.workdps(250):
+        def fixed(v):
+            return int(mp.floor(mp.re(v) * 2**p)), int(mp.floor(mp.im(v) * 2**p))
+
+        def close(got, value, units):
+            want = fixed(value)
+            return all(abs(g - w) <= units + (abs(w) >> (p - 4)) for g, w in zip(got, want))
+
+        assert abs(_fixed_pi(p) - fixed(mp.pi)[0]) <= 1
+        # e^x inside the unit disk, far out on the imaginary axis, large and
+        # positive (Newton's e^(-L) for a tiny w), and under 2^-p
+        for x in (mp.mpc("0.3", "-2.5"), mp.mpc("-1.5", "40"), mp.mpc(550, 1), mp.mpf(-700)):
+            xr, xi = fixed(x)
+            assert close(_fixed_exp(xr, xi, p), mp.exp(mp.mpc(xr, xi) / 2**p), 8), x
+        # the principal Log: tiny, large, on the negative axis and just below it
+        for w in (mp.mpc("1e-150", "3e-151"), mp.mpc("1e40", "-2e39"), mp.mpf(-3), mp.mpc(-3, "-1e-100")):
+            wr, wi = fixed(w)
+            assert close(_fixed_log(wr, wi, p), mp.log(mp.mpc(wr, wi) / 2**p), 8), w
 
 
 def test_euler_maclaurin_at_origin():

@@ -1213,6 +1213,10 @@ _UNREACHED = {
     # the record's own _make, so that _replace checks as __new__ does
     "asym.ComplexParam._make": "bench",
     "asym.eta_asym_residual": "bench",
+    "asym._fixed_pi": "bench",
+    "asym._fixed_exp": "bench",
+    "asym._fixed_log": "bench",
+    "asym._fixed_to_double": "bench",
     "asym.saddle_functions": "bench",
     "qseries.bivariate_R": "bench",
     "qseries.bivariate_G": "bench",
