@@ -37,6 +37,7 @@ from pathlib import Path
 from . import __version__, asym
 from .classes import GAP_RULES, RESIDUE_CLASSES, ClassId, iter_class, walk
 from .hooks import (
+    ENUMERATION_CEILING,
     HookCensus,
     _hook_cells,
     boundary_words,
@@ -61,7 +62,7 @@ from .qseries import (
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
 
-VERIFY_CEILING = 80        # largest n_max cmd_verify will enumerate
+VERIFY_CEILING = ENUMERATION_CEILING  # largest n_max cmd_verify will enumerate
 ENGINE_CHECK_T = 4         # t_max of verify's engine-vs-enumeration check
 HOOK_PROPERTY_BOUND = 30   # unrestricted-partition property sweep bound
 

@@ -44,6 +44,10 @@ from .classes import ClassId, Partition, _boundary_masks, _east, _partition_bits
 #: largest n_max and t_max a census accepts
 CENSUS_CEILING = 200
 
+#: largest n_max :func:`enumerated_census` walks; r1 alone has 3.7e7
+#: members of size 200
+ENUMERATION_CEILING = 80
+
 
 def conjugate(parts: Partition) -> Partition:
     """The partition whose rows are the columns of the Young diagram.
@@ -361,9 +365,14 @@ def enumerated_census(class_id: ClassId, n_max: int, t_max: int) -> HookCensus:
     for every class member (:func:`boundary_words`), its t-hooks one
     popcount of that word for each t, taken over all members of a size at
     once (:func:`t_hooks`).  Serial and slow; it is the oracle that the
-    scan over all the class's words is checked against."""
-    if n_max < 0 or t_max < 1:
-        raise ValueError("need n_max >= 0 and t_max >= 1")
+    scan over all the class's words is checked against.  A shape outside
+    0 <= n_max <= :data:`ENUMERATION_CEILING` and
+    1 <= t_max <= :data:`CENSUS_CEILING` is refused before the walk."""
+    if not (0 <= n_max <= ENUMERATION_CEILING and 1 <= t_max <= CENSUS_CEILING):
+        raise ValueError(
+            f"need 0 <= n_max <= {ENUMERATION_CEILING} (enumeration ceiling) and "
+            f"1 <= t_max <= {CENSUS_CEILING}; got n_max={n_max}, t_max={t_max}"
+        )
     counts, cardinality = [], []
     for n in range(n_max + 1):
         norths, easts = boundary_words(walk(class_id, n))

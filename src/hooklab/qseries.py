@@ -3,7 +3,8 @@
 Everything here is integer-exact.  The engine computes on plain lists of
 Python ints, a list c standing for sum(c_n q^n) + O(q^len(c)), and wraps a
 result in a :class:`TruncatedSeries` only where a public builder returns
-it.  It is division-free -- dividing by (1 - q^p) is realized as
+it; a :class:`BivariateSeries` holds its columns as such lists.  It is
+division-free -- dividing by (1 - q^p) is realized as
 multiplication by the truncated geometric series of period p, an O(N) pass,
 :func:`_running_sums`.  Each list kernel works on whole list slices
 (``map``/``accumulate`` over them), so its per-coefficient loop runs in C,
@@ -45,11 +46,12 @@ that stream as q-polynomial weights.
 One builder, :func:`_build_bivariate`, makes the eight bivariate
 refinements sum_lambda x^(statistic) q^|lambda|, each taken at x = 2^b as
 one series whose b-bit digits are the table's columns (Kronecker
-substitution) and read back by one unpacking.  A gap-class table is the
-Horner sum of x^n times term n over its streams.  A congruence-class table
-is a product of one factor per part value that ``classes.RESIDUE_CLASSES``
-allows, as is the product side of :func:`identity_check_sum_product`, so
-each congruence class is defined there alone.  Both classes of a pair take
+substitution) and read back by one unpacking into plain coefficient lists.
+A gap-class table is the Horner sum of x^n times term n over its streams.
+A congruence-class table is a product of one factor per part value that
+``classes.RESIDUE_CLASSES`` allows, as is the product side of
+:func:`identity_check_sum_product`, so each congruence class is defined
+there alone.  Both classes of a pair take
 the digit width b from the pair's counting series.
 
 ``_IDENTITIES`` states each identity once: the term stream of its sum side,
@@ -111,12 +113,6 @@ class TruncatedSeries:
             raise ValueError("coeffs must have exactly order+1 entries")
         self.order, self.coeffs = order, list(coeffs)
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """New series holding this one's coefficients up to q^order."""
-        if order > self.order:
-            raise ValueError(f"order {order} exceeds truncation order {self.order}")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
-
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
@@ -128,11 +124,6 @@ class TruncatedSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[: min(8, self.order + 1)])
-        tail = ", ..." if self.order >= 8 else ""
-        return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
 def _add(*lists) -> list:
@@ -421,13 +412,14 @@ def _hook_series(name: str, order: int) -> TruncatedSeries:
     identity's memoized pass.  A congruence class's, memoized under its
     name, is its class's count times the sum of its factors."""
     class_id, t, form, gap_rows = _HOOK_SERIES[name]
+    counted = _COUNTED_BY[class_id]
     if gap_rows is None:
         def build(_, n):
-            prod = counting_series(class_id, n).coeffs
+            prod = _held(counted, n, _identity_pass)[0][: n + 1]
             return (_add(*(_apply(prod, factor) for factor in form)),)
         (held,) = _held(name, order, build)
     else:
-        held = _held(_COUNTED_BY[class_id], order, _identity_pass)[t]
+        held = _held(counted, order, _identity_pass)[t]
     return TruncatedSeries(order, held[: order + 1])
 
 
@@ -457,41 +449,33 @@ def series_H(j: int, t: int, order: int) -> TruncatedSeries:
 
 
 class BivariateSeries:
-    """Series in q and x, stored as one TruncatedSeries per x-degree.
+    """Series in q and x, stored as one coefficient list per x-degree.
 
-    ``cols[k]`` is the coefficient of x^k.  The list ends at the highest
-    x-degree with a nonzero coefficient (a lone zero column for the zero
-    table), so it grows with the statistic, not with the q-order.
+    ``cols[k]`` is the list of the coefficients of x^k q^n, n = 0 ..
+    ``order_q``.  The list of columns ends at the highest x-degree with a
+    nonzero coefficient (a lone zero column for the zero table), so it grows
+    with the statistic, not with the q-order.
     """
 
     __slots__ = ("order_q", "cols")
 
     def __init__(self, order_q: int, cols: list):
+        if order_q < 0:
+            raise ValueError("order_q must be >= 0")
         cols = list(cols)  # the trim below must not shorten the caller's list
-        if not cols or any(col.order != order_q for col in cols):
+        if not cols or any(len(col) != order_q + 1 for col in cols):
             raise ValueError(f"a table needs one or more columns, each of order {order_q}")
-        while len(cols) > 1 and not any(cols[-1].coeffs):
+        while len(cols) > 1 and not any(cols[-1]):
             cols.pop()
         self.order_q, self.cols = order_q, cols
 
-    @property
-    def order_x(self) -> int:
-        """Highest x-degree stored."""
-        return len(self.cols) - 1
-
-    def coefficient(self, n: int, k: int) -> int:
-        """Coefficient of x^k q^n."""
-        if not 0 <= k <= self.order_x:
-            raise IndexError(f"x-degree {k} outside table")
-        return self.cols[k][n]
-
     def at_x_one(self) -> TruncatedSeries:
         """Marginalize the statistic: substitute x = 1."""
-        return TruncatedSeries(self.order_q, _add(*(col.coeffs for col in self.cols)))
+        return TruncatedSeries(self.order_q, _add(*self.cols))
 
     def x_derivative_at_one(self) -> TruncatedSeries:
         """d/dx at x = 1: weights each column by its x-degree."""
-        weighted = (map(mul, col.coeffs, repeat(k)) for k, col in enumerate(self.cols))
+        weighted = (map(mul, col, repeat(k)) for k, col in enumerate(self.cols))
         return TruncatedSeries(self.order_q, _add(*weighted))
 
 
@@ -545,8 +529,9 @@ def _part_factors(class_id: ClassId, t: int, order: int, x: int):
 
 def _degree_digit_width(class_id: ClassId, order: int) -> int:
     """Bits per x-degree in a packed bivariate table: the bit length of the
-    class's count at ``order``, read off its pair's counting series, which
-    the memo keeps for the pair's next table and for the series.
+    class's count at ``order``, read off the count list of its pair's
+    identity pass, which the memo keeps for the pair's next table and for
+    the series.
 
     A coefficient of x^k q^n, n <= order, counts class members of size n.
     The two classes of a pair are equinumerous (RR1, LG1), and the
@@ -556,7 +541,7 @@ def _degree_digit_width(class_id: ClassId, order: int) -> int:
     gap-class table's Horner levels: every term is non-negative with lowest
     coefficient 1, and level k is kept on term k's window, so each digit of
     it is at most a final coefficient at some n <= order."""
-    return counting_series(class_id, order).coeffs[order].bit_length()
+    return _held(_COUNTED_BY[class_id], order, _identity_pass)[0][order].bit_length()
 
 
 def _build_bivariate(name: str, order: int) -> BivariateSeries:
@@ -580,7 +565,7 @@ def _build_bivariate(name: str, order: int) -> BivariateSeries:
             packed = _apply(packed, factor)
     mask, digits = (1 << width) - 1, -(-max(packed).bit_length() // width)
     cols = [[c >> width * k & mask for c in packed] for k in range(digits)]
-    return BivariateSeries(order, [TruncatedSeries(order, col) for col in cols])
+    return BivariateSeries(order, cols)
 
 
 def bivariate_R(j: int, t: int, order: int) -> BivariateSeries:

@@ -1198,11 +1198,7 @@ _UNREACHED = {
     "hooks.census": "api",
     "hooks.hook_lengths": "api",
     "qseries.TruncatedSeries.__eq__": "api",
-    "qseries.TruncatedSeries.__repr__": "api",
-    "qseries.TruncatedSeries.truncated": "api",
     "qseries.BivariateSeries.__init__": "api",
-    "qseries.BivariateSeries.order_x": "api",
-    "qseries.BivariateSeries.coefficient": "api",
     "qseries.BivariateSeries.at_x_one": "api",
     "qseries.BivariateSeries.x_derivative_at_one": "api",
     # verify's failure detail for a sum-product identity

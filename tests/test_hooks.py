@@ -14,6 +14,7 @@ from hooklab import classes, hooks
 from hooklab.classes import ClassId, _boundary_masks, all_partitions, iter_class
 from hooklab.hooks import (
     CENSUS_CEILING,
+    ENUMERATION_CEILING,
     _boundary_census,
     _size_digit_width,
     census,
@@ -301,6 +302,22 @@ def test_census_rows_picks_sizes_and_checks_its_inputs():
     ):
         with pytest.raises(ValueError):
             census_rows(ClassId.R1, **bad)
+
+
+@pytest.mark.parametrize(
+    "n_max,t_max",
+    [(0, 10**6), (0, CENSUS_CEILING + 1), (ENUMERATION_CEILING + 1, 2), (CENSUS_CEILING, 2),
+     (-1, 2), (0, 0)],
+)
+def test_enumerated_census_refuses_a_shape_before_it_walks(monkeypatch, n_max, t_max):
+    # a t_max of 10**6 would build a row of a million entries, and r1 alone
+    # has 3.7e7 members of size 200; the walk must not even start
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(hooks, "walk", no_walk)
+    with pytest.raises(ValueError, match="enumeration ceiling"):
+        enumerated_census(ClassId.R1, n_max, t_max)
 
 
 # --------------------------------------------------------------------------

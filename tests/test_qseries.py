@@ -3,6 +3,7 @@ generating functions against brute-force censuses, bivariate refinements,
 identities."""
 
 import hashlib
+import inspect
 import random
 from math import isqrt
 
@@ -784,8 +785,8 @@ BIVARIATE_BUILDERS = [
 @pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
 def test_bivariate_table_vs_enumeration(build, j, t, class_id):
     # full (n, k) table == distribution of the t-hook statistic over members;
-    # the table ends at its top nonzero column, so a statistic value above
-    # order_x means a column was lost
+    # the table ends at its top nonzero column, so a statistic value at or
+    # above len(cols) means a column was lost
     bound = 16
     dists = []
     for n in range(bound + 1):
@@ -797,9 +798,9 @@ def test_bivariate_table_vs_enumeration(build, j, t, class_id):
     for order in (0, 1, 2, bound):
         table = build(j, t, order)
         for n in range(order + 1):
-            assert max(dists[n]) <= table.order_x, (order, n)
-            for k in range(table.order_x + 1):
-                assert table.coefficient(n, k) == dists[n].get(k, 0), (order, n, k)
+            assert max(dists[n]) <= len(table.cols) - 1, (order, n)
+            for k in range(len(table.cols)):
+                assert table.cols[k][n] == dists[n].get(k, 0), (order, n, k)
 
 
 def _check_marginal_and_derivative(build, j, t, class_id, order):
@@ -807,7 +808,7 @@ def _check_marginal_and_derivative(build, j, t, class_id, order):
     assert table.at_x_one() == counting_series(class_id, order)
     expected = (series_S if build is bivariate_R else series_H)(j, t, order)
     assert table.x_derivative_at_one() == expected
-    assert all(c >= 0 for col in table.cols for c in col.coeffs)
+    assert all(c >= 0 for col in table.cols for c in col)
 
 
 @pytest.mark.parametrize("build,j,t,class_id", BIVARIATE_BUILDERS)
@@ -829,7 +830,7 @@ def test_digit_width_exceeds_the_partition_numbers(monkeypatch):
     monkeypatch.setattr(qseries, "_degree_digit_width", lambda class_id, order: 2 * real(class_id, order) + 8)
     for build, j, t, class_id in BIVARIATE_BUILDERS:
         for order in (0, 40, 150, 400):
-            entries = [c for col in build(j, t, order).cols for c in col.coeffs]
+            entries = [c for col in build(j, t, order).cols for c in col]
             assert max(entries).bit_length() <= real(class_id, order), (build.__name__, j, t, order)
 
 
@@ -858,17 +859,17 @@ def test_gap_tables_match_their_term_rows(build, j, t, class_id):
                 cols.extend([0] * (order + 1) for _ in range(len(cols), n + 1))
                 cols[n] = [a + b for a, b in zip(cols[n], term)]
         table = build(j, t, order)
-        assert [col.coeffs for col in table.cols] == cols, (name, order)
+        assert table.cols == cols, (name, order)
 
 
 def test_bivariate_examples():
     table = bivariate_R(1, 1, 10)
-    assert table.coefficient(4, 1) == 1   # (4)
-    assert table.coefficient(4, 2) == 1   # (3, 1)
-    assert table.coefficient(4, 0) == 0
+    assert table.cols[1][4] == 1   # (4)
+    assert table.cols[2][4] == 1   # (3, 1)
+    assert table.cols[0][4] == 0
     gtable = bivariate_G(1, 1, 10)
-    assert gtable.coefficient(4, 1) == 1  # only (4)
-    assert sum(gtable.coefficient(4, k) for k in range(gtable.order_x + 1)) == 1
+    assert gtable.cols[1][4] == 1  # only (4)
+    assert sum(col[4] for col in gtable.cols) == 1
 
 
 @pytest.mark.parametrize("lone,repeated", [(1, 1), (0, 1), (1, 2)])
@@ -891,23 +892,54 @@ def test_part_factor_is_its_definition(lone, repeated):
 def test_bivariate_series_keeps_its_own_column_list():
     # trimming the zero top columns must not shorten the caller's list, and
     # a later change to that list must not reach the table
-    one, zero = TruncatedSeries(3, [1, 0, 0, 0]), TruncatedSeries(3, [0] * 4)
+    one, zero = [1, 0, 0, 0], [0] * 4
     cols = [one, zero, zero]
     table = BivariateSeries(3, cols)
     assert len(cols) == 3
     assert table.cols is not cols
-    assert table.order_x == 0
+    assert table.cols == [one]
     cols.append(one)
-    assert table.order_x == 0
+    assert table.cols == [one]
 
 
 def test_bivariate_series_refuses_a_column_of_another_order():
-    # a column of order 5 in an order-3 table would let coefficient(5, 1)
-    # read q^5 past order_q; a table without columns has no x-degree 0
-    for cols in ([TruncatedSeries(3, [1, 0, 0, 0]), TruncatedSeries(5, [0, 1, 0, 0, 0, 7])],
-                 [TruncatedSeries(5, [1, 0, 0, 0, 0, 0])], []):
+    # a column of 6 entries in an order-3 table would let cols[1][5] read
+    # q^5 past order_q, and one of 3 would drop q^3; a table without
+    # columns has no x-degree 0
+    for cols in ([[1, 0, 0, 0], [0, 1, 0, 0, 0, 7]], [[1, 0, 0, 0, 0, 0]], [[1, 0, 0]],
+                 [[1, 0, 0, 0], [0, 1, 0]], []):
         with pytest.raises(ValueError, match="each of order 3"):
             BivariateSeries(3, cols)
+    # an empty column has the length order_q + 1 of order_q = -1, which is
+    # refused in its own words
+    for cols in ([[]], [[], []]):
+        with pytest.raises(ValueError, match="order_q must be >= 0"):
+            BivariateSeries(-1, cols)
+
+
+# what the package, bench/child.py and the README read of each series type:
+# a series' order, its coefficient list, its [n] and ==; a table's q-order,
+# its column lists and its two reductions
+_SERIES_SURFACE = {
+    TruncatedSeries: {"order", "coeffs", "__getitem__", "__eq__"},
+    BivariateSeries: {"order_q", "cols", "at_x_one", "x_derivative_at_one"},
+}
+
+
+def test_series_types_expose_what_is_read_and_tables_hold_plain_lists():
+    # a method, property or slot that no reader reads is surface to keep
+    # for nothing; every column of a table is a list of order + 1 ints
+    for cls, surface in _SERIES_SURFACE.items():
+        own = {name for name, value in vars(cls).items()
+               if callable(value) or inspect.isdatadescriptor(value)}
+        assert own - {"__init__"} == surface, cls.__name__
+    for build, j, t, _ in BIVARIATE_BUILDERS:
+        for order in (0, 1, 40):
+            cols = build(j, t, order).cols
+            assert type(cols) is list, (build.__name__, j, t, order)
+            for col in cols:
+                assert type(col) is list and len(col) == order + 1, (build.__name__, j, t, order)
+                assert all(type(c) is int for c in col), (build.__name__, j, t, order)
 
 
 def test_bivariate_rejects_unknown_indices():
@@ -925,8 +957,8 @@ def test_bivariate_order_bounds(build, j, t, class_id):
     with pytest.raises(ValueError, match="order must be >= 0"):
         build(j, t, -1)
     table = build(j, t, 0)
-    assert (table.order_q, table.order_x) == (0, 0)
-    assert table.cols[0].coeffs == [1]
+    assert table.order_q == 0
+    assert table.cols == [[1]]
 
 
 @pytest.mark.parametrize(
@@ -994,7 +1026,7 @@ def test_bivariate_and_product_digests():
     builders = {"R": bivariate_R, "G": bivariate_G}
     for (family, j, t, order), digest in BIVARIATE_DIGESTS.items():
         table = builders[family](j, t, order)
-        assert _sha(col.coeffs for col in table.cols) == digest, (family, j, t, order)
+        assert _sha(table.cols) == digest, (family, j, t, order)
     for (residues, modulus), digest in PRODUCT_DIGESTS_2000.items():
         series = inv_pochhammer_product(set(residues), modulus, 2000)
         assert _sha([series.coeffs]) == digest, (residues, modulus)
